@@ -3,17 +3,21 @@
 Angles are points of the circle R/Z of circumference 1, represented as
 `fractions.Fraction` values normalized to [0, 1).  The map of interest
 is the tripling map t(x) = 3x mod 1; its half-turn symmetry is
-x -> x + 1/2.  Every rational angle is eventually periodic under
-tripling: for reduced p/q with q = 3^e * m (3 does not divide m) the
-preperiod is e and the period is the multiplicative order of 3 mod m.
-That factorization rule is used only as a test oracle; the functions
-below iterate with exact equality.
+x -> x + 1/2.  `Fraction` is the type of the public API, of parsing and
+of serialization; the hot paths convert angles to ints on a common
+integer grid (`trilam.grid`) and back.  Every rational angle is
+eventually periodic under tripling: for reduced p/q with q = 3^e * m
+(3 does not divide m) the preperiod is e and the period is the
+multiplicative order of 3 mod m, which is how `orbit_info` computes
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .grid import closure
 
 __all__ = [
     "Angle",
@@ -92,13 +96,6 @@ def in_open_arc(x: Angle, a: Angle, b: Angle) -> bool:
 
 
 def orbit_info(a: Angle) -> OrbitInfo:
-    """Minimal preperiod and period of a under tripling, by iterate-and-record."""
-    seen: dict[Angle, int] = {}
-    x = a
-    i = 0
-    while x not in seen:
-        seen[x] = i
-        x = (3 * x) % 1
-        i += 1
-    first = seen[x]
-    return OrbitInfo(preperiod=first, period=i - first)
+    """Minimal preperiod and period of a under tripling, from its reduced denominator."""
+    preperiod, period = closure(a.denominator)
+    return OrbitInfo(preperiod=preperiod, period=period)

@@ -14,13 +14,13 @@ is backed by a theorem about the comajor lamination.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .angles import Angle
 from .chords import Chord, SIXTH, image, length
+from .grid import Pair, crossing_pair, on_grid, scale_of
 from .legality import is_legal_pair
 from .orbits import preperiod1_points
 
@@ -83,12 +83,6 @@ class BuildState:
     def sorted_leaves(self) -> list[ComajorRecord]:
         return sorted(self.leaves, key=ComajorRecord.sort_key)
 
-    def endpoint_set(self) -> set[Angle]:
-        pts: set[Angle] = set()
-        for rec in self.leaves:
-            pts.update(rec.chord.endpoints())
-        return pts
-
 
 @dataclass
 class NestingReport:
@@ -122,14 +116,20 @@ def seed_leaves() -> list[ComajorRecord]:
     return [make_record(Chord(a, b), ptype=t, block=1) for t, a, b in _SEED_DATA]
 
 
-def _sectors() -> list[tuple[Angle, Angle]]:
-    """Arcs of the central component left by the step-1 leaves, sorted by start."""
-    arcs = sorted(Chord(a, b).arc() for _, a, b in _SEED_DATA)
-    out = []
-    for i, (_, end) in enumerate(arcs):
-        start_next = arcs[(i + 1) % len(arcs)][0]
-        out.append((end, start_next))
-    return sorted(out)
+def _sectors(scale: int) -> list[tuple[int, int]]:
+    """(start, span) of the arcs of the central component left by the step-1 leaves."""
+    arcs = sorted(_arc(on_grid(a, scale), on_grid(b, scale), scale) for _, a, b in _SEED_DATA)
+    return [((s + w) % scale, (arcs[(i + 1) % len(arcs)][0] - s - w) % scale)
+            for i, (s, w) in enumerate(arcs)]
+
+
+def _arc(x: int, y: int, scale: int) -> tuple[int, int]:
+    """(start, span) of the short arc of the chord (x, y), x <= y, on the grid of modulus scale."""
+    return (x, y - x) if 2 * (y - x) <= scale else (y, scale - (y - x))
+
+
+def _grid_pairs(chords: list[Chord], scale: int) -> list[Pair]:
+    return [(on_grid(ch.a, scale), on_grid(ch.b, scale)) for ch in chords]
 
 
 def group_by_component(points: list[Angle], state: BuildState) -> list[list[Angle]]:
@@ -143,68 +143,59 @@ def group_by_component(points: list[Angle], state: BuildState) -> list[list[Angl
     arc (wrap-aware); groups are ordered by smallest member.  A point
     colliding with an existing endpoint signals an enumeration bug.
     """
-    taken = state.endpoint_set()
+    leaves = state.chords()
     # common integer scale for the step: all comparisons become int ops
-    dens = [p.denominator for p in points]
-    for rec in state.leaves:
-        dens.append(rec.chord.a.denominator)
-        dens.append(rec.chord.b.denominator)
-    scale = _lcm_all(dens)
+    scale = scale_of([*points, *(v for ch in leaves for v in ch.endpoints())], 12)
+    pts = [on_grid(p, scale) for p in points]
+    pairs = _grid_pairs(leaves, scale)
+    taken = {v for pair in pairs for v in pair}
 
-    entries = []  # (start, span, leaf index), wrap arcs duplicated at start - scale
-    max_span = 0
-    for idx, rec in enumerate(state.leaves):
-        s, e = rec.chord.arc()
-        s_i = int(s * scale)
-        span = int(((e - s) % 1) * scale)
-        max_span = max(max_span, span)
-        entries.append((s_i, span, idx))
-        if s_i + span >= scale:
-            entries.append((s_i - scale, span, idx))
-    entries.sort()
-    starts = [e[0] for e in entries]
-    sectors = [(int(s * scale), int(((e - s) % 1) * scale)) for s, e in _sectors()]
+    # leaf arcs as line intervals (start, end, leaf index); a wrapping arc
+    # also as its copy shifted by -scale.  Both families stay laminar.
+    intervals = []
+    for idx, (x, y) in enumerate(pairs):
+        s, w = _arc(x, y, scale)
+        intervals.append((s, s + w, idx))
+        if s + w >= scale:
+            intervals.append((s - scale, s + w - scale, idx))
+    intervals.sort(key=lambda iv: (iv[0], -iv[1]))
+    sectors = _sectors(scale)
 
-    buckets: dict[tuple, list[tuple[int, Angle]]] = {}
-    for p in points:
-        if p in taken:
+    # one sweep: the stack holds the arcs open at the current point,
+    # innermost on top
+    buckets: dict[tuple, list[tuple[int, int, Angle]]] = {}
+    stack: list[tuple[int, int, int]] = []
+    k = 0
+    for p_i, p in sorted(zip(pts, points)):
+        if p_i in taken:
             raise BuildError(f"candidate point {p} collides with an existing leaf endpoint")
-        p_i = int(p * scale)
-        innermost: Optional[tuple[int, int, int]] = None  # (span, leaf index, offset)
-        lo = bisect_left(starts, p_i - max_span)
-        hi = bisect_right(starts, p_i)
-        for s_i, span, idx in entries[lo:hi]:
-            off = p_i - s_i
-            if 0 < off < span and (innermost is None or span < innermost[0]):
-                innermost = (span, idx, off)
-        if innermost is not None:
-            key = ("leaf", innermost[1])
-            pos = innermost[2]
+        while k < len(intervals) and intervals[k][0] < p_i:
+            s, e, idx = intervals[k]
+            while stack and stack[-1][1] <= s:
+                stack.pop()
+            stack.append((s, e, idx))
+            k += 1
+        while stack and stack[-1][1] <= p_i:
+            stack.pop()
+        if stack:
+            s, _, idx = stack[-1]
+            key, pos = ("leaf", idx), p_i - s
         else:
-            sector = None
-            for i, (s_i, span) in enumerate(sectors):
-                off = (p_i - s_i) % scale
-                if 0 < off < span:
-                    sector = (i, off)
+            for i, (s, w) in enumerate(sectors):
+                off = (p_i - s) % scale
+                if 0 < off < w:
+                    key, pos = ("sector", i), off
                     break
-            if sector is None:
+            else:
                 raise BuildError(f"central point {p} lies in no sector")
-            key = ("sector", sector[0])
-            pos = sector[1]
-        buckets.setdefault(key, []).append((pos, p))
+        buckets.setdefault(key, []).append((pos, p_i, p))
 
     groups = []
     for members in buckets.values():
         members.sort()
-        groups.append([p for _, p in members])
-    groups.sort(key=lambda g: min(g))
-    return groups
-
-
-def _lcm_all(values: list[int]) -> int:
-    from math import lcm
-
-    return lcm(*values)
+        groups.append((min(m[1] for m in members), [m[2] for m in members]))
+    groups.sort()
+    return [g for _, g in groups]
 
 
 def pair_consecutively(group: list[Angle]) -> list[Chord]:
@@ -231,29 +222,15 @@ def _commit(state: BuildState, block: int, ptype: str) -> None:
         new.extend(pair_consecutively(group))
     # one laminarity sweep replaces pairwise crossing checks; any crossing
     # between a new leaf and the family is a hard error
-    offender = _crossing_pair(state.chords() + new)
+    family = state.chords() + new
+    scale = scale_of(v for ch in family for v in ch.endpoints())
+    pairs = _grid_pairs(family, scale)
+    offender = crossing_pair(pairs)
     if offender is not None:
-        raise BuildError(f"leaf {offender[0]} crosses leaf {offender[1]}")
+        first, second = (family[pairs.index(p)] for p in offender)
+        raise BuildError(f"leaf {first} crosses leaf {second}")
     for ch in new:
         state.leaves.append(make_record(ch, ptype=ptype, block=block))
-
-
-def _crossing_pair(chords: list[Chord]) -> Optional[tuple[Chord, Chord]]:
-    """First crossing pair in a chord family, or None (stack sweep, O(n log n)).
-
-    Chords may share endpoints; two chords cross iff their (min, max)
-    endpoint intervals partially overlap with all four inequalities
-    strict.
-    """
-    items = sorted(chords, key=lambda c: (c.a, -c.b))
-    stack: list[Chord] = []
-    for ch in items:
-        while stack and stack[-1].b <= ch.a:
-            stack.pop()
-        if stack and stack[-1].b < ch.b:
-            return (stack[-1], ch)
-        stack.append(ch)
-    return None
 
 
 def run_step(state: BuildState, block: int) -> BuildState:
@@ -303,12 +280,10 @@ def nesting_audit(state: BuildState) -> NestingReport:
     are reported, the separated same-type ones listed with their
     separator.
     """
-    scale = _lcm_all([v.denominator for rec in state.leaves
-                      for v in rec.chord.endpoints()] or [1])
-    arcs = []  # (start, span) on the common integer scale, aligned with leaves
-    for rec in state.leaves:
-        s, e = rec.chord.arc()
-        arcs.append((int(s * scale), int(((e - s) % 1) * scale)))
+    chords = state.chords()
+    scale = scale_of(v for ch in chords for v in ch.endpoints())
+    # (start, span) on the common integer scale, aligned with leaves
+    arcs = [_arc(x, y, scale) for x, y in _grid_pairs(chords, scale)]
 
     def nested(i: int, j: int) -> bool:
         si, wi = arcs[i]

@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from .angles import angle_str, orbit_info, parse_angle, tripling
-from .builder import BuildState, VerificationError, build
+from .builder import BuildError, BuildState, VerificationError, build
 from .chords import Chord
 from .formats import (
     chords_from_json,
@@ -24,7 +24,7 @@ from .formats import (
     records_to_json,
 )
 from .legality import is_legal_pair
-from .orbits import chord_orbit, classify_periodic
+from .orbits import classify_periodic
 from .pullback import IllegalSeedError, build_prelamination, hyperbolic_prune
 from .render import RenderConfig, render_svg
 
@@ -68,6 +68,9 @@ def cmd_comajors(args) -> int:
         state = build(args.max_block, verify=args.verify)
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+    except BuildError as exc:
+        print(f"build failure: {exc}", file=sys.stderr)
         return 1
     _emit_records(state, args)
     return 0

@@ -17,25 +17,23 @@ Condition (a) is checked over all pairs drawn from the union of both
 full orbits (indices >= 0, the most conservative reading); condition
 (b) over images with index >= 1.  Orbits are finite and computed to
 exact closure, so the verdict is exact.
+
+The oracle runs on the integer grid of modulus N = lcm(6, denominators
+of c) (`trilam.grid`): the orbit, the antipodes at +N/2, the majors at
++-N/3, the strip arcs and both scans are int operations.  `Chord`
+values are built only for a witness.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .angles import Angle, THIRD, antipode, in_open_arc, orbit_info
-from .chords import (
-    Chord,
-    SIXTH,
-    chord_antipode,
-    crosses,
-    image,
-    length,
-    majors_of,
-)
+from . import grid
+from .angles import Angle, THIRD, antipode
+from .chords import Chord, SIXTH, chord_antipode, length, majors_of
+from .grid import Pair, arclen, on_grid, scale_of
 
 __all__ = [
     "StripSystem",
@@ -111,6 +109,17 @@ class LegalityVerdict:
         return doc
 
 
+def _boundary_arcs(first: tuple, second: tuple) -> list[tuple]:
+    """Arcs joining an endpoint of `first` to an endpoint of `second`, circularly ordered.
+
+    Works for any ordered endpoint values (`Fraction` angles or grid ints).
+    """
+    verts = sorted(set(first) | set(second))
+    owner = [v in first for v in verts]
+    n = len(verts)
+    return [(verts[i], verts[(i + 1) % n]) for i in range(n) if owner[i] != owner[(i + 1) % n]]
+
+
 def strip_system(first: Chord, second: Chord) -> StripSystem:
     """The strip pair bounded by two disjoint chords with a common image.
 
@@ -121,14 +130,7 @@ def strip_system(first: Chord, second: Chord) -> StripSystem:
     width = abs(THIRD - length(first))
     if first == second:
         return StripSystem(M=first, Mp=second, width=width, arcs=())
-    verts = sorted(set(first.endpoints()) | set(second.endpoints()))
-    owner = [v in first.endpoints() for v in verts]
-    arcs = []
-    n = len(verts)
-    for i in range(n):
-        j = (i + 1) % n
-        if owner[i] != owner[j]:  # arc between endpoints of different chords
-            arcs.append((verts[i], verts[j]))
+    arcs = _boundary_arcs(first.endpoints(), second.endpoints())
     full = tuple(arcs) + tuple((antipode(a), antipode(b)) for a, b in arcs)
     return StripSystem(M=first, Mp=second, width=width, arcs=full)
 
@@ -158,45 +160,67 @@ def hits_strip_interior(d: Chord, c: Chord) -> bool:
     return _hits(d, strips_of(c))
 
 
-def _in_closed_arc(x: Angle, s: Angle, e: Angle) -> bool:
-    return x == s or x == e or in_open_arc(x, s, e)
+def _canon(x: int, y: int) -> Pair:
+    return (x, y) if x <= y else (y, x)
 
 
-def _strip_violation(d: Chord, strips: StripSystem) -> Optional[Chord]:
-    """The boundary object d violates, or None when d avoids the open strips."""
-    bounds = strips.bounding_chords()
+def _anti(p: Pair, n: int) -> Pair:
+    return _canon((p[0] + n // 2) % n, (p[1] + n // 2) % n)
+
+
+def _in_open_arc(x: int, s: int, e: int, n: int) -> bool:
+    return x != s and (x - s) % n < (e - s) % n
+
+
+def _violation(d: Pair, bounds: list[Pair], arcs: list[Pair], markers: tuple[Pair, Pair],
+               n: int) -> Optional[Pair]:
+    """The boundary chord d violates on the grid of modulus n, or None.
+
+    `bounds` are the distinct bounding chords, `arcs` the four open
+    boundary arcs (two per strip) and `markers` the chords M and -M
+    reported when d lies inside the closed arc system of one strip.
+    """
     for bound in bounds:
-        if crosses(d, bound):
+        if grid.crosses(d, bound, n):
             return bound
-    for s, e in strips.arcs:
-        if in_open_arc(d.a, s, e) or in_open_arc(d.b, s, e):
-            return Chord(s, e)
-    if strips.arcs and d not in bounds:
+    for s, e in arcs:
+        if _in_open_arc(d[0], s, e, n) or _in_open_arc(d[1], s, e, n):
+            return _canon(s, e)
+    if arcs and d not in bounds:
         # both endpoints on the closed circle part of one strip: d stays
         # between that strip's bounding chords and meets its interior
-        for half, marker in ((strips.arcs[:2], strips.M),
-                             (strips.arcs[2:], chord_antipode(strips.M))):
-            if all(any(_in_closed_arc(v, s, e) for s, e in half) for v in d.endpoints()):
+        for half, marker in ((arcs[:2], markers[0]), (arcs[2:], markers[1])):
+            if all(any(v in (s, e) or _in_open_arc(v, s, e, n) for s, e in half) for v in d):
                 return marker
     return None
 
 
 def _hits(d: Chord, strips: StripSystem) -> bool:
-    return _strip_violation(d, strips) is not None
+    n = scale_of([*d.endpoints(), *strips.M.endpoints(), *strips.Mp.endpoints()], 2)
+    dd, m, mp = ((on_grid(ch.a, n), on_grid(ch.b, n)) for ch in (d, strips.M, strips.Mp))
+    return _violation(dd, *_strip_parts(m, mp, n), n) is not None
 
 
-def _full_orbit(c: Chord) -> list[Chord]:
-    """Images of c to exact closure: preperiod plus one full pointwise period."""
-    info_a = orbit_info(c.a)
-    info_b = orbit_info(c.b)
-    pre = max(info_a.preperiod, info_b.preperiod)
-    steps = pre + math.lcm(info_a.period, info_b.period)
-    out = [c]
-    cur = c
-    for _ in range(steps):
-        cur = image(cur)
-        out.append(cur)
-    return out
+def _strip_parts(big: Pair, small: Pair,
+                 n: int) -> tuple[list[Pair], list[Pair], tuple[Pair, Pair]]:
+    """Bounding chords, boundary arcs and markers (M, -M) of the strips between big and small."""
+    bounds: list[Pair] = []
+    for p in (big, small, _anti(big, n), _anti(small, n)):
+        if p not in bounds:
+            bounds.append(p)
+    arcs = _boundary_arcs(big, small)
+    arcs += [((a + n // 2) % n, (b + n // 2) % n) for a, b in arcs]
+    return bounds, arcs, (big, _anti(big, n))
+
+
+def _grid_majors(c: Pair, n: int) -> tuple[Pair, Pair]:
+    """The major pair (M, M') of a chord of length <= 1/6, longer one first."""
+    x, y = c
+    s, e = (x, y) if 2 * (y - x) <= n else (y, x)  # the short arc
+    third = n // 3
+    first = _canon((s + third) % n, (e - third) % n)
+    second = _canon((s + 2 * third) % n, (e - 2 * third) % n)
+    return (first, second) if arclen(*first, n) >= arclen(*second, n) else (second, first)
 
 
 def is_legal_pair(c: Chord) -> LegalityVerdict:
@@ -210,29 +234,34 @@ def is_legal_pair(c: Chord) -> LegalityVerdict:
     if length(c) > SIXTH:
         raise ValueError(f"legality is decided for chords of length <= 1/6, got {length(c)}")
 
-    orbit = _full_orbit(c)
-    mirror = [chord_antipode(ch) for ch in orbit]
-    tagged = [(i, "c", ch) for i, ch in enumerate(orbit)]
-    tagged += [(i, "-c", ch) for i, ch in enumerate(mirror)]
+    n = scale_of(c.endpoints(), 6)
+    orbit = [_canon(x, y) for x, y in grid.chord_orbit((on_grid(c.a, n), on_grid(c.b, n)), n)]
+    family = orbit + [_anti(p, n) for p in orbit]
 
-    # (a) no two iterated forward images of c and -c cross
-    for k in range(len(tagged)):
-        i, oi, ci = tagged[k]
-        for j, oj, cj in tagged[k + 1:]:
-            if crosses(ci, cj):
-                return LegalityVerdict(
-                    "illegal",
-                    LegalityWitness("crossing", i, oi, ci, j, oj, cj),
-                )
+    def chord(p: Pair) -> Chord:
+        return Chord(Fraction(p[0], n), Fraction(p[1], n))
+
+    def tag(k: int) -> tuple[int, str]:
+        return (k, "c") if k < len(orbit) else (k - len(orbit), "-c")
+
+    # (a) no two iterated forward images of c and -c cross; the sweep
+    # decides, the ordered scan finds the first witness
+    if grid.crossing_pair(family) is not None:
+        k, j = next((k, j) for k in range(len(family)) for j in range(k + 1, len(family))
+                    if grid.crosses(family[k], family[j], n))
+        return LegalityVerdict(
+            "illegal",
+            LegalityWitness("crossing", *tag(k), chord(family[k]), *tag(j), chord(family[j])),
+        )
 
     # (b) no forward image of c crosses the interior of the short strips
-    strips = strips_of(c)
-    for i, ch in enumerate(orbit[1:], start=1):
-        violated = _strip_violation(ch, strips)
+    strips = _strip_parts(*_grid_majors(orbit[0], n), n)
+    for i, d in enumerate(orbit[1:], start=1):
+        violated = _violation(d, *strips, n)
         if violated is not None:
             return LegalityVerdict(
                 "illegal",
-                LegalityWitness("strip", i, "c", ch, None, None, violated),
+                LegalityWitness("strip", i, "c", chord(d), None, None, chord(violated)),
             )
     return LegalityVerdict("legal")
 

@@ -6,19 +6,23 @@ period equal to its period.  Preperiod-1 points are the two non-cycle
 preimages of each periodic point; they are the endpoints of the
 co-periodic leaves the builder draws.
 
-Enumeration runs over numerators modulo 3^k - 1 (every period-k point
-has such a denominator) and filters by exact period.
+Enumeration runs on the integer grid: over numerators modulo 3^k - 1
+(every period-k point has such a denominator), or 2(3^k - 1) for the
+type-B closed form, filtered by exact period; angles become `Fraction`
+only on output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
+from . import grid
 from .angles import Angle, antipode, orbit_info, tripling
-from .chords import Chord, image
+from .chords import Chord
 
 __all__ = [
     "PeriodicClass",
@@ -66,30 +70,24 @@ def classify_periodic(x: Angle) -> PeriodicClass:
     return PeriodicClass("D", p, p)
 
 
-def _divisors(k: int) -> list[int]:
-    return [d for d in range(1, k + 1) if k % d == 0]
+def _exact_period(nums: np.ndarray, modulus: int, period: int) -> np.ndarray:
+    """Mask of the numerators whose angle a/modulus has exact period `period`.
+
+    Every angle on the grid must have a period dividing `period`; the
+    proper divisors d are ruled out by (3^d - 1) a != 0 mod modulus.
+    Multipliers are reduced mod the modulus, so int64 products stay
+    below modulus^2.
+    """
+    keep = np.ones(len(nums), dtype=bool)
+    for d in range(1, period):
+        if period % d == 0:
+            keep &= nums * ((3**d - 1) % modulus) % modulus != 0
+    return keep
 
 
-def _exact_period_numerators(k: int) -> np.ndarray:
-    """Numerators a (mod 3^k - 1) of angles a/(3^k - 1) with exact period k."""
-    modulus = 3**k - 1
-    a = np.arange(modulus, dtype=np.int64)
-    keep = np.ones(modulus, dtype=bool)
-    for d in _divisors(k):
-        if d == k:
-            break
-        # period divides d  <=>  (3^d - 1) * a == 0 mod (3^k - 1)
-        keep &= (a * (3**d - 1)) % modulus != 0
-    return a[keep]
-
-
-def _type_b_numerators(k: int) -> np.ndarray:
-    """Numerators of type-B block-k points among a/(3^{2k} - 1)."""
-    modulus = 3 ** (2 * k) - 1
-    nums = _exact_period_numerators(2 * k)
-    # t^k(x) = x + 1/2: (3^k - 1) a == modulus/2 mod modulus
-    sel = (nums * (3**k - 1) - modulus // 2) % modulus == 0
-    return nums[sel]
+def _check_int64(modulus: int) -> None:
+    if modulus > grid.MAX_INT64_MODULUS:
+        raise ValueError(f"denominator {modulus} is too large for exact int64 enumeration")
 
 
 def periodic_points(k: int) -> list[Angle]:
@@ -97,74 +95,72 @@ def periodic_points(k: int) -> list[Angle]:
     if k < 1:
         raise ValueError("period must be positive")
     modulus = 3**k - 1
-    return sorted(Fraction(int(a), modulus) for a in _exact_period_numerators(k))
+    _check_int64(modulus)
+    nums = np.arange(modulus, dtype=np.int64)
+    return [Fraction(int(a), modulus) for a in nums[_exact_period(nums, modulus, k)]]
 
 
-def _block_points(block: int, ptype: str) -> list[Angle]:
+def _block_numerators(block: int, ptype: str) -> tuple[np.ndarray, int]:
+    """Numerators a and the common denominator M of the periodic points of one class.
+
+    Type B: the solutions of t^k(x) = x + 1/2 are x = (2m+1)/(2(3^k - 1)),
+    kept when their exact period is 2k.  Type D: a/(3^k - 1) of exact
+    period k, minus the type-B points of block k/2.
+    """
     if ptype == "B":
-        modulus = 3 ** (2 * block) - 1
-        return sorted(Fraction(int(a), modulus) for a in _type_b_numerators(block))
+        modulus = 2 * (3**block - 1)
+        _check_int64(modulus)
+        nums = np.arange(1, modulus, 2, dtype=np.int64)
+        return nums[_exact_period(nums, modulus, 2 * block)], modulus
     modulus = 3**block - 1
-    nums = _exact_period_numerators(block)
+    _check_int64(modulus)
+    nums = np.arange(modulus, dtype=np.int64)
+    keep = _exact_period(nums, modulus, block)
     if block % 2 == 0:
-        half = block // 2
-        is_b = (nums * (3**half - 1) - modulus // 2) % modulus == 0
-        nums = nums[~is_b]
-    return sorted(Fraction(int(a), modulus) for a in nums)
+        keep &= nums * ((3 ** (block // 2) - 1) % modulus) % modulus != modulus // 2
+    return nums[keep], modulus
 
 
 def preperiod1_points(block: int, ptype: str) -> list[Angle]:
     """All preperiod-1 angles whose image is periodic of the given type and block period.
 
-    For each periodic point y of that class, the two preimages of y not
-    on the cycle are collected (the third preimage is y's cycle
-    predecessor).
+    For each periodic point y = a/M of that class, the two preimages
+    (a + jM)/(3M) of y not on the cycle are collected; the third
+    preimage is y's cycle predecessor t^(p-1)(y), one modular multiply.
     """
     if block < 1:
         raise ValueError("block period must be positive")
     if ptype not in ("B", "D"):
         raise ValueError(f"type must be 'B' or 'D', got {ptype!r}")
     period = 2 * block if ptype == "B" else block
-    out: list[Angle] = []
-    for y in _block_points(block, ptype):
-        pred = y
-        for _ in range(period - 1):
-            pred = tripling(pred)
-        third = Fraction(1, 3)
-        base = y / 3
-        for j in range(3):
-            x = (base + j * third) % 1
-            if x != pred:
-                out.append(x)
-    out.sort()
-    return out
+    nums, modulus = _block_numerators(block, ptype)
+    pred = nums * pow(3, period - 1, modulus) % modulus
+    cands = nums[:, None] + modulus * np.arange(3, dtype=np.int64)
+    out = np.sort(cands[cands != 3 * pred[:, None]])
+    den = 3 * modulus
+    return [Fraction(int(v), den) for v in out]
 
 
-def chord_orbit(ch: Chord, max_steps: int) -> ChordOrbit:
+def chord_orbit(ch: Chord, max_steps: Optional[int] = None) -> ChordOrbit:
     """Full eventually periodic orbit of a chord under the tripling map.
 
-    Tracks the ordered endpoint pair, so the pointwise period is found
-    directly; the setwise period is the first recurrence of the chord as
+    Tracks the ordered endpoint pair on the grid of the chord's common
+    denominator, so the orbit closes exactly after the larger endpoint
+    preperiod plus the lcm of the endpoint periods (the pointwise
+    period); the setwise period is the first recurrence of the chord as
     an unordered pair (it divides the pointwise period, and the two
-    preperiods coincide).  Exceeding max_steps before closure is an
-    error; it cannot happen for rational input with an adequate bound.
+    preperiods coincide).  An orbit needing more than max_steps distinct
+    pairs beyond the first is refused.
     """
-    pair = (ch.a, ch.b)
-    seen: dict[tuple[Angle, Angle], int] = {}
-    pairs: list[tuple[Angle, Angle]] = []
-    while pair not in seen:
-        if len(pairs) > max_steps:
-            raise RuntimeError(f"chord orbit did not close within {max_steps} steps")
-        seen[pair] = len(pairs)
-        pairs.append(pair)
-        pair = (tripling(pair[0]), tripling(pair[1]))
-    first = seen[pair]
-    pointwise = len(pairs) - first
-    start = Chord(*pairs[first])
-    cur, setwise = image(start), 1
-    while cur != start:
-        cur, setwise = image(cur), setwise + 1
-    chords = tuple(Chord(*p) for p in pairs[: first + setwise])
+    n = grid.scale_of(ch.endpoints())
+    pairs = grid.chord_orbit((grid.on_grid(ch.a, n), grid.on_grid(ch.b, n)), n)
+    first = pairs.index(pairs[-1])
+    pointwise = len(pairs) - 1 - first
+    if max_steps is not None and first + pointwise - 1 > max_steps:
+        raise RuntimeError(f"chord orbit did not close within {max_steps} steps")
+    start = set(pairs[first])
+    setwise = next(s for s in range(1, pointwise + 1) if set(pairs[first + s]) == start)
+    chords = tuple(Chord(Fraction(x, n), Fraction(y, n)) for x, y in pairs[: first + setwise])
     return ChordOrbit(
         preperiod=first,
         pointwise_period=pointwise,

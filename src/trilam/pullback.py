@@ -27,12 +27,13 @@ deterministically:
 Depth truncation replaces the closure operation: the artifact produces
 finite prelaminations only.  Every angle generated at depth d is an
 integer multiple of 1/(D * 3^d) for D the least common denominator of
-the seed, so the engine runs on int64 numerators at that fixed scale.
+the seed, so the engine runs on int64 numerators at that fixed scale
+(`trilam.grid`).  A modulus at which the int64 chord keys lo * n + hi
+would wrap is refused with ValueError before any level is expanded.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ import numpy as np
 
 from .angles import orbit_info
 from .chords import Chord, chord_antipode, image, majors_of, quad
+from .grid import MAX_INT64_MODULUS, arclen, closure, crosses, crossing_pair, on_grid, scale_of
 from .legality import LegalityVerdict, is_legal_pair
 from .orbits import chord_orbit
 
@@ -79,22 +81,6 @@ _MATCHINGS = (
 _MATCH_MASKS = tuple(sum(1 << cid for cid in m) for m in _MATCHINGS)
 
 
-def _arclen(x: int, y: int, n: int) -> int:
-    d = (y - x) % n
-    return min(d, n - d)
-
-
-def _crosses_int(p: tuple[int, int], q: tuple[int, int], n: int) -> bool:
-    a1, b1 = p
-    a2, b2 = q
-    if a1 == b1 or a2 == b2:
-        return False
-    if a1 in (a2, b2) or b1 in (a2, b2):
-        return False
-    span = (b1 - a1) % n
-    return ((a2 - a1) % n < span) != ((b2 - a1) % n < span)
-
-
 def _select_pullbacks(parent: tuple[int, int], survivors: dict[int, tuple[int, int]],
                       n: int) -> list[tuple[int, int]]:
     """Resolve the surviving preimage candidates of one parent chord.
@@ -103,10 +89,10 @@ def _select_pullbacks(parent: tuple[int, int], survivors: dict[int, tuple[int, i
     Implements the selection rules described in the module docstring.
     """
     a, b = parent
-    if _arclen(a, b, n) * 3 == n:
+    if arclen(a, b, n) * 3 == n:
         # critical parent
-        keep = [(cid, pr) for cid, pr in survivors.items() if _arclen(*pr, n) * 3 <= n]
-        keep.sort(key=lambda item: (_arclen(*item[1], n), item[1]))
+        keep = [(cid, pr) for cid, pr in survivors.items() if arclen(*pr, n) * 3 <= n]
+        keep.sort(key=lambda item: (arclen(*item[1], n), item[1]))
         chosen: list[tuple[int, int]] = []
         used: set[int] = set()
         for _, pr in keep:
@@ -126,29 +112,13 @@ def _select_pullbacks(parent: tuple[int, int], survivors: dict[int, tuple[int, i
         pool = containing or viable
         pool = sorted(
             pool,
-            key=lambda m: (sorted(_arclen(*survivors[cid], n) for cid in m),
+            key=lambda m: (sorted(arclen(*survivors[cid], n) for cid in m),
                            sorted(survivors[cid] for cid in m)),
         )
         chosen_m = pool[0]
     else:
         chosen_m = viable[0]
     return sorted(survivors[cid] for cid in chosen_m)
-
-
-def _survivors_of(parent: tuple[int, int], barriers: list[tuple[int, int]],
-                  n: int) -> dict[int, tuple[int, int]]:
-    a, b = parent
-    third = n // 3
-    us = [(a // 3 + k * third) % n for k in range(3)]
-    vs = [(b // 3 + k * third) % n for k in range(3)]
-    out: dict[int, tuple[int, int]] = {}
-    for i in range(3):
-        for j in range(3):
-            pr = (min(us[i], vs[j]), max(us[i], vs[j]))
-            if any(_crosses_int(pr, bar, n) for bar in barriers):
-                continue
-            out[3 * i + j] = pr
-    return out
 
 
 def pullbacks_of_chord(ch: Chord, barriers: list[Chord]) -> list[Chord]:
@@ -161,14 +131,12 @@ def pullbacks_of_chord(ch: Chord, barriers: list[Chord]) -> list[Chord]:
     """
     if ch.degenerate:
         raise ValueError("a degenerate chord has no preimage chords")
-    dens = [3 * ch.a.denominator, 3 * ch.b.denominator]
-    for bar in barriers:
-        dens += [bar.a.denominator, bar.b.denominator]
-    scale = math.lcm(*dens)
-    parent = (int(ch.a * scale), int(ch.b * scale))
-    bars = [(int(bar.a * scale), int(bar.b * scale)) for bar in barriers if not bar.degenerate]
-    surv = _survivors_of(parent, bars, scale)
-    pairs = _select_pullbacks(parent, surv, scale)
+    scale = 3 * scale_of([*ch.endpoints(), *(v for bar in barriers for v in bar.endpoints())])
+    _check_modulus(scale)
+    parent = (on_grid(ch.a, scale), on_grid(ch.b, scale))
+    bars = [(on_grid(bar.a, scale), on_grid(bar.b, scale))
+            for bar in barriers if not bar.degenerate]
+    pairs = _level_children(np.array([parent], dtype=np.int64), bars, scale).tolist()
     out = [Chord(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in pairs]
     return sorted(out, key=Chord.sort_key)
 
@@ -204,7 +172,7 @@ def _seed_system(c: Chord) -> tuple[list[Chord], list[Chord]]:
         if e not in barriers:
             barriers.append(e)
     seeds = list(barriers)
-    orbit = chord_orbit(c, max_steps=4 * c.a.denominator * c.b.denominator + 16)
+    orbit = chord_orbit(c)
     for ch in orbit.chords:
         for member in (ch, chord_antipode(ch)):
             if not member.degenerate and member not in seeds:
@@ -223,6 +191,9 @@ class Prelamination:
     depths: np.ndarray  # (n,) generation level of first appearance
     barriers: tuple[Chord, ...]
     pruned: bool = False
+
+    def __post_init__(self):
+        _check_modulus(self.modulus)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -254,16 +225,7 @@ class Prelamination:
     # -- structural invariants ------------------------------------------------
 
     def noncrossing(self) -> bool:
-        order = np.lexsort((-self.pairs[:, 1], self.pairs[:, 0]))
-        stack: list[int] = []
-        for idx in order:
-            lo, hi = int(self.pairs[idx, 0]), int(self.pairs[idx, 1])
-            while stack and stack[-1] <= lo:
-                stack.pop()
-            if stack and stack[-1] < hi:
-                return False
-            stack.append(hi)
-        return True
+        return crossing_pair(self.pairs) is None
 
     def antipode_closed(self) -> bool:
         n = self.modulus
@@ -296,7 +258,7 @@ class Prelamination:
         for (lo, hi), d, key in zip(self.pairs.tolist(), self.depths.tolist(), img_keys):
             if not (1 <= d <= self.depth - 1):
                 continue
-            if _arclen((3 * lo) % n, (3 * hi) % n, n) * 3 == n:
+            if arclen((3 * lo) % n, (3 * hi) % n, n) * 3 == n:
                 continue  # image critical: the third sibling is excluded by construction
             if not _has_disjoint_triple((lo, hi), groups[key], n):
                 return False
@@ -308,13 +270,13 @@ class Prelamination:
         if self.seed.degenerate:
             return True  # the minor is a point, so the bound is 0 and the law is vacuous
         minor = image(self.seed)
-        minor_len = _arclen(*(int(v * n) for v in minor.endpoints()), n)
+        minor_len = arclen(on_grid(minor.a, n), on_grid(minor.b, n), n)
         own = np.minimum((self.pairs[:, 1] - self.pairs[:, 0]) % n,
                          (self.pairs[:, 0] - self.pairs[:, 1]) % n)
         bound = np.minimum(own, minor_len)
         x, y = self.pairs[:, 0].copy(), self.pairs[:, 1].copy()
         ok = np.ones(len(self.pairs), dtype=bool)
-        for _ in range(self.depth + 40):
+        for _ in range(sum(closure(n))):
             x, y = (3 * x) % n, (3 * y) % n
             ln = np.minimum((y - x) % n, (x - y) % n)
             ok &= ln >= bound
@@ -327,7 +289,7 @@ class Prelamination:
                                 (self.to_pair(t) for t in targets)), dtype=np.int64)
         x, y = self.pairs[:, 0].copy(), self.pairs[:, 1].copy()
         hit = np.zeros(len(self.pairs), dtype=bool)
-        for _ in range(self.depth + 40):
+        for _ in range(sum(closure(n))):
             keys = np.minimum(x, y) * n + np.maximum(x, y)
             hit |= np.isin(keys, tkeys)
             x, y = (3 * x) % n, (3 * y) % n
@@ -339,16 +301,23 @@ class Prelamination:
         return prelamination_to_json(self.seed, self.depth, self.chords())
 
 
+def _check_modulus(n: int) -> None:
+    """Refuse a modulus whose int64 chord keys lo * n + hi would wrap."""
+    if n > MAX_INT64_MODULUS:
+        raise ValueError(f"modulus {n} exceeds {MAX_INT64_MODULUS}, where int64 chord keys "
+                         "would wrap")
+
+
 def _has_disjoint_triple(member: tuple[int, int], group: list[tuple[int, int]],
                          n: int) -> bool:
     others = [g for g in group if g != member]
     for i, g1 in enumerate(others):
-        if set(g1) & set(member) or _crosses_int(g1, member, n):
+        if set(g1) & set(member) or crosses(g1, member, n):
             continue
         for g2 in others[i + 1:]:
             if set(g2) & (set(member) | set(g1)):
                 continue
-            if _crosses_int(g2, member, n) or _crosses_int(g2, g1, n):
+            if crosses(g2, member, n) or crosses(g2, g1, n):
                 continue
             return True
     return False
@@ -412,9 +381,8 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     seeds, barriers = _seed_system(c)
-    dens = [v.denominator for ch in seeds for v in ch.endpoints()]
-    scale = math.lcm(*dens)
-    n = scale * 3**depth
+    n = scale_of(v for ch in seeds for v in ch.endpoints()) * 3**depth
+    _check_modulus(n)
 
     seen: dict[int, int] = {}
     ordered: list[tuple[int, int]] = []
@@ -430,9 +398,8 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
         return True
 
     for ch in seeds:
-        lo, hi = int(ch.a * n), int(ch.b * n)
-        commit((min(lo, hi), max(lo, hi)), 0)
-    bars = [(int(ch.a * n), int(ch.b * n)) for ch in barriers]
+        commit((on_grid(ch.a, n), on_grid(ch.b, n)), 0)
+    bars = [(on_grid(ch.a, n), on_grid(ch.b, n)) for ch in barriers]
 
     frontier = np.array(ordered, dtype=np.int64)
     for level in range(1, depth + 1):

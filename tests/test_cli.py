@@ -120,3 +120,26 @@ def test_bad_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["comajors", "--max-block", "1", "--format", "yaml"])
     assert exc.value.code == 2
+
+
+def test_comajors_build_failure_exits_1(capsys, monkeypatch):
+    import trilam.cli
+    from trilam.builder import BuildError
+
+    def broken(max_block, verify=False):
+        raise BuildError("component holds an odd number of candidate points: [1/24]")
+
+    monkeypatch.setattr(trilam.cli, "build", broken)
+    code, out, err = run(capsys, "comajors", "--max-block", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("build failure: component holds an odd number")
+
+
+def test_pullback_modulus_beyond_int64_keys_is_usage_error(capsys):
+    # 6 * 3^19 exceeds the largest modulus whose chord keys fit int64;
+    # the job is refused before any level is expanded
+    with pytest.raises(SystemExit) as exc:
+        main(["pullback", "1/2", "1/2", "--depth", "19"])
+    assert exc.value.code == 2
+    assert "would wrap" in capsys.readouterr().err

@@ -125,3 +125,12 @@ def test_chord_orbit_critical_collapse():
 def test_chord_orbit_respects_max_steps():
     with pytest.raises(RuntimeError):
         chord_orbit(ch(1, 12, 1, 6), 1)
+
+
+def test_enumeration_refuses_denominators_beyond_int64_products():
+    # 2(3^20 - 1) and 3^21 - 1 exceed the largest modulus whose products
+    # of two numerators fit int64; refused before anything is allocated
+    with pytest.raises(ValueError, match="int64"):
+        preperiod1_points(20, "B")
+    with pytest.raises(ValueError, match="int64"):
+        periodic_points(21)

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trilam.chords import Chord, chord_antipode, classify, image, length, LengthClass, sml_siblings
 from trilam.legality import hits_strip_interior, strip_system
 from trilam.orbits import chord_orbit
+from trilam.grid import MAX_INT64_MODULUS, closure
 from trilam.pullback import (
     IllegalSeedError,
+    Prelamination,
     build_prelamination,
     hyperbolic_prune,
     pullbacks_of_chord,
@@ -167,3 +170,42 @@ def test_closest_to_criticality_law():
                 assert not _hits(img, strips)
             sampled += 1
     assert sampled >= 3
+
+
+def _hand_built(modulus, pairs, seed):
+    return Prelamination(seed=seed, depth=0, modulus=modulus,
+                         pairs=np.array(pairs, dtype=np.int64),
+                         depths=np.zeros(len(pairs), dtype=np.int64), barriers=())
+
+
+def test_prelamination_refuses_modulus_whose_keys_wrap():
+    seed = Chord(Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValueError, match="would wrap"):
+        _hand_built(4 * 10**9, [(1, 2), (3, 4), (5, 6)], seed)
+    n = MAX_INT64_MODULUS
+    top = _hand_built(n, [(1, 2), (3, 4), (n - 2, n - 1)], seed)
+    assert top.contains(Chord(Fraction(n - 2, n), Fraction(n - 1, n)))
+    assert not top.contains(Chord(Fraction(n - 3, n), Fraction(n - 1, n)))
+
+
+def test_forward_orbit_hits_runs_to_exact_closure():
+    # on the grid 106 = 2 * 53 the orbit of (1/106, 2/106) has period 52,
+    # longer than the depth + 40 steps of a fixed bound at depth 0
+    n = 106
+    assert closure(n) == (0, 52)
+    pre = _hand_built(n, [(1, 2)], ch(1, 106, 2, 106))
+    x = pow(3, 45, n)
+    late = Chord(Fraction(x, n), Fraction(2 * x % n, n))
+    assert pre.forward_orbit_hits([late]).tolist() == [True]
+
+
+def test_forward_orbit_hits_matches_chord_orbits():
+    # degenerate 1/2 at depth 3: modulus 6 * 27, exact bound 4 + 1 steps
+    # against depth + 40 = 43; every chord's full orbit decides the mask
+    pre = build_prelamination(Chord(Fraction(1, 2), Fraction(1, 2)), 3)
+    assert sum(closure(pre.modulus)) == 5
+    targets = [ch(1, 6, 5, 6), ch(4, 9, 5, 9)]
+    want = [any(t in chord_orbit(c).chords for t in targets) for c in pre.chords()]
+    assert pre.forward_orbit_hits(targets).tolist() == want
+    assert set(want) == {True, False}
+    assert pre.min_length_law()

@@ -54,7 +54,7 @@ def make_angle(p: int, q: int) -> Angle:
     """
     if q <= 0:
         raise ValueError(f"denominator must be positive, got {q}")
-    return Fraction(p, q) % 1
+    return Fraction(p % q, q)
 
 
 def parse_angle(text: str) -> Angle:
@@ -64,7 +64,7 @@ def parse_angle(text: str) -> Angle:
         if "/" in s:
             p_str, q_str = s.split("/")
             return make_angle(int(p_str), int(q_str))
-        return Fraction(int(s)) % 1
+        return make_angle(int(s), 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed fraction {text!r}") from exc
 

@@ -116,11 +116,18 @@ def crosses(c1: Chord, c2: Chord) -> bool:
     the open arcs cut by c1.  Shared endpoints do not cross; degenerate
     chords never cross anything.
     """
+    a1, b1, a2, b2 = c1.a, c1.b, c2.a, c2.b
+    if (a1.numerator >= 0 and b1.numerator < b1.denominator
+            and a2.numerator >= 0 and b2.numerator < b2.denominator):
+        # every endpoint in [0, 1) and a <= b: each arc from a to b is the
+        # interval between them, and two chords cross iff their endpoints
+        # interleave strictly, which no shared endpoint or degenerate chord does
+        return a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1
     if c1.degenerate or c2.degenerate:
         return False
-    if c1.a in (c2.a, c2.b) or c1.b in (c2.a, c2.b):
+    if a1 in (a2, b2) or b1 in (a2, b2):
         return False
-    return in_open_arc(c2.a, c1.a, c1.b) != in_open_arc(c2.b, c1.a, c1.b)
+    return in_open_arc(a2, a1, b1) != in_open_arc(b2, a1, b1)
 
 
 def image(ch: Chord) -> Chord:

@@ -129,10 +129,10 @@ def cmd_pullback(args) -> int:
         print(f"illegal seed: {exc}", file=sys.stderr)
         return 1
     if args.format == "svg":
-        svg = render_svg(pre.chords(), _render_cfg(args))
+        svg = render_svg(pre.pairs, _render_cfg(args), modulus=pre.modulus)
         _write(svg, args.out)
     else:
-        _write(prelamination_to_json(pre.seed, pre.depth, pre.chords()), args.out)
+        _write(prelamination_to_json(pre.seed, pre.depth, pre.pairs, pre.modulus), args.out)
     return 0
 
 

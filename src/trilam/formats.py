@@ -2,13 +2,17 @@
 
 All data serializes as exact fraction strings; output ordering is the
 canonical one (block, type with D before B, then the short-arc key), so
-repeated runs are byte-identical.
+repeated runs are byte-identical.  A prelamination serializes straight
+from its integer grid: the reduced string of x/N is (x/g)/(N/g) for
+g = gcd(x, N), so no `Fraction` is built per chord.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Optional, Union
+
+import numpy as np
 
 from .angles import angle_str, parse_angle
 from .chords import Chord
@@ -61,13 +65,34 @@ def records_to_csv(records: Iterable["ComajorRecord"]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def prelamination_to_json(seed: Chord, depth: int, chords: Iterable[Chord]) -> str:
-    doc = {
-        "seed": chord_to_json(seed),
-        "depth": depth,
-        "chords": [chord_to_json(c) for c in chords],
-    }
-    return json.dumps(doc, indent=0) + "\n"
+def grid_angle_strs(col: np.ndarray, n: int) -> list[str]:
+    """Reduced strings 'p/q' of the grid angles col / n ('0/1' for zero)."""
+    g = np.gcd(col, n)
+    return [f"{p}/{q}" for p, q in zip((col // g).tolist(), (n // g).tolist())]
+
+
+def prelamination_to_json(seed: Chord, depth: int, chords: Union[Iterable[Chord], np.ndarray],
+                          modulus: Optional[int] = None) -> str:
+    """The prelamination document {"seed", "depth", "chords"} as `json.dumps(doc, indent=0)`.
+
+    `chords` are `Chord`s or, when `modulus` is given, an (n, 2) int
+    array of grid pairs such as `Prelamination.pairs`.  Every string in
+    the document is a fraction 'p/q', which JSON never escapes, so the
+    text is assembled directly rather than by the much slower indenting
+    encoder; the tests hold it to `json.dumps`.
+    """
+    if modulus is None:
+        strs = [(angle_str(c.a), angle_str(c.b)) for c in chords]
+    else:
+        strs = zip(grid_angle_strs(chords[:, 0], modulus), grid_angle_strs(chords[:, 1], modulus))
+    items = ",\n".join(_chord_text(a, b) for a, b in strs)
+    listed = f"[\n{items}\n]" if items else "[]"
+    seed_text = _chord_text(angle_str(seed.a), angle_str(seed.b))
+    return f'{{\n"seed": {seed_text},\n"depth": {depth},\n"chords": {listed}\n}}\n'
+
+
+def _chord_text(a: str, b: str) -> str:
+    return f'{{\n"a": "{a}",\n"b": "{b}"\n}}'
 
 
 def chords_from_json(text: str) -> list[Chord]:

@@ -30,11 +30,17 @@ integer multiple of 1/(D * 3^d) for D the least common denominator of
 the seed, so the engine runs on int64 numerators at that fixed scale
 (`trilam.grid`).  A modulus at which the int64 chord keys lo * n + hi
 would wrap is refused with ValueError before any level is expanded.
+
+Levels are deduplicated on those keys: each level's children are
+reduced to their sorted unique keys, the keys already seen are dropped
+by a binary search in the sorted set of earlier keys, and the fresh
+ones are merged into it and form the next frontier.  A chord's depth is
+the level of its first appearance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -191,9 +197,11 @@ class Prelamination:
     depths: np.ndarray  # (n,) generation level of first appearance
     barriers: tuple[Chord, ...]
     pruned: bool = False
+    keys: np.ndarray = field(init=False, repr=False)  # sorted lo * modulus + hi
 
     def __post_init__(self):
         _check_modulus(self.modulus)
+        self.keys = np.sort(self.pairs[:, 0] * self.modulus + self.pairs[:, 1])
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -201,9 +209,6 @@ class Prelamination:
     def chords(self) -> list[Chord]:
         n = self.modulus
         return [Chord(Fraction(int(lo), n), Fraction(int(hi), n)) for lo, hi in self.pairs]
-
-    def _keys(self) -> np.ndarray:
-        return np.sort(self.pairs[:, 0] * self.modulus + self.pairs[:, 1])
 
     def to_pair(self, ch: Chord) -> tuple[int, int]:
         lo = ch.a * self.modulus
@@ -218,9 +223,8 @@ class Prelamination:
         except ValueError:
             return False  # off the grid: certainly not a member
         key = lo * self.modulus + hi
-        keys = self._keys()
-        i = int(np.searchsorted(keys, key))
-        return i < len(keys) and keys[i] == key
+        i = int(np.searchsorted(self.keys, key))
+        return i < len(self.keys) and self.keys[i] == key
 
     # -- structural invariants ------------------------------------------------
 
@@ -233,7 +237,7 @@ class Prelamination:
         x = (self.pairs[:, 0] + half) % n
         y = (self.pairs[:, 1] + half) % n
         keys = np.sort(np.minimum(x, y) * n + np.maximum(x, y))
-        return bool(np.array_equal(keys, self._keys()))
+        return bool(np.array_equal(keys, self.keys))
 
     def forward_closed(self) -> bool:
         n = self.modulus
@@ -241,7 +245,7 @@ class Prelamination:
         y = (3 * self.pairs[:, 1]) % n
         nondeg = x != y
         keys = np.minimum(x, y) * n + np.maximum(x, y)
-        present = np.isin(keys[nondeg], self._keys())
+        present = np.isin(keys[nondeg], self.keys)
         return bool(present.all())
 
     def sibling_complete(self) -> bool:
@@ -298,7 +302,7 @@ class Prelamination:
     def to_json(self) -> str:
         from .formats import prelamination_to_json
 
-        return prelamination_to_json(self.seed, self.depth, self.chords())
+        return prelamination_to_json(self.seed, self.depth, self.pairs, self.modulus)
 
 
 def _check_modulus(n: int) -> None:
@@ -384,36 +388,25 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     n = scale_of(v for ch in seeds for v in ch.endpoints()) * 3**depth
     _check_modulus(n)
 
-    seen: dict[int, int] = {}
-    ordered: list[tuple[int, int]] = []
-    levels: list[int] = []
-
-    def commit(pair: tuple[int, int], level: int) -> bool:
-        key = pair[0] * n + pair[1]
-        if key in seen:
-            return False
-        seen[key] = level
-        ordered.append(pair)
-        levels.append(level)
-        return True
-
-    for ch in seeds:
-        commit((on_grid(ch.a, n), on_grid(ch.b, n)), 0)
     bars = [(on_grid(ch.a, n), on_grid(ch.b, n)) for ch in barriers]
-
-    frontier = np.array(ordered, dtype=np.int64)
-    for level in range(1, depth + 1):
+    seen = np.unique(np.array([on_grid(ch.a, n) * n + on_grid(ch.b, n) for ch in seeds],
+                              dtype=np.int64))
+    level_keys = [seen]
+    for _ in range(depth):
+        frontier = np.stack(np.divmod(level_keys[-1], n), axis=1)
         if len(frontier) == 0:
             break
         children = _level_children(frontier, bars, n)
-        fresh = []
-        for lo, hi in children.tolist():
-            if commit((lo, hi), level):
-                fresh.append((lo, hi))
-        frontier = np.array(fresh, dtype=np.int64).reshape(-1, 2)
+        keys = np.unique(children[:, 0] * n + children[:, 1])
+        at = np.searchsorted(seen, keys)
+        fresh = seen[np.minimum(at, len(seen) - 1)] != keys
+        seen = np.insert(seen, at[fresh], keys[fresh])
+        level_keys.append(keys[fresh])
 
-    pairs = np.array(ordered, dtype=np.int64).reshape(-1, 2)
-    depths = np.array(levels, dtype=np.int64)
+    keys = np.concatenate(level_keys)
+    pairs = np.stack(np.divmod(keys, n), axis=1)
+    depths = np.repeat(np.arange(len(level_keys), dtype=np.int64),
+                       [len(k) for k in level_keys])
     order = _canonical_order(pairs, n)
     pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs[order],
                         depths=depths[order], barriers=tuple(barriers))

@@ -6,15 +6,24 @@ diameters fall back to straight segments).  Coordinates are emitted at
 a fixed 12-decimal precision and elements follow the canonical chord
 order, so renders are byte-deterministic.  This is the only place
 floating point appears; all data paths stay exact.
+
+The renderer works on the integer grid (`trilam.grid`): `Chord`s are
+put on their common scale N once, and a pullback family passes its int
+pairs and modulus directly.  The canonical order is the short-arc key
+on ints, and the angle x/N becomes the float `x / N`, which CPython
+rounds correctly, so it is exactly `float(Fraction(x, N))`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .chords import Chord
+from .grid import on_grid, scale_of
 
 __all__ = ["RenderConfig", "render_svg"]
 
@@ -84,23 +93,39 @@ def _geodesic_path(a: float, b: float, cx: float, cy: float, r: float) -> str:
     return f"M {_fmt(x1)} {_fmt(y1)} A {_fmt(rr)} {_fmt(rr)} 0 0 {sweep} {_fmt(x2)} {_fmt(y2)}"
 
 
-def render_svg(chords: Sequence[Chord], cfg: RenderConfig = RenderConfig(),
+def _short_arc(pair: Sequence[int], n: int) -> tuple[int, int]:
+    """`Chord.sort_key` on the grid of modulus n: start, then end of the short arc."""
+    lo, hi = pair
+    return (lo, hi) if 2 * (hi - lo) <= n else (hi, lo)
+
+
+def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = RenderConfig(),
                classes: Optional[Sequence[str]] = None,
-               blocks: Optional[Sequence[int]] = None) -> str:
+               blocks: Optional[Sequence[int]] = None,
+               modulus: Optional[int] = None) -> str:
     """Render chords to a standalone SVG document.
 
-    `classes` (e.g. the leaf types) and `blocks` attach style classes and
-    colors per chord; both default to a single neutral style.  One path
-    element is emitted per chord, in canonical chord order.
+    `chords` are `Chord`s or, when `modulus` is given, an (n, 2) int
+    array of pairs lo <= hi on the grid of that modulus, such as
+    `Prelamination.pairs`.  `classes` (e.g. the leaf types) and `blocks`
+    attach style classes and colors per chord; both default to a single
+    neutral style.  One path element is emitted per chord, in canonical
+    chord order.
     """
     size = cfg.size_px
     cx = cy = size / 2.0
     r = size / 2.0 - cfg.margin_px
 
-    items = list(zip(chords,
-                     classes if classes is not None else [""] * len(chords),
-                     blocks if blocks is not None else [0] * len(chords)))
-    items.sort(key=lambda it: it[0].sort_key())
+    if modulus is None:
+        n = scale_of(v for ch in chords for v in ch.endpoints())
+        pairs = [(on_grid(ch.a, n), on_grid(ch.b, n)) for ch in chords]
+    else:
+        n = int(modulus)
+        pairs = chords.tolist()
+    items = list(zip(pairs,
+                     classes if classes is not None else [""] * len(pairs),
+                     blocks if blocks is not None else [0] * len(pairs)))
+    items.sort(key=lambda it: _short_arc(it[0], n))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -109,16 +134,16 @@ def render_svg(chords: Sequence[Chord], cfg: RenderConfig = RenderConfig(),
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="none" '
         f'stroke="{cfg.circle_stroke}" stroke-width="{cfg.circle_stroke_width}"/>',
     ]
-    for ch, cls, block in items:
-        a = float(ch.a)
-        b = float(ch.b)
+    for (lo, hi), cls, block in items:
+        a = lo / n
+        b = hi / n
         if cfg.color_by == "block" and block:
             color = _block_color(block)
             label = f"block-{block}"
         else:
             color = _TYPE_COLORS.get(cls, _TYPE_COLORS[""])
             label = f"type-{cls}" if cls else "chord"
-        if ch.degenerate:
+        if lo == hi:
             x, y = _point(a, cx, cy, r)
             lines.append(f'<circle class="{label}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.5" '
                          f'fill="{color}"/>')

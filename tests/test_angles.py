@@ -21,9 +21,35 @@ angles = st.fractions(min_value=0, max_value=1, max_denominator=3000).map(lambda
     (3, 12, Fraction(1, 4)),
     (-1, 6, Fraction(5, 6)),
     (7, 7, Fraction(0)),
+    (-13, 6, Fraction(5, 6)),   # negative p beyond one turn
+    (-12, 6, Fraction(0)),
+    (25, 12, Fraction(1, 12)),  # p >= q
+    (14, 4, Fraction(1, 2)),    # reduced after wrapping
+    (0, 5, Fraction(0)),
+    (5, 1, Fraction(0)),        # bare int
+    (-5, 1, Fraction(0)),
 ])
 def test_make_angle(p, q, expected):
-    assert make_angle(p, q) == expected
+    got = make_angle(p, q)
+    assert got == expected
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
+@settings(max_examples=300)
+def test_make_angle_is_fraction_mod_one(p, q):
+    assert make_angle(p, q) == Fraction(p, q) % 1
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("0", Fraction(0)),
+    ("1", Fraction(0)),
+    ("-3", Fraction(0)),
+    (" 7/4 ", Fraction(3, 4)),
+    ("-1/3", Fraction(2, 3)),
+])
+def test_parse_angle_wraps_bare_ints_and_fractions(text, expected):
+    assert parse_angle(text) == expected
 
 
 def test_make_angle_rejects_zero_denominator():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from trilam.chords import (
     under,
 )
 
+import reference
 from conftest import ch
 
 angles = st.fractions(min_value=0, max_value=1, max_denominator=600).map(lambda f: f % 1)
@@ -217,3 +219,22 @@ def test_image_commutes_with_antipode(c):
 @settings(max_examples=300)
 def test_crosses_is_symmetric(c1, c2):
     assert crosses(c1, c2) == crosses(c2, c1)
+
+
+def _random_chord(rng, n, lo, hi):
+    return Chord(Fraction(rng.randrange(lo * n, hi * n), n), Fraction(rng.randrange(lo * n, hi * n), n))
+
+
+def test_crosses_matches_open_arc_form():
+    # endpoints in [0, 1) take the ordered-comparison path, the rest the
+    # open-arc path; small grids make shared endpoints and degenerate chords common
+    rng = random.Random(5)
+    outcomes = {True: set(), False: set()}
+    for i in range(6000):
+        n = rng.choice([6, 12, 24, 36])
+        lo, hi = (0, 1) if i % 2 else (-1, 2)
+        c1, c2 = _random_chord(rng, n, lo, hi), _random_chord(rng, n, lo, hi)
+        got = crosses(c1, c2)
+        assert got == reference.crosses_by_arcs(c1, c2), (c1, c2)
+        outcomes[got].add(i % 2)
+    assert outcomes == {True: {0, 1}, False: {0, 1}}

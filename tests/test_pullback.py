@@ -16,7 +16,8 @@ from trilam.pullback import (
     short_quad_edges,
 )
 
-from conftest import ch
+import reference
+from conftest import PULLBACK_SEEDS, ch
 
 
 def quad_barriers(c):
@@ -209,3 +210,19 @@ def test_forward_orbit_hits_matches_chord_orbits():
     assert pre.forward_orbit_hits(targets).tolist() == want
     assert set(want) == {True, False}
     assert pre.min_length_law()
+
+
+@pytest.mark.parametrize("seed", PULLBACK_SEEDS, ids=str)
+def test_level_dedup_matches_dict_reference(seed):
+    for depth in range(7):
+        pre = build_prelamination(seed, depth)
+        pairs, depths = reference.prelamination_levels(seed, depth)
+        assert np.array_equal(pre.pairs, pairs), depth
+        assert np.array_equal(pre.depths, depths), depth
+
+
+def test_prelamination_keys_are_the_sorted_chord_keys():
+    pre = hyperbolic_prune(ch(11, 12, 1, 12), 3)
+    n = pre.modulus
+    assert pre.keys.tolist() == sorted(lo * n + hi for lo, hi in pre.pairs.tolist())
+    assert all(pre.contains(c) for c in pre.chords())

@@ -10,7 +10,7 @@ g = gcd(x, N), so no `Fraction` is built per chord.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -71,20 +71,16 @@ def grid_angle_strs(col: np.ndarray, n: int) -> list[str]:
     return [f"{p}/{q}" for p, q in zip((col // g).tolist(), (n // g).tolist())]
 
 
-def prelamination_to_json(seed: Chord, depth: int, chords: Union[Iterable[Chord], np.ndarray],
-                          modulus: Optional[int] = None) -> str:
+def prelamination_to_json(seed: Chord, depth: int, pairs: np.ndarray, modulus: int) -> str:
     """The prelamination document {"seed", "depth", "chords"} as `json.dumps(doc, indent=0)`.
 
-    `chords` are `Chord`s or, when `modulus` is given, an (n, 2) int
-    array of grid pairs such as `Prelamination.pairs`.  Every string in
-    the document is a fraction 'p/q', which JSON never escapes, so the
-    text is assembled directly rather than by the much slower indenting
-    encoder; the tests hold it to `json.dumps`.
+    `pairs` are the (n, 2) int chords on the grid of `modulus`, such as
+    `Prelamination.pairs`.  Every string in the document is a fraction
+    'p/q', which JSON never escapes, so the text is assembled directly
+    rather than by the much slower indenting encoder; the tests hold it
+    to `json.dumps`.
     """
-    if modulus is None:
-        strs = [(angle_str(c.a), angle_str(c.b)) for c in chords]
-    else:
-        strs = zip(grid_angle_strs(chords[:, 0], modulus), grid_angle_strs(chords[:, 1], modulus))
+    strs = zip(grid_angle_strs(pairs[:, 0], modulus), grid_angle_strs(pairs[:, 1], modulus))
     items = ",\n".join(_chord_text(a, b) for a, b in strs)
     listed = f"[\n{items}\n]" if items else "[]"
     seed_text = _chord_text(angle_str(seed.a), angle_str(seed.b))

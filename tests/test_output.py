@@ -10,6 +10,7 @@ by `Chord.sort_key`, floats from `float(Fraction)`, text by
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import reference
@@ -17,7 +18,7 @@ from trilam.builder import build
 from trilam.chords import Chord
 from trilam.cli import main
 from trilam.formats import grid_angle_strs, prelamination_to_json
-from trilam.pullback import build_prelamination
+from trilam.pullback import build_prelamination, hyperbolic_prune
 from trilam.render import RenderConfig, render_svg
 
 from conftest import PULLBACK_SEEDS, ch
@@ -32,36 +33,35 @@ def test_prelamination_output_matches_fraction_reference(seed):
         chords = pre.chords()
         want = reference.prelamination_json(seed, depth, chords)
         assert pre.to_json() == want
-        assert prelamination_to_json(seed, depth, chords) == want
         for cfg in STYLES:
             want = reference.render_svg(chords, cfg)
             assert render_svg(pre.pairs, cfg, modulus=pre.modulus) == want
             assert render_svg(chords, cfg) == want
 
 
-def test_cli_pullback_output_matches_fraction_reference(capsys):
-    from trilam.pullback import hyperbolic_prune
-
+def test_cli_pullback_output_matches_fraction_reference(capsys, tmp_path):
     c = ch(11, 12, 1, 12)
     chords = hyperbolic_prune(c, 4).chords()
     base = ["pullback", "11/12", "1/12", "--depth", "4", "--prune"]
-    assert main(base) == 0
-    assert capsys.readouterr().out == reference.prelamination_json(c, 4, chords)
+    doc = tmp_path / "family.json"
+    assert main(base + ["--out", str(doc)]) == 0
+    assert doc.read_text() == reference.prelamination_json(c, 4, chords)
     assert main(base + ["--format", "svg", "--style", "straight"]) == 0
     want = reference.render_svg(chords, RenderConfig(geodesic_style="straight"))
+    assert capsys.readouterr().out == want
+    # render --in draws the same chords from the document
+    assert main(["render", "--in", str(doc), "--style", "straight"]) == 0
     assert capsys.readouterr().out == want
 
 
 def test_empty_prelamination_document_matches_json_dumps():
     seed = ch(1, 6, 1, 3)
-    assert prelamination_to_json(seed, 2, []) == reference.prelamination_json(seed, 2, [])
-    assert json.loads(prelamination_to_json(seed, 2, [])) == {
-        "seed": {"a": "1/6", "b": "1/3"}, "depth": 2, "chords": []}
+    text = prelamination_to_json(seed, 2, np.empty((0, 2), dtype=np.int64), 36)
+    assert text == reference.prelamination_json(seed, 2, [])
+    assert json.loads(text) == {"seed": {"a": "1/6", "b": "1/3"}, "depth": 2, "chords": []}
 
 
 def test_grid_angle_strings_are_reduced():
-    import numpy as np
-
     n = 2 * 3**4 * 5
     col = np.arange(n, dtype=np.int64)
     want = [f"{f.numerator}/{f.denominator}" for f in (Fraction(x, n) for x in range(n))]

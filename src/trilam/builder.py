@@ -60,7 +60,6 @@ class ComajorRecord:
     chord: Chord
     ptype: str  # "B" or "D"
     block_period: int
-    step: int
     minor: Chord
 
     def sort_key(self):
@@ -68,8 +67,7 @@ class ComajorRecord:
 
 
 def make_record(chord: Chord, ptype: str, block: int) -> ComajorRecord:
-    return ComajorRecord(chord=chord, ptype=ptype, block_period=block, step=block,
-                         minor=image(chord))
+    return ComajorRecord(chord=chord, ptype=ptype, block_period=block, minor=image(chord))
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Chords of the unit circle under the tripling map.
 
 Length classes, crossing, the sibling constructions, the major pair
-(M, M') of a short chord with its quadrilateral hull, the "under"
-partial order and a separation predicate.  All arithmetic is exact.
+(M, M') of a short chord, the "under" partial order and a separation
+predicate.  All arithmetic is exact.
 
 Conventions: a chord is an unordered pair of angles, degenerate when
 they coincide.  Chords sharing an endpoint never count as crossing.
@@ -31,7 +31,6 @@ __all__ = [
     "translate_siblings",
     "sml_siblings",
     "majors_of",
-    "quad",
     "under",
     "separates",
 ]
@@ -188,13 +187,6 @@ def majors_of(c: Chord) -> tuple[Chord, Chord]:
     if length(first) >= length(second):
         return (first, second)
     return (second, first)
-
-
-def quad(c: Chord) -> list[Angle]:
-    """Vertices of the convex hull of M_c and M'_c, in circular order from the smallest."""
-    big, small = majors_of(c)
-    verts = sorted(set(big.endpoints()) | set(small.endpoints()))
-    return verts
 
 
 def under(m: Chord, n: Chord) -> bool:

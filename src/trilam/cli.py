@@ -25,7 +25,7 @@ from .formats import (
 )
 from .legality import is_legal_pair
 from .orbits import classify_periodic
-from .pullback import IllegalSeedError, build_prelamination, hyperbolic_prune
+from .pullback import IllegalSeedError, InvariantError, build_prelamination, hyperbolic_prune
 from .render import RenderConfig, render_svg
 
 
@@ -128,12 +128,22 @@ def cmd_pullback(args) -> int:
     except IllegalSeedError as exc:
         print(f"illegal seed: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return 1
     if args.format == "svg":
         svg = render_svg(pre.pairs, _render_cfg(args), modulus=pre.modulus)
         _write(svg, args.out)
     else:
         _write(prelamination_to_json(pre.seed, pre.depth, pre.pairs, pre.modulus), args.out)
     return 0
+
+
+def _record_field(item, key: str, kind: type):
+    value = item.get(key) if isinstance(item, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"record {item!r} needs {kind.__name__} {key!r}")
+    return value
 
 
 def cmd_render(args) -> int:
@@ -146,8 +156,8 @@ def cmd_render(args) -> int:
     classes = None
     blocks = None
     if isinstance(doc, list) and doc and isinstance(doc[0], dict) and "type" in doc[0]:
-        classes = [item["type"] for item in doc]
-        blocks = [item["block"] for item in doc]
+        classes = [_record_field(item, "type", str) for item in doc]
+        blocks = [_record_field(item, "block", int) for item in doc]
     chords = chords_from_json(text)
     svg = render_svg(chords, _render_cfg(args), classes=classes, blocks=blocks)
     _write(svg, args.out)

@@ -28,7 +28,10 @@ def chord_to_json(ch: Chord) -> dict:
 
 
 def chord_from_json(doc: dict) -> Chord:
-    return Chord(parse_angle(doc["a"]), parse_angle(doc["b"]))
+    try:
+        return Chord(parse_angle(doc["a"]), parse_angle(doc["b"]))
+    except (AttributeError, KeyError, TypeError):
+        raise ValueError(f"not a chord {{\"a\", \"b\"}}: {doc!r}") from None
 
 
 def record_to_json(rec: "ComajorRecord") -> dict:
@@ -96,4 +99,6 @@ def chords_from_json(text: str) -> list[Chord]:
     doc = json.loads(text)
     if isinstance(doc, dict) and "chords" in doc:
         doc = doc["chords"]
+    if not isinstance(doc, list):
+        raise ValueError(f"expected a list of chords, got {doc!r}")
     return [chord_from_json(item) for item in doc]

@@ -5,7 +5,9 @@ is x -> 3x mod N and the half-turn x -> x + N/2.  `Fraction` angles
 enter through `scale_of`/`on_grid` and leave as `Fraction(x, N)`; the
 hot paths of orbits, builder, legality and pullback run in between.
 A chord is an int pair; chords sharing an endpoint never cross and
-degenerate chords cross nothing.
+degenerate chords cross nothing.  The quadrilateral of a short chord
+and its strips (`majors`, `strip_parts`) serve both the legality oracle
+and the pullback barriers.
 """
 
 from __future__ import annotations
@@ -116,3 +118,55 @@ def chord_orbit(p: Pair, n: int) -> list[Pair]:
         x, y = 3 * x % n, 3 * y % n
         out.append((x, y))
     return out
+
+
+def canon(x: int, y: int) -> Pair:
+    """The chord with endpoints x and y as (lo, hi)."""
+    return (x, y) if x <= y else (y, x)
+
+
+def antipode(p: Pair, n: int) -> Pair:
+    """The chord p rotated by a half turn on the grid of modulus n, as (lo, hi)."""
+    return canon((p[0] + n // 2) % n, (p[1] + n // 2) % n)
+
+
+def majors(c: Pair, n: int) -> tuple[Pair, Pair]:
+    """The major pair (M, M') of a chord of length <= 1/6, longer one first.
+
+    n must be a multiple of 3.  A degenerate c gives its critical chord
+    (c + 1/3, c + 2/3) twice.
+    """
+    x, y = c
+    if 6 * arclen(x, y, n) > n:
+        raise ValueError(f"expected a chord of length <= 1/6, got {Fraction(arclen(x, y, n), n)}")
+    s, e = (x, y) if 2 * (y - x) <= n else (y, x)  # the short arc
+    third = n // 3
+    first = canon((s + third) % n, (e - third) % n)
+    second = canon((s + 2 * third) % n, (e - 2 * third) % n)
+    return (first, second) if arclen(*first, n) >= arclen(*second, n) else (second, first)
+
+
+def boundary_arcs(first: Pair, second: Pair) -> list[Pair]:
+    """Arcs joining an endpoint of `first` to an endpoint of `second`, circularly ordered.
+
+    For disjoint chords these are the two short edges of their
+    quadrilateral; equal chords have none.
+    """
+    verts = sorted(set(first) | set(second))
+    owner = [v in first for v in verts]
+    k = len(verts)
+    return [(verts[i], verts[(i + 1) % k]) for i in range(k) if owner[i] != owner[(i + 1) % k]]
+
+
+def strip_parts(big: Pair, small: Pair,
+                n: int) -> tuple[list[Pair], list[Pair], tuple[Pair, Pair]]:
+    """Bounding chords, boundary arcs and markers (M, -M) of the strips between big and small.
+
+    The bounds are the distinct chords among big, small and their
+    antipodes; the open arcs are `boundary_arcs(big, small)`, then their
+    antipodes.
+    """
+    bounds = list(dict.fromkeys((big, small, antipode(big, n), antipode(small, n))))
+    arcs = boundary_arcs(big, small)
+    arcs += [((a + n // 2) % n, (b + n // 2) % n) for a, b in arcs]
+    return bounds, arcs, (big, antipode(big, n))

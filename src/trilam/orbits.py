@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -141,7 +140,7 @@ def preperiod1_points(block: int, ptype: str) -> list[Angle]:
     return [Fraction(int(v), den) for v in out]
 
 
-def chord_orbit(ch: Chord, max_steps: Optional[int] = None) -> ChordOrbit:
+def chord_orbit(ch: Chord) -> ChordOrbit:
     """Full eventually periodic orbit of a chord under the tripling map.
 
     Tracks the ordered endpoint pair on the grid of the chord's common
@@ -149,15 +148,12 @@ def chord_orbit(ch: Chord, max_steps: Optional[int] = None) -> ChordOrbit:
     preperiod plus the lcm of the endpoint periods (the pointwise
     period); the setwise period is the first recurrence of the chord as
     an unordered pair (it divides the pointwise period, and the two
-    preperiods coincide).  An orbit needing more than max_steps distinct
-    pairs beyond the first is refused.
+    preperiods coincide).
     """
     n = grid.scale_of(ch.endpoints())
     pairs = grid.chord_orbit((grid.on_grid(ch.a, n), grid.on_grid(ch.b, n)), n)
     first = pairs.index(pairs[-1])
     pointwise = len(pairs) - 1 - first
-    if max_steps is not None and first + pointwise - 1 > max_steps:
-        raise RuntimeError(f"chord orbit did not close within {max_steps} steps")
     start = set(pairs[first])
     setwise = next(s for s in range(1, pointwise + 1) if set(pairs[first + s]) == start)
     chords = tuple(Chord(Fraction(x, n), Fraction(y, n)) for x, y in pairs[: first + setwise])

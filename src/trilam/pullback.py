@@ -5,7 +5,8 @@ from its pair of critical chords, a non-degenerate c from the edges of
 its quadrilateral pair together with the finite forward orbits of
 +-c.  Each level adds, for every chord of the previous level, the
 preimage chords that cross none of the generating barriers (the
-critical chords, respectively the quadrilateral edges).
+critical chords, respectively the quadrilateral edges), taken from the
+grid strips the legality oracle uses (`grid.majors`, `grid.strip_parts`).
 
 Preimage selection.  The six preimage points of a chord alternate
 around the circle, so its preimage chords organize into at most five
@@ -26,10 +27,11 @@ deterministically:
 
 Depth truncation replaces the closure operation: the artifact produces
 finite prelaminations only.  Every angle generated at depth d is an
-integer multiple of 1/(D * 3^d) for D the least common denominator of
-the seed, so the engine runs on int64 numerators at that fixed scale
-(`trilam.grid`).  A modulus at which the int64 chord keys lo * n + hi
-would wrap is refused with ValueError before any level is expanded.
+integer multiple of 1/(D * 3^d) for D = lcm(6, denominators of c), the
+scale of the seed system, so the engine runs on int64 numerators at
+that fixed scale (`trilam.grid`).  A modulus at which the int64 chord
+keys lo * n + hi would wrap is refused with ValueError before any level
+is expanded.
 
 Levels are deduplicated on those keys: each level's children are
 reduced to their sorted unique keys, the keys already seen are dropped
@@ -46,16 +48,15 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import orbit_info
-from .chords import Chord, chord_antipode, image, majors_of, quad
-from .grid import MAX_INT64_MODULUS, arclen, closure, crosses, crossing_pair, on_grid, scale_of
+from .chords import Chord, image
+from .grid import (MAX_INT64_MODULUS, Pair, antipode, arclen, canon, chord_orbit, closure,
+                   crosses, crossing_pair, majors, on_grid, scale_of, strip_parts)
 from .legality import LegalityVerdict, is_legal_pair
-from .orbits import chord_orbit
 
 __all__ = [
     "Prelamination",
     "IllegalSeedError",
     "InvariantError",
-    "pullbacks_of_chord",
     "build_prelamination",
     "hyperbolic_prune",
     "short_quad_edges",
@@ -127,63 +128,35 @@ def _select_pullbacks(parent: tuple[int, int], survivors: dict[int, tuple[int, i
     return sorted(survivors[cid] for cid in chosen_m)
 
 
-def pullbacks_of_chord(ch: Chord, barriers: list[Chord]) -> list[Chord]:
-    """Preimage chords of ch that cross no barrier, after matching selection.
-
-    For a non-critical chord in general position relative to the
-    barriers this is exactly a 3-element sibling collection; critical or
-    ambiguous positions yield fewer or (when no full matching survives)
-    all surviving candidates.
-    """
-    if ch.degenerate:
-        raise ValueError("a degenerate chord has no preimage chords")
-    scale = 3 * scale_of([*ch.endpoints(), *(v for bar in barriers for v in bar.endpoints())])
-    _check_modulus(scale)
-    parent = (on_grid(ch.a, scale), on_grid(ch.b, scale))
-    bars = [(on_grid(bar.a, scale), on_grid(bar.b, scale))
-            for bar in barriers if not bar.degenerate]
-    pairs = _level_children(np.array([parent], dtype=np.int64), bars, scale).tolist()
-    out = [Chord(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in pairs]
-    return sorted(out, key=Chord.sort_key)
-
-
-def _quad_edges(c: Chord) -> list[Chord]:
-    verts = quad(c)
-    return [Chord(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
+def _strips(c: Chord) -> tuple[int, list[Pair], list[Pair]]:
+    """n0 = lcm(6, denominators of c), and the bounding chords and boundary arcs of c's strips."""
+    n = scale_of(c.endpoints(), 6)
+    bounds, arcs, _ = strip_parts(*majors((on_grid(c.a, n), on_grid(c.b, n)), n), n)
+    return n, bounds, arcs
 
 
 def short_quad_edges(c: Chord) -> list[Chord]:
     """The two edges of the quadrilateral of c other than the major pair, plus antipodes."""
-    big, small = majors_of(c)
-    edges = [e for e in _quad_edges(c) if e not in (big, small)]
-    out = list(edges)
-    for e in edges:
-        anti = chord_antipode(e)
-        if anti not in out:
-            out.append(anti)
-    return out
+    n, _, arcs = _strips(c)
+    return list(dict.fromkeys(Chord(Fraction(s, n), Fraction(e, n)) for s, e in arcs))
 
 
-def _seed_system(c: Chord) -> tuple[list[Chord], list[Chord]]:
-    """Seed chords and pullback barriers for the pullback family of c."""
-    if c.degenerate:
-        crit, _ = majors_of(c)
-        barriers = [crit, chord_antipode(crit)]
-        return list(barriers), list(barriers)
+def _seed_system(c: Chord) -> tuple[int, list[Pair], list[Pair]]:
+    """(n0, seeds, barriers) of the pullback family of c, as (lo, hi) pairs on the grid n0.
+
+    The barriers are the bounding chords and the short edges of c's
+    strips: the critical chord and its antipode for a degenerate c, the
+    quadrilateral edges and their antipodes otherwise.  The seeds add
+    the non-degenerate chords of the orbits of c and -c; they may repeat.
+    """
     verdict = is_legal_pair(c)
     if not verdict.is_legal:
         raise IllegalSeedError(c, verdict)
-    barriers: list[Chord] = []
-    for e in _quad_edges(c) + [chord_antipode(e) for e in _quad_edges(c)]:
-        if e not in barriers:
-            barriers.append(e)
-    seeds = list(barriers)
-    orbit = chord_orbit(c)
-    for ch in orbit.chords:
-        for member in (ch, chord_antipode(ch)):
-            if not member.degenerate and member not in seeds:
-                seeds.append(member)
-    return seeds, barriers
+    n, bounds, arcs = _strips(c)
+    barriers = list(dict.fromkeys(bounds + [canon(s, e) for s, e in arcs]))
+    orbit = [canon(x, y) for x, y in chord_orbit((on_grid(c.a, n), on_grid(c.b, n)), n)]
+    seeds = barriers + [p for q in orbit for p in (q, antipode(q, n)) if p[0] != p[1]]
+    return n, seeds, barriers
 
 
 @dataclass
@@ -195,7 +168,6 @@ class Prelamination:
     modulus: int
     pairs: np.ndarray   # (n, 2) canonical lo < hi numerators, sorted by short-arc key
     depths: np.ndarray  # (n,) generation level of first appearance
-    barriers: tuple[Chord, ...]
     pruned: bool = False
     keys: np.ndarray = field(init=False, repr=False)  # sorted lo * modulus + hi
 
@@ -384,13 +356,14 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     """The depth-truncated pullback family of a legal pair {c, -c}."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    seeds, barriers = _seed_system(c)
-    n = scale_of(v for ch in seeds for v in ch.endpoints()) * 3**depth
+    n0, seeds, barriers = _seed_system(c)
+    scale = 3**depth
+    n = n0 * scale
     _check_modulus(n)
 
-    bars = [(on_grid(ch.a, n), on_grid(ch.b, n)) for ch in barriers]
-    seen = np.unique(np.array([on_grid(ch.a, n) * n + on_grid(ch.b, n) for ch in seeds],
-                              dtype=np.int64))
+    bars = [(x * scale, y * scale) for x, y in barriers]
+    seeded = np.array(seeds, dtype=np.int64) * scale
+    seen = np.unique(seeded[:, 0] * n + seeded[:, 1])
     level_keys = [seen]
     for _ in range(depth):
         frontier = np.stack(np.divmod(level_keys[-1], n), axis=1)
@@ -409,7 +382,7 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
                        [len(k) for k in level_keys])
     order = _canonical_order(pairs, n)
     pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs[order],
-                        depths=depths[order], barriers=tuple(barriers))
+                        depths=depths[order])
     if not pre.noncrossing():
         raise InvariantError(f"pullback family of {c} produced a crossing")
     return pre
@@ -442,7 +415,6 @@ def hyperbolic_prune(c: Chord, depth: int) -> Prelamination:
         modulus=pre.modulus,
         pairs=pre.pairs[~hit],
         depths=pre.depths[~hit],
-        barriers=pre.barriers,
         pruned=True,
     )
     if not pruned.contains(c):

@@ -1,9 +1,10 @@
 """Reference oracles for the integer-grid paths of trilam.
 
 These are the straightforward `fractions.Fraction` formulations of the
-legality oracle, of the preperiod-1 point enumeration and of the SVG
-and JSON emission of chord families, and the per-chord dict dedup of
-pullback levels.  The package computes all of them on the integer grid
+legality oracle and its short strips, of the preperiod-1 point
+enumeration, of the pullback seed system and of the SVG and JSON
+emission of chord families, and the per-chord dict dedup of pullback
+levels.  The package computes all of them on the integer grid
 (`trilam.grid`) or with sorted int64 keys; the differential tests
 compare the two.  Nothing here is used by `src/`.
 """
@@ -11,17 +12,19 @@ compare the two.  Nothing here is used by `src/`.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from trilam.angles import Angle, in_open_arc, tripling
-from trilam.chords import Chord, SIXTH, chord_antipode, crosses, length
+from trilam.angles import Angle, THIRD, antipode, in_open_arc, tripling
+from trilam.chords import Chord, SIXTH, chord_antipode, crosses, length, majors_of
 from trilam.formats import chord_to_json
 from trilam.grid import on_grid, scale_of
-from trilam.legality import LegalityVerdict, LegalityWitness, StripSystem, strips_of
-from trilam.pullback import _canonical_order, _level_children, _seed_system
+from trilam.legality import LegalityVerdict, LegalityWitness
+from trilam.orbits import chord_orbit
+from trilam.pullback import IllegalSeedError, _canonical_order, _level_children
 from trilam.render import (
     RenderConfig,
     _TYPE_COLORS,
@@ -117,6 +120,57 @@ def full_orbit(c: Chord) -> list[Chord]:
     return out
 
 
+@dataclass(frozen=True, slots=True)
+class StripSystem:
+    """Short strips of a chord: bounded by M, M' and their antipodes."""
+
+    M: Chord
+    Mp: Chord
+    width: Fraction
+    arcs: tuple[tuple[Angle, Angle], ...]  # four open boundary arcs (two per strip)
+
+    def bounding_chords(self) -> tuple[Chord, ...]:
+        out = []
+        for ch in (self.M, self.Mp, chord_antipode(self.M), chord_antipode(self.Mp)):
+            if ch not in out:
+                out.append(ch)
+        return tuple(out)
+
+
+def _boundary_arcs(first: tuple, second: tuple) -> list[tuple]:
+    verts = sorted(set(first) | set(second))
+    owner = [v in first for v in verts]
+    n = len(verts)
+    return [(verts[i], verts[(i + 1) % n]) for i in range(n) if owner[i] != owner[(i + 1) % n]]
+
+
+def strip_system(first: Chord, second: Chord) -> StripSystem:
+    """The strip pair bounded by two disjoint chords with a common image.
+
+    The strip between them meets the circle in the two arcs joining an
+    endpoint of one to an endpoint of the other; the antipodal strip
+    contributes the antipodal arcs.
+    """
+    width = abs(THIRD - length(first))
+    if first == second:
+        return StripSystem(M=first, Mp=second, width=width, arcs=())
+    arcs = _boundary_arcs(first.endpoints(), second.endpoints())
+    full = tuple(arcs) + tuple((antipode(a), antipode(b)) for a, b in arcs)
+    return StripSystem(M=first, Mp=second, width=width, arcs=full)
+
+
+def strips_of(c: Chord) -> StripSystem:
+    """The short strips of a chord of length <= 1/6 (or a degenerate chord).
+
+    Realized as the strip between the major pair M, M' plus its
+    antipodal copy; the two boundary arcs per strip have length
+    |1/3 - |M|| = |c|.  A degenerate c yields the critical chord twice
+    with width 0 and no arcs.
+    """
+    big, small = majors_of(c)  # rejects length > 1/6
+    return strip_system(big, small)
+
+
 def _in_closed_arc(x: Angle, s: Angle, e: Angle) -> bool:
     return x == s or x == e or in_open_arc(x, s, e)
 
@@ -160,16 +214,62 @@ def is_legal_pair(c: Chord) -> LegalityVerdict:
     return LegalityVerdict("legal")
 
 
-# -- pullback levels -----------------------------------------------------------
+# -- pullback seeds and levels -------------------------------------------------
 
 
-def prelamination_levels(c: Chord, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonically ordered pairs and depths of the pullback family of c.
+def quad(c: Chord) -> list[Angle]:
+    """Vertices of the convex hull of M_c and M'_c, in circular order from the smallest."""
+    big, small = majors_of(c)
+    return sorted(set(big.endpoints()) | set(small.endpoints()))
 
-    Each level's children are deduplicated one chord at a time through a
-    dict of the keys lo * n + hi seen so far.
+
+def quad_edges(c: Chord) -> list[Chord]:
+    """The four edges of the quadrilateral of c, in circular order of its vertices."""
+    verts = quad(c)
+    return [Chord(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
+
+
+def short_quad_edges(c: Chord) -> list[Chord]:
+    """The quadrilateral edges of c other than the major pair, plus antipodes."""
+    big, small = majors_of(c)
+    edges = [e for e in quad_edges(c) if e not in (big, small)]
+    out = list(edges)
+    for e in edges:
+        anti = chord_antipode(e)
+        if anti not in out:
+            out.append(anti)
+    return out
+
+
+def seed_system(c: Chord) -> tuple[list[Chord], list[Chord]]:
+    """Seed chords and pullback barriers of the pullback family of c, as `Chord`s."""
+    if c.degenerate:
+        crit, _ = majors_of(c)
+        barriers = [crit, chord_antipode(crit)]
+        return list(barriers), list(barriers)
+    verdict = is_legal_pair(c)
+    if not verdict.is_legal:
+        raise IllegalSeedError(c, verdict)
+    barriers: list[Chord] = []
+    for e in quad_edges(c) + [chord_antipode(e) for e in quad_edges(c)]:
+        if e not in barriers:
+            barriers.append(e)
+    seeds = list(barriers)
+    for ch in chord_orbit(c).chords:
+        for member in (ch, chord_antipode(ch)):
+            if not member.degenerate and member not in seeds:
+                seeds.append(member)
+    return seeds, barriers
+
+
+def prelamination_levels(c: Chord, depth: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Canonically ordered pairs and depths of the pullback family of c, and its modulus.
+
+    The modulus is the lcm of the seed denominators times 3^depth.  Each
+    level's children are deduplicated one chord at a time through a dict
+    of the keys lo * n + hi seen so far.
     """
-    seeds, barriers = _seed_system(c)
+    seeds, barriers = seed_system(c)
     n = scale_of(v for ch in seeds for v in ch.endpoints()) * 3**depth
     seen: dict[int, int] = {}
     ordered: list[tuple[int, int]] = []
@@ -196,7 +296,7 @@ def prelamination_levels(c: Chord, depth: int) -> tuple[np.ndarray, np.ndarray]:
         frontier = np.array(fresh, dtype=np.int64).reshape(-1, 2)
     pairs = np.array(ordered, dtype=np.int64).reshape(-1, 2)
     order = _canonical_order(pairs, n)
-    return pairs[order], np.array(levels, dtype=np.int64)[order]
+    return pairs[order], np.array(levels, dtype=np.int64)[order], n
 
 
 # -- output --------------------------------------------------------------------

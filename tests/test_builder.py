@@ -26,7 +26,7 @@ def test_seed_leaves():
         ("B", "(5/12, 7/12)"), ("B", "(11/12, 1/12)"),
     ]
     for r in seeds:
-        assert r.block_period == r.step == 1
+        assert r.block_period == 1
         assert r.minor == ch(0, 1, 1, 2) or r.minor == ch(1, 4, 3, 4)
 
 

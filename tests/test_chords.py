@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trilam import grid
 from trilam.chords import (
     Chord,
     LengthClass,
@@ -15,7 +16,6 @@ from trilam.chords import (
     image,
     length,
     majors_of,
-    quad,
     separates,
     sml_siblings,
     translate_siblings,
@@ -152,7 +152,11 @@ def test_majors_of_rejects_long_input():
     (Chord(Fraction(1, 6), Fraction(1, 6)), [Fraction(1, 2), Fraction(5, 6)]),
 ])
 def test_quad(c, verts):
-    assert quad(c) == verts
+    assert reference.quad(c) == verts
+    # the grid routine's quadrilateral has the same vertices
+    n = grid.scale_of(c.endpoints(), 6)
+    big, small = grid.majors((grid.on_grid(c.a, n), grid.on_grid(c.b, n)), n)
+    assert sorted({Fraction(v, n) for v in big + small}) == verts
 
 
 @pytest.mark.parametrize("m,n,expected", [

@@ -143,3 +143,38 @@ def test_pullback_modulus_beyond_int64_keys_is_usage_error(capsys):
         main(["pullback", "1/2", "1/2", "--depth", "19"])
     assert exc.value.code == 2
     assert "would wrap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[], ["--prune"]], ids=["plain", "prune"])
+def test_pullback_invariant_failure_exits_1(capsys, monkeypatch, argv):
+    import trilam.cli
+    from trilam.pullback import InvariantError
+
+    def broken(c, depth):
+        raise InvariantError(f"pullback family of {c} produced a crossing")
+
+    monkeypatch.setattr(trilam.cli, "build_prelamination", broken)
+    monkeypatch.setattr(trilam.cli, "hyperbolic_prune", broken)
+    code, out, err = run(capsys, "pullback", "11/12", "1/12", "--depth", "2", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "invariant failure: pullback family of (11/12, 1/12) produced a crossing\n"
+
+
+@pytest.mark.parametrize("text,named", [
+    ('[{"x": 1}]', "{'x': 1}"),
+    ('[{"a": "1/6", "b": "1/3", "type": "D"}]', "int 'block'"),
+    ('[{"a": "1/6", "b": "1/3", "type": "D", "block": "x"}]', "int 'block'"),
+    ('{"chords": 5}', "got 5"),
+    ('[1, 2]', ": 1"),
+    ('[{"a": 5, "b": "1/2"}]', "{'a': 5, 'b': '1/2'}"),
+], ids=["no-endpoints", "no-block", "block-not-an-int", "chords-not-a-list", "items-not-chords",
+        "angle-not-a-string"])
+def test_render_malformed_input_is_usage_error(tmp_path, capsys, text, named):
+    src = tmp_path / "bad.json"
+    src.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--in", str(src)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trilam: error: ") and named in err

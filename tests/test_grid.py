@@ -14,7 +14,7 @@ import reference
 from trilam import grid
 from trilam.builder import build
 from trilam.chords import Chord, SIXTH, crosses, length
-from trilam.legality import hits_strip_interior, is_legal_pair, strips_of
+from trilam.legality import hits_strip_interior, is_legal_pair
 from trilam.orbits import preperiod1_points
 
 
@@ -59,7 +59,7 @@ def test_strip_hits_match_reference():
         if length(c) > SIXTH:
             continue
         d = Chord(Fraction(rng.randrange(q), q), Fraction(rng.randrange(q), q))
-        want = reference.strip_violation(d, strips_of(c)) is not None
+        want = reference.strip_violation(d, reference.strips_of(c)) is not None
         assert hits_strip_interior(d, c) == want, (d, c)
         hits.add(want)
     assert hits == {True, False}

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
+from trilam import grid
 from trilam.angles import orbit_info
 from trilam.chords import Chord, SIXTH, chord_antipode, crosses, image, length
 from trilam.legality import (
     hits_strip_interior,
     is_comajor,
     is_legal_pair,
-    strips_of,
 )
 
 from conftest import ch
@@ -18,8 +19,19 @@ from conftest import ch
 angles = st.fractions(min_value=0, max_value=1, max_denominator=400).map(lambda f: f % 1)
 
 
+def grid_strips(c):
+    """(M, M', boundary arcs) of c from the grid routine, as Fractions."""
+    n = grid.scale_of(c.endpoints(), 6)
+    big, small = grid.majors((grid.on_grid(c.a, n), grid.on_grid(c.b, n)), n)
+    _, arcs, _ = grid.strip_parts(big, small, n)
+    chord = lambda q: Chord(Fraction(q[0], n), Fraction(q[1], n))
+    return chord(big), chord(small), tuple((Fraction(s, n), Fraction(e, n)) for s, e in arcs)
+
+
 def test_strips_of_examples():
-    s = strips_of(ch(1, 12, 1, 6))
+    # the Fraction reference and the grid routine agree on each example
+    s = reference.strips_of(ch(1, 12, 1, 6))
+    assert grid_strips(ch(1, 12, 1, 6)) == (s.M, s.Mp, s.arcs)
     assert s.M == ch(5, 12, 5, 6)
     assert s.Mp == ch(1, 2, 3, 4)
     assert s.width == Fraction(1, 12)
@@ -30,21 +42,25 @@ def test_strips_of_examples():
 
     # width = |1/3 - |M|| = |c| = 2/24; the strip arcs (13/24,15/24) and
     # (21/24,23/24) have exactly that length
-    s = strips_of(ch(5, 24, 7, 24))
+    s = reference.strips_of(ch(5, 24, 7, 24))
+    assert grid_strips(ch(5, 24, 7, 24)) == (s.M, s.Mp, s.arcs)
     assert (s.M, s.Mp, s.width) == (ch(13, 24, 23, 24), ch(5, 8, 7, 8), Fraction(1, 12))
     assert set(s.arcs) == {
         (Fraction(13, 24), Fraction(15, 24)), (Fraction(21, 24), Fraction(23, 24)),
         (Fraction(1, 24), Fraction(3, 24)), (Fraction(9, 24), Fraction(11, 24)),
     }
 
-    s = strips_of(Chord(Fraction(1, 6), Fraction(1, 6)))
+    s = reference.strips_of(Chord(Fraction(1, 6), Fraction(1, 6)))
     assert s.M == s.Mp == ch(1, 2, 5, 6)
     assert s.width == 0 and s.arcs == ()
+    assert grid_strips(Chord(Fraction(1, 6), Fraction(1, 6))) == (s.M, s.Mp, s.arcs)
 
 
 def test_strip_width_equals_chord_length():
     for c in (ch(1, 20, 1, 12), ch(5, 24, 7, 24), ch(1, 100, 3, 100)):
-        assert strips_of(c).width == length(c)
+        assert reference.strips_of(c).width == length(c)
+        _, _, arcs = grid_strips(c)
+        assert len(arcs) == 4 and all((e - s) % 1 == length(c) for s, e in arcs)
 
 
 @pytest.mark.parametrize("d,c,expected", [

@@ -101,14 +101,14 @@ def test_preperiod1_points_have_preperiod_one():
 
 
 def test_chord_orbit_preperiodic_cycle():
-    orb = chord_orbit(ch(1, 12, 1, 6), 64)
+    orb = chord_orbit(ch(1, 12, 1, 6))
     assert orb.preperiod == 1
     assert orb.pointwise_period == 2
     assert orb.chords == (ch(1, 12, 1, 6), ch(1, 4, 1, 2), ch(1, 2, 3, 4))
 
 
 def test_chord_orbit_setwise_fixed():
-    orb = chord_orbit(ch(5, 24, 7, 24), 64)
+    orb = chord_orbit(ch(5, 24, 7, 24))
     assert orb.preperiod == 1
     assert orb.setwise_period == 1
     assert orb.pointwise_period == 2
@@ -116,15 +116,10 @@ def test_chord_orbit_setwise_fixed():
 
 
 def test_chord_orbit_critical_collapse():
-    orb = chord_orbit(ch(5, 6, 1, 6), 64)
+    orb = chord_orbit(ch(5, 6, 1, 6))
     assert orb.preperiod == 1
     assert orb.chords[1].degenerate and orb.chords[1].a == Fraction(1, 2)
     assert orb.setwise_period == 1
-
-
-def test_chord_orbit_respects_max_steps():
-    with pytest.raises(RuntimeError):
-        chord_orbit(ch(1, 12, 1, 6), 1)
 
 
 def test_enumeration_refuses_denominators_beyond_int64_products():

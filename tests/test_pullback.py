@@ -3,16 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trilam.chords import Chord, chord_antipode, classify, image, length, LengthClass, sml_siblings
-from trilam.legality import hits_strip_interior, strip_system
+from trilam.builder import build
+from trilam.chords import Chord, classify, image, length, LengthClass, sml_siblings
 from trilam.orbits import chord_orbit
-from trilam.grid import MAX_INT64_MODULUS, closure
+from trilam.grid import MAX_INT64_MODULUS, closure, on_grid, scale_of
 from trilam.pullback import (
     IllegalSeedError,
     Prelamination,
+    _level_children,
+    _seed_system,
     build_prelamination,
     hyperbolic_prune,
-    pullbacks_of_chord,
     short_quad_edges,
 )
 
@@ -20,41 +21,82 @@ import reference
 from conftest import PULLBACK_SEEDS, ch
 
 
-def quad_barriers(c):
-    from trilam.pullback import _quad_edges
+def grid_chord(p, n):
+    return Chord(Fraction(p[0], n), Fraction(p[1], n))
 
-    edges = _quad_edges(c)
-    out = list(edges)
-    for e in edges:
-        anti = chord_antipode(e)
-        if anti not in out:
-            out.append(anti)
-    return out
+
+def quad_barriers(c):
+    n, _, barriers = _seed_system(c)
+    return [grid_chord(p, n) for p in barriers]
+
+
+def pullbacks(parent, barriers):
+    """Selected preimages of one chord among the barriers, by `_level_children` on their grid."""
+    n = 3 * scale_of(v for c in (parent, *barriers) for v in c.endpoints())
+    pairs = [(on_grid(c.a, n), on_grid(c.b, n)) for c in (parent, *barriers)]
+    got = _level_children(np.array(pairs[:1], dtype=np.int64), pairs[1:], n).tolist()
+    return sorted((grid_chord(p, n) for p in got), key=Chord.sort_key)
 
 
 def test_pullbacks_of_invariant_diameter():
-    got = pullbacks_of_chord(ch(1, 4, 3, 4), quad_barriers(ch(11, 12, 1, 12)))
+    got = pullbacks(ch(1, 4, 3, 4), quad_barriers(ch(11, 12, 1, 12)))
     assert set(got) == {ch(11, 12, 1, 12), ch(5, 12, 7, 12), ch(1, 4, 3, 4)}
 
 
 def test_pullbacks_of_critical_chords():
     bars = [ch(1, 6, 5, 6), ch(1, 3, 2, 3)]
-    assert set(pullbacks_of_chord(ch(1, 6, 5, 6), bars)) == {ch(17, 18, 1, 18), ch(7, 18, 11, 18)}
-    assert set(pullbacks_of_chord(ch(1, 3, 2, 3), bars)) == {ch(4, 9, 5, 9), ch(8, 9, 1, 9)}
+    assert set(pullbacks(ch(1, 6, 5, 6), bars)) == {ch(17, 18, 1, 18), ch(7, 18, 11, 18)}
+    assert set(pullbacks(ch(1, 3, 2, 3), bars)) == {ch(4, 9, 5, 9), ch(8, 9, 1, 9)}
 
 
 def test_pullbacks_generic_sibling_collection():
     # deep pullback in general position: exactly three disjoint preimages
-    got = pullbacks_of_chord(ch(11, 12, 1, 12), quad_barriers(ch(11, 12, 1, 12)))
+    got = pullbacks(ch(11, 12, 1, 12), quad_barriers(ch(11, 12, 1, 12)))
     assert got == sorted([ch(11, 36, 13, 36), ch(23, 36, 25, 36), ch(35, 36, 1, 36)],
                          key=Chord.sort_key)
     imgs = {image(x) for x in got}
     assert imgs == {ch(11, 12, 1, 12)}
 
 
-def test_pullbacks_reject_degenerate_input():
-    with pytest.raises(ValueError):
-        pullbacks_of_chord(Chord(Fraction(1, 3), Fraction(1, 3)), [])
+def test_seed_system_has_no_degenerate_chord():
+    # a degenerate chord has no preimage chords, and `_level_children`
+    # expands every frontier chord: the degenerate orbit of a degenerate
+    # seed must stay out of its seeds, and no level may produce one
+    for seed in PULLBACK_SEEDS + [Chord(Fraction(1, 6), Fraction(1, 6)), ch(11, 12, 1, 12)]:
+        _, seeds, barriers = _seed_system(seed)
+        assert all(x != y for x, y in seeds + barriers), seed
+        pre = build_prelamination(seed, 4)
+        assert (pre.pairs[:, 0] != pre.pairs[:, 1]).all(), seed
+
+
+def _grid_seed_system(c):
+    """The reference seed system of c as its scale and sets of int pairs on it."""
+    seeds, barriers = reference.seed_system(c)
+    n = scale_of(v for s in seeds for v in s.endpoints())
+    as_pairs = lambda chords: {(on_grid(x.a, n), on_grid(x.b, n)) for x in chords}
+    return n, as_pairs(seeds), as_pairs(barriers)
+
+
+@pytest.mark.parametrize("seeds", ["build5", "pullback", "degenerate"])
+def test_seed_system_matches_reference(seeds):
+    if seeds == "build5":
+        chords = [r.chord for r in build(5).leaves]
+    elif seeds == "pullback":
+        chords = PULLBACK_SEEDS
+    else:
+        chords = [Chord(Fraction(k, 36), Fraction(k, 36)) for k in range(36)]
+    for c in chords:
+        n, seeds_got, barriers = _seed_system(c)
+        assert (n, set(seeds_got), set(barriers)) == _grid_seed_system(c), c
+        assert len(barriers) == len(set(barriers)), c
+
+
+def test_short_quad_edges_match_reference_on_build5():
+    for rec in build(5).leaves:
+        assert short_quad_edges(rec.chord) == reference.short_quad_edges(rec.chord), rec.chord
+    assert short_quad_edges(Chord(Fraction(1, 2), Fraction(1, 2))) == []
+    with pytest.raises(ValueError, match="length <= 1/6"):
+        short_quad_edges(ch(0, 1, 1, 4))
 
 
 def test_degenerate_half_depth_one():
@@ -149,9 +191,6 @@ def test_hyperbolic_prune_rejects_bad_seeds():
 def test_closest_to_criticality_law():
     # sampled medium/long chords that are strictly closest to criticality
     # within their own orbit never map into their short strips
-    from trilam.builder import build
-    from trilam.legality import _hits
-
     d3 = [r.chord for r in build(3).leaves if r.block_period == 3 and r.ptype == "D"]
     seeds = [ch(5, 24, 7, 24)] + d3[:2]
     sampled = 0
@@ -162,13 +201,13 @@ def test_closest_to_criticality_law():
             cls = classify(c)
             if cls not in (LengthClass.MEDIUM, LengthClass.LONG) or length(c) <= Fraction(1, 6):
                 continue
-            orb = chord_orbit(c, 4096)
+            orb = chord_orbit(c)
             if any(other != c and dist(other) <= dist(c) for other in orb.chords[1:]):
                 continue
             partner, _ = sml_siblings(c)
-            strips = strip_system(c, partner)
+            strips = reference.strip_system(c, partner)
             for img in orb.chords[1:]:
-                assert not _hits(img, strips)
+                assert reference.strip_violation(img, strips) is None
             sampled += 1
     assert sampled >= 3
 
@@ -176,7 +215,7 @@ def test_closest_to_criticality_law():
 def _hand_built(modulus, pairs, seed):
     return Prelamination(seed=seed, depth=0, modulus=modulus,
                          pairs=np.array(pairs, dtype=np.int64),
-                         depths=np.zeros(len(pairs), dtype=np.int64), barriers=())
+                         depths=np.zeros(len(pairs), dtype=np.int64))
 
 
 def test_prelamination_refuses_modulus_whose_keys_wrap():
@@ -216,7 +255,8 @@ def test_forward_orbit_hits_matches_chord_orbits():
 def test_level_dedup_matches_dict_reference(seed):
     for depth in range(7):
         pre = build_prelamination(seed, depth)
-        pairs, depths = reference.prelamination_levels(seed, depth)
+        pairs, depths, n = reference.prelamination_levels(seed, depth)
+        assert pre.modulus == n, depth
         assert np.array_equal(pre.pairs, pairs), depth
         assert np.array_equal(pre.depths, depths), depth
 

@@ -24,6 +24,7 @@ __all__ = [
     "OrbitInfo",
     "HALF",
     "make_angle",
+    "parse_fraction",
     "parse_angle",
     "angle_str",
     "tripling",
@@ -57,16 +58,25 @@ def make_angle(p: int, q: int) -> Angle:
     return Fraction(p % q, q)
 
 
+def parse_fraction(text: str) -> tuple[int, int]:
+    """(p mod q, q) of an angle given as 'p/q' or a bare integer string, with q > 0.
+
+    The fraction is not reduced: '2/4' gives (2, 4).
+    """
+    p_str, slash, q_str = text.partition("/")
+    try:
+        # int() strips surrounding whitespace; a second '/' fails in q
+        p, q = int(p_str), (int(q_str) if slash else 1)
+    except ValueError as exc:
+        raise ValueError(f"malformed fraction {text!r}") from exc
+    if q <= 0:
+        raise ValueError(f"malformed fraction {text!r}")
+    return p % q, q
+
+
 def parse_angle(text: str) -> Angle:
     """Parse an exact angle given as 'p/q' or a bare integer string."""
-    s = text.strip()
-    try:
-        if "/" in s:
-            p_str, q_str = s.split("/")
-            return make_angle(int(p_str), int(q_str))
-        return make_angle(int(s), 1)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed fraction {text!r}") from exc
+    return Fraction(*parse_fraction(text))
 
 
 def angle_str(a: Angle) -> str:

@@ -158,8 +158,8 @@ def cmd_render(args) -> int:
     if isinstance(doc, list) and doc and isinstance(doc[0], dict) and "type" in doc[0]:
         classes = [_record_field(item, "type", str) for item in doc]
         blocks = [_record_field(item, "block", int) for item in doc]
-    chords = chords_from_json(text)
-    svg = render_svg(chords, _render_cfg(args), classes=classes, blocks=blocks)
+    pairs, n = chords_from_json(doc)
+    svg = render_svg(pairs, _render_cfg(args), classes=classes, blocks=blocks, modulus=n)
     _write(svg, args.out)
     return 0
 

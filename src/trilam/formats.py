@@ -4,18 +4,22 @@ All data serializes as exact fraction strings; output ordering is the
 canonical one (block, type with D before B, then the short-arc key), so
 repeated runs are byte-identical.  A prelamination serializes straight
 from its integer grid: the reduced string of x/N is (x/g)/(N/g) for
-g = gcd(x, N), so no `Fraction` is built per chord.
+g = gcd(x, N), so no `Fraction` is built per chord.  The documents that
+`render --in` reads go the other way, straight onto a grid, by
+`chords_from_json`.
 """
 
 from __future__ import annotations
 
 import json
+from math import lcm
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .angles import angle_str, parse_angle
+from .angles import angle_str, parse_angle, parse_fraction
 from .chords import Chord
+from .grid import MAX_INT64_MODULUS
 
 if TYPE_CHECKING:
     from .builder import ComajorRecord
@@ -25,13 +29,6 @@ CSV_HEADER = "a,b,type,block"
 
 def chord_to_json(ch: Chord) -> dict:
     return {"a": angle_str(ch.a), "b": angle_str(ch.b)}
-
-
-def chord_from_json(doc: dict) -> Chord:
-    try:
-        return Chord(parse_angle(doc["a"]), parse_angle(doc["b"]))
-    except (AttributeError, KeyError, TypeError):
-        raise ValueError(f"not a chord {{\"a\", \"b\"}}: {doc!r}") from None
 
 
 def record_to_json(rec: "ComajorRecord") -> dict:
@@ -54,7 +51,16 @@ def record_from_json(doc: dict) -> "ComajorRecord":
 
 
 def records_to_json(records: Iterable["ComajorRecord"]) -> str:
-    return json.dumps([record_to_json(r) for r in records], indent=0) + "\n"
+    """The record array as `json.dumps([record_to_json(r), ...], indent=0)`.
+
+    Its strings are fractions 'p/q' and the types 'B' and 'D', which JSON
+    never escapes, so the text is assembled directly, as in
+    `prelamination_to_json`; the tests hold it to `json.dumps`.
+    """
+    items = ",\n".join(
+        f'{{\n"a": "{angle_str(r.chord.a)}",\n"b": "{angle_str(r.chord.b)}",\n'
+        f'"type": "{r.ptype}",\n"block": {r.block_period}\n}}' for r in records)
+    return f"[\n{items}\n]\n" if items else "[]\n"
 
 
 def records_from_json(text: str) -> list["ComajorRecord"]:
@@ -94,11 +100,30 @@ def _chord_text(a: str, b: str) -> str:
     return f'{{\n"a": "{a}",\n"b": "{b}"\n}}'
 
 
-def chords_from_json(text: str) -> list[Chord]:
-    """Read chords from a record array, a prelamination document, or a bare chord list."""
-    doc = json.loads(text)
+def chords_from_json(doc) -> tuple[np.ndarray, int]:
+    """Chords of a parsed record array, prelamination document or bare chord list, on a grid.
+
+    Returns the (m, 2) pairs lo <= hi and their modulus n, the lcm of
+    the denominators as written, for `render_svg(pairs, modulus=n)`.
+    The pairs are int64 while n <= `MAX_INT64_MODULUS` and Python ints
+    of dtype object beyond.
+    """
     if isinstance(doc, dict) and "chords" in doc:
         doc = doc["chords"]
     if not isinstance(doc, list):
         raise ValueError(f"expected a list of chords, got {doc!r}")
-    return [chord_from_json(item) for item in doc]
+    ends = [_fraction_ends(item) for item in doc]
+    n = lcm(*{q for ab in ends for _, q in ab})
+    scale = {q: n // q for ab in ends for _, q in ab}
+    flat = [p * scale[q] for ab in ends for p, q in ab]
+    pairs = np.array(flat, dtype=np.int64 if n <= MAX_INT64_MODULUS else object).reshape(-1, 2)
+    pairs.sort(axis=1)
+    return pairs, n
+
+
+def _fraction_ends(doc: dict) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The parsed endpoints (p, q) of a chord {"a", "b"}."""
+    try:
+        return parse_fraction(doc["a"]), parse_fraction(doc["b"])
+    except (AttributeError, KeyError, TypeError):
+        raise ValueError(f"not a chord {{\"a\", \"b\"}}: {doc!r}") from None

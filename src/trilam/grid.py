@@ -7,7 +7,8 @@ hot paths of orbits, builder, legality and pullback run in between.
 A chord is an int pair; chords sharing an endpoint never cross and
 degenerate chords cross nothing.  The quadrilateral of a short chord
 and its strips (`majors`, `strip_parts`) serve both the legality oracle
-and the pullback barriers.
+and the pullback barriers; the canonical chord order (`short_arc_order`)
+serves the pullback engine and the renderer.
 """
 
 from __future__ import annotations
@@ -84,6 +85,18 @@ def crossing_pair(pairs: Union[Iterable[Pair], np.ndarray]) -> Optional[tuple[Pa
             return (stack[-1], p)
         stack.append(p)
     return None
+
+
+def short_arc_order(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Stable order of (lo, hi) chords by `Chord.sort_key`: start, then end of the short arc.
+
+    A diameter keeps (lo, hi).  `pairs` is an (m, 2) array on the grid
+    of modulus n, int64 or, for any n, Python ints of dtype object.
+    Repeated chords keep their input order.
+    """
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    wrap = 2 * (hi - lo) > n
+    return np.lexsort((np.where(wrap, lo, hi), np.where(wrap, hi, lo)))
 
 
 def closure(n: int) -> tuple[int, int]:

@@ -50,7 +50,8 @@ import numpy as np
 from .angles import orbit_info
 from .chords import Chord, image
 from .grid import (MAX_INT64_MODULUS, Pair, antipode, arclen, canon, chord_orbit, closure,
-                   crosses, crossing_pair, majors, on_grid, scale_of, strip_parts)
+                   crosses, crossing_pair, majors, on_grid, scale_of, short_arc_order,
+                   strip_parts)
 from .legality import LegalityVerdict, is_legal_pair
 
 __all__ = [
@@ -380,20 +381,12 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     pairs = np.stack(np.divmod(keys, n), axis=1)
     depths = np.repeat(np.arange(len(level_keys), dtype=np.int64),
                        [len(k) for k in level_keys])
-    order = _canonical_order(pairs, n)
+    order = short_arc_order(pairs, n)
     pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs[order],
                         depths=depths[order])
     if not pre.noncrossing():
         raise InvariantError(f"pullback family of {c} produced a crossing")
     return pre
-
-
-def _canonical_order(pairs: np.ndarray, n: int) -> np.ndarray:
-    span = (pairs[:, 1] - pairs[:, 0]) % n
-    wrap = span > n - span
-    start = np.where(wrap, pairs[:, 1], pairs[:, 0])
-    end = np.where(wrap, pairs[:, 0], pairs[:, 1])
-    return np.lexsort((end, start))
 
 
 def hyperbolic_prune(c: Chord, depth: int) -> Prelamination:

@@ -7,27 +7,38 @@ a fixed 12-decimal precision and elements follow the canonical chord
 order, so renders are byte-deterministic.  This is the only place
 floating point appears; all data paths stay exact.
 
-The renderer works on the integer grid (`trilam.grid`): `Chord`s are
-put on their common scale N once, and a pullback family passes its int
-pairs and modulus directly.  The canonical order is the short-arc key
-on ints, and the angle x/N becomes the float `x / N`, which CPython
-rounds correctly, so it is exactly `float(Fraction(x, N))`.
+The renderer works on the integer grid (`trilam.grid`) in one pass:
+`Chord`s are put on their common scale N once; a pullback family or a
+`render --in` document passes its int pairs and modulus.  The ints are
+int64 while N <= `MAX_INT64_MODULUS` and Python ints beyond, so they
+are exact at any scale; they give the canonical order
+(`grid.short_arc_order`) and each arc's sweep flag.  The floats are
+exactly these: the correctly rounded turns `x / N`, equal to
+`float(Fraction(x, N))`; `math.cos` and `math.sin` of `2.0 * math.pi *
+(x / N)` once per distinct angle of each slice of 1,024 chords; and
+float64 array arithmetic for points, centers and radii in the operation
+order of the scalar formula (numpy's + - * / and sqrt round as
+CPython's do and fuse no multiply-adds).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .chords import Chord
-from .grid import on_grid, scale_of
+from .grid import MAX_INT64_MODULUS, on_grid, scale_of, short_arc_order
 
 __all__ = ["RenderConfig", "render_svg"]
 
-_PREC = 12
+# chords drawn at a time: a large family is never held as per-chord
+# Python floats all at once, and chords sharing an endpoint mostly sit
+# in one slice, so its trig is still taken once
+_SLICE = 1024
 
 
 @dataclass(frozen=True)
@@ -60,43 +71,18 @@ def _hsv(h: float, s: float, v: float) -> tuple[int, int, int]:
     return tuple(int(round(255 * x)) for x in rgb)  # type: ignore[return-value]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.{_PREC}f}"
+# one %-template per element kind; %.12f formats as f"{x:.12f}" does
+_DOT = '<circle class="%s" cx="%.12f" cy="%.12f" r="1.5" fill="%s"/>'
+_TAIL = '" fill="none" stroke="%s" stroke-width="%s"/>'
+_LINE = '<path class="%s" d="M %.12f %.12f L %.12f %.12f' + _TAIL
+_ARC = '<path class="%s" d="M %.12f %.12f A %s %s 0 0 %d %.12f %.12f' + _TAIL
 
 
-def _point(angle_turns: float, cx: float, cy: float, r: float) -> tuple[float, float]:
-    th = 2.0 * math.pi * angle_turns
-    return (cx + r * math.cos(th), cy - r * math.sin(th))
-
-
-def _geodesic_path(a: float, b: float, cx: float, cy: float, r: float) -> str:
-    """SVG path for the hyperbolic geodesic between circle points at angles a, b (turns)."""
-    x1, y1 = _point(a, cx, cy, r)
-    x2, y2 = _point(b, cx, cy, r)
-    # unit-disk coordinates (y up) for the orthogonal-circle construction
-    p1 = (math.cos(2 * math.pi * a), math.sin(2 * math.pi * a))
-    p2 = (math.cos(2 * math.pi * b), math.sin(2 * math.pi * b))
-    dot = p1[0] * p2[0] + p1[1] * p2[1]
-    if 1.0 + dot < 1e-9:  # antipodal endpoints: geodesic is the diameter
-        return f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"
-    k = 1.0 / (1.0 + dot)
-    ox, oy = k * (p1[0] + p2[0]), k * (p1[1] + p2[1])
-    radius = math.sqrt(ox * ox + oy * oy - 1.0)
-    # the arc inside the disk is the minor arc; SVG sweep=1 is clockwise on
-    # screen, which is the negative mathematical direction
-    a1 = math.atan2(p1[1] - oy, p1[0] - ox)
-    a2 = math.atan2(p2[1] - oy, p2[0] - ox)
-    delta = math.remainder(a2 - a1, math.tau)
-    # the screen y-flip reverses orientation: math-positive delta is sweep 0
-    sweep = 0 if delta > 0 else 1
-    rr = radius * r
-    return f"M {_fmt(x1)} {_fmt(y1)} A {_fmt(rr)} {_fmt(rr)} 0 0 {sweep} {_fmt(x2)} {_fmt(y2)}"
-
-
-def _short_arc(pair: Sequence[int], n: int) -> tuple[int, int]:
-    """`Chord.sort_key` on the grid of modulus n: start, then end of the short arc."""
-    lo, hi = pair
-    return (lo, hi) if 2 * (hi - lo) <= n else (hi, lo)
+def _style(cls: str, block: int, cfg: RenderConfig) -> tuple[str, str]:
+    """(class label, color) of a chord."""
+    if cfg.color_by == "block" and block:
+        return f"block-{block}", _block_color(block)
+    return (f"type-{cls}" if cls else "chord"), _TYPE_COLORS.get(cls, _TYPE_COLORS[""])
 
 
 def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = RenderConfig(),
@@ -105,12 +91,13 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
                modulus: Optional[int] = None) -> str:
     """Render chords to a standalone SVG document.
 
-    `chords` are `Chord`s or, when `modulus` is given, an (n, 2) int
-    array of pairs lo <= hi on the grid of that modulus, such as
-    `Prelamination.pairs`.  `classes` (e.g. the leaf types) and `blocks`
-    attach style classes and colors per chord; both default to a single
-    neutral style.  One path element is emitted per chord, in canonical
-    chord order.
+    `chords` are `Chord`s or, when `modulus` is given, an (n, 2) array
+    of int pairs lo <= hi on the grid of that modulus, such as
+    `Prelamination.pairs` or the pairs of `formats.chords_from_json`;
+    beyond `MAX_INT64_MODULUS` they are taken as Python ints.  `classes`
+    (e.g. the leaf types) and `blocks` attach style classes and colors
+    per chord; both default to a single neutral style.  One element is
+    emitted per chord, in canonical chord order.
     """
     size = cfg.size_px
     cx = cy = size / 2.0
@@ -118,43 +105,78 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
 
     if modulus is None:
         n = scale_of(v for ch in chords for v in ch.endpoints())
-        pairs = [(on_grid(ch.a, n), on_grid(ch.b, n)) for ch in chords]
+        chords = [on_grid(v, n) for ch in chords for v in ch.endpoints()]
     else:
         n = int(modulus)
-        pairs = chords.tolist()
-    items = list(zip(pairs,
-                     classes if classes is not None else [""] * len(pairs),
-                     blocks if blocks is not None else [0] * len(pairs)))
-    items.sort(key=lambda it: _short_arc(it[0], n))
+    pairs = np.asarray(chords, dtype=np.int64 if n <= MAX_INT64_MODULUS else object).reshape(-1, 2)
+    m = len(pairs)
+    order = short_arc_order(pairs, n)
+    pairs = pairs[order]
+    keys = list(zip(classes if classes is not None else [""] * m,
+                    blocks if blocks is not None else [0] * m))
+    styles = {key: _style(*key, cfg) for key in set(keys)}
+    styled = [styles[keys[i]] for i in order.tolist()]
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="{cfg.background}"/>',
-        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="none" '
-        f'stroke="{cfg.circle_stroke}" stroke-width="{cfg.circle_stroke_width}"/>',
+        '<circle cx="%.12f" cy="%.12f" r="%.12f" fill="none" ' % (cx, cy, r)
+        + f'stroke="{cfg.circle_stroke}" stroke-width="{cfg.circle_stroke_width}"/>',
     ]
-    for (lo, hi), cls, block in items:
-        a = lo / n
-        b = hi / n
-        if cfg.color_by == "block" and block:
-            color = _block_color(block)
-            label = f"block-{block}"
-        else:
-            color = _TYPE_COLORS.get(cls, _TYPE_COLORS[""])
-            label = f"type-{cls}" if cls else "chord"
-        if lo == hi:
-            x, y = _point(a, cx, cy, r)
-            lines.append(f'<circle class="{label}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.5" '
-                         f'fill="{color}"/>')
+    for s in range(0, m, _SLICE):
+        lines += _elements(pairs[s:s + _SLICE], styled[s:s + _SLICE], n, cx, cy, r, cfg)
+    lines.append("</svg>\n")
+    return "\n".join(lines)
+
+
+def _elements(pairs: np.ndarray, styled: list[tuple[str, str]], n: int,
+              cx: float, cy: float, r: float, cfg: RenderConfig) -> list[str]:
+    """The SVG elements of canonically ordered chords, in order.
+
+    A degenerate chord is a dot; a straight chord, or a diameter
+    (1 + p1.p2 < 1e-9 for the unit-disk endpoints p1, p2), a segment.
+    Any other geodesic is an arc of the circle orthogonal to the unit
+    circle through p1 and p2: center o = k (p1 + p2) with
+    k = 1 / (1 + p1.p2), radius sqrt(|o|^2 - 1).  It runs from lo to hi
+    inside the disk, clockwise on screen (SVG sweep 1) iff the arc from
+    lo to hi is the short one, 2 (hi - lo) < n.
+    """
+    ends, inv = np.unique(pairs.ravel(), return_inverse=True)
+    th = (2.0 * math.pi * (ends / n).astype(np.float64)).tolist()
+    cos = np.fromiter(map(math.cos, th), np.float64, len(th))
+    sin = np.fromiter(map(math.sin, th), np.float64, len(th))
+    i1, i2 = inv[0::2], inv[1::2]
+    c1, s1, c2, s2 = cos[i1], sin[i1], cos[i2], sin[i2]
+    x1, y1, x2, y2 = cx + r * c1, cy - r * s1, cx + r * c2, cy - r * s2
+    kind = np.where(i1 == i2, 0, 1)
+    if cfg.geodesic_style == "arc":
+        dot = c1 * c2 + s1 * s2
+        kind[(kind == 1) & ~(1.0 + dot < 1e-9)] = 2
+    out: list = [None] * len(pairs)
+    for k, tmpl in enumerate((_DOT, _LINE, _ARC)):
+        rows = np.flatnonzero(kind == k)
+        if not len(rows):
             continue
-        if cfg.geodesic_style == "straight":
-            x1, y1 = _point(a, cx, cy, r)
-            x2, y2 = _point(b, cx, cy, r)
-            d = f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"
+        label, color = zip(*[styled[i] for i in rows.tolist()])
+        start = (label, x1[rows].tolist(), y1[rows].tolist())
+        if k == 0:
+            fields = (*start, color)
+        elif k == 1:
+            fields = (*start, x2[rows].tolist(), y2[rows].tolist(),
+                      color, repeat(cfg.chord_stroke_width))
         else:
-            d = _geodesic_path(a, b, cx, cy, r)
-        lines.append(f'<path class="{label}" d="{d}" fill="none" stroke="{color}" '
-                     f'stroke-width="{cfg.chord_stroke_width}"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            kk = 1.0 / (1.0 + dot[rows])
+            ox = kk * (c1[rows] + c2[rows])
+            oy = kk * (s1[rows] + s2[rows])
+            # |o|^2 - 1 = (1 - p1.p2) / (1 + p1.p2) >= 0, but rounding takes it
+            # below 0 for some endpoints a few 1e-9 turn apart; such an arc
+            # gets radius 0, which SVG draws as the segment
+            rr = ["%.12f" % x
+                  for x in (np.sqrt(np.maximum(ox * ox + oy * oy - 1.0, 0.0)) * r).tolist()]
+            sweep = (2 * (pairs[rows, 1] - pairs[rows, 0]) < n).tolist()
+            fields = (*start, rr, rr, sweep, x2[rows].tolist(), y2[rows].tolist(),
+                      color, repeat(cfg.chord_stroke_width))
+        for i, t in zip(rows.tolist(), zip(*fields)):
+            out[i] = tmpl % t
+    return out

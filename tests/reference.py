@@ -4,7 +4,8 @@ These are the straightforward `fractions.Fraction` formulations of the
 legality oracle and its short strips, of the preperiod-1 point
 enumeration, of the pullback seed system and of the SVG and JSON
 emission of chord families, and the per-chord dict dedup of pullback
-levels.  The package computes all of them on the integer grid
+levels.  The SVG oracle draws one chord at a time with scalar `math`
+(four trig calls per chord and an `atan2` sweep flag).  The package computes all of them on the integer grid
 (`trilam.grid`) or with sorted int64 keys; the differential tests
 compare the two.  Nothing here is used by `src/`.
 """
@@ -12,6 +13,7 @@ compare the two.  Nothing here is used by `src/`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -20,19 +22,12 @@ import numpy as np
 
 from trilam.angles import Angle, THIRD, antipode, in_open_arc, tripling
 from trilam.chords import Chord, SIXTH, chord_antipode, crosses, length, majors_of
-from trilam.formats import chord_to_json
-from trilam.grid import on_grid, scale_of
+from trilam.formats import chord_to_json, record_to_json
+from trilam.grid import on_grid, scale_of, short_arc_order
 from trilam.legality import LegalityVerdict, LegalityWitness
 from trilam.orbits import chord_orbit
-from trilam.pullback import IllegalSeedError, _canonical_order, _level_children
-from trilam.render import (
-    RenderConfig,
-    _TYPE_COLORS,
-    _block_color,
-    _fmt,
-    _geodesic_path,
-    _point,
-)
+from trilam.pullback import IllegalSeedError, _level_children
+from trilam.render import RenderConfig, _TYPE_COLORS, _block_color
 
 # -- preperiod-1 points ------------------------------------------------------
 
@@ -295,11 +290,16 @@ def prelamination_levels(c: Chord, depth: int) -> tuple[np.ndarray, np.ndarray, 
                  if commit((lo, hi), level)]
         frontier = np.array(fresh, dtype=np.int64).reshape(-1, 2)
     pairs = np.array(ordered, dtype=np.int64).reshape(-1, 2)
-    order = _canonical_order(pairs, n)
+    order = short_arc_order(pairs, n)
     return pairs[order], np.array(levels, dtype=np.int64)[order], n
 
 
 # -- output --------------------------------------------------------------------
+
+
+def records_json(records: list) -> str:
+    """The record array, one `record_to_json` dict per record through `json.dumps`."""
+    return json.dumps([record_to_json(r) for r in records], indent=0) + "\n"
 
 
 def prelamination_json(seed: Chord, depth: int, chords: list[Chord]) -> str:
@@ -310,6 +310,42 @@ def prelamination_json(seed: Chord, depth: int, chords: list[Chord]) -> str:
         "chords": [chord_to_json(c) for c in chords],
     }
     return json.dumps(doc, indent=0) + "\n"
+
+
+_PREC = 12
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.{_PREC}f}"
+
+
+def _point(angle_turns: float, cx: float, cy: float, r: float) -> tuple[float, float]:
+    th = 2.0 * math.pi * angle_turns
+    return (cx + r * math.cos(th), cy - r * math.sin(th))
+
+
+def _geodesic_path(a: float, b: float, cx: float, cy: float, r: float) -> str:
+    """SVG path for the hyperbolic geodesic between circle points at angles a, b (turns)."""
+    x1, y1 = _point(a, cx, cy, r)
+    x2, y2 = _point(b, cx, cy, r)
+    # unit-disk coordinates (y up) for the orthogonal-circle construction
+    p1 = (math.cos(2 * math.pi * a), math.sin(2 * math.pi * a))
+    p2 = (math.cos(2 * math.pi * b), math.sin(2 * math.pi * b))
+    dot = p1[0] * p2[0] + p1[1] * p2[1]
+    if 1.0 + dot < 1e-9:  # antipodal endpoints: geodesic is the diameter
+        return f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"
+    k = 1.0 / (1.0 + dot)
+    ox, oy = k * (p1[0] + p2[0]), k * (p1[1] + p2[1])
+    radius = math.sqrt(ox * ox + oy * oy - 1.0)
+    # the arc inside the disk is the minor arc; SVG sweep=1 is clockwise on
+    # screen, which is the negative mathematical direction
+    a1 = math.atan2(p1[1] - oy, p1[0] - ox)
+    a2 = math.atan2(p2[1] - oy, p2[0] - ox)
+    delta = math.remainder(a2 - a1, math.tau)
+    # the screen y-flip reverses orientation: math-positive delta is sweep 0
+    sweep = 0 if delta > 0 else 1
+    rr = radius * r
+    return f"M {_fmt(x1)} {_fmt(y1)} A {_fmt(rr)} {_fmt(rr)} 0 0 {sweep} {_fmt(x2)} {_fmt(y2)}"
 
 
 def render_svg(chords: list[Chord], cfg: RenderConfig = RenderConfig(),

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from trilam.angles import parse_angle
 from trilam.cli import main
+from trilam.formats import chords_from_json
 
 
 def run(capsys, *argv):
@@ -178,3 +181,32 @@ def test_render_malformed_input_is_usage_error(tmp_path, capsys, text, named):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("trilam: error: ") and named in err
+
+
+@pytest.mark.parametrize("text,angle", [
+    (" 3/6 ", Fraction(1, 2)),
+    ("7", Fraction(0)),
+    ("-1/3", Fraction(2, 3)),
+    ("4/3", Fraction(1, 3)),
+    ("1/0", None),
+    ("1/-2", None),
+    ("1/2/3", None),
+    ("", None),
+    ("a/b", None),
+])
+def test_angle_readers_agree(tmp_path, capsys, text, angle):
+    # parse_angle and the grid reader of render --in share one string parser
+    doc = [{"a": text, "b": "1/5"}]
+    if angle is None:
+        with pytest.raises(ValueError, match="malformed fraction"):
+            parse_angle(text)
+        src = tmp_path / "chord.json"
+        src.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--in", str(src)])
+        assert exc.value.code == 2
+        assert "malformed fraction" in capsys.readouterr().err
+        return
+    assert parse_angle(text) == angle
+    pairs, n = chords_from_json(doc)
+    assert {Fraction(int(x), n) for x in pairs[0]} == {angle, Fraction(1, 5)}

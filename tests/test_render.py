@@ -2,7 +2,12 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
+import reference
 from trilam.builder import build
+from trilam.chords import Chord
 from trilam.render import RenderConfig, render_svg
 
 from conftest import ch
@@ -98,3 +103,15 @@ def test_geodesic_arc_stays_inside_disk():
         px = cxs + rr * math.cos(ang)
         py = cys + rr * math.sin(ang)
         assert math.hypot(px - disk_c, py - disk_c) < disk_r + 1e-6
+
+
+def test_chord_below_float_resolution_renders_with_radius_zero():
+    # for this chord one grid step long the float |o|^2 - 1 rounds below 0:
+    # the reference's math.sqrt fails, the renderer draws an arc of radius
+    # 0, which SVG draws as the segment
+    n = 6 * 3**16
+    lo = 8122906
+    with pytest.raises(ValueError, match="math domain error"):
+        reference.render_svg([Chord(Fraction(lo, n), Fraction(lo + 1, n))])
+    (d,) = paths_of(render_svg(np.array([[lo, lo + 1]]), modulus=n))
+    assert " A 0.000000000000 0.000000000000 0 0 1 " in d

@@ -9,7 +9,10 @@ points of each component consecutively along its boundary arc.  Every
 produced chord is short, every point is used exactly once, and the
 growing family stays crossing-free and closed under the half-turn;
 violations of any of these raise rather than being repaired, since each
-is backed by a theorem about the comajor lamination.
+is backed by a theorem about the comajor lamination.  The step's
+crossing check, the components of its points and the ancestors of the
+nesting audit all come from one laminar pass over the leaves
+(`grid.laminar`); a crossing raises BuildError with its witness.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .angles import Angle
 from .chords import Chord, SIXTH, image, length
-from .grid import Pair, crossing_pair, on_grid, scale_of
+from .formats import crossing_to_json
+from .grid import Laminar, laminar, on_grid, scale_of
 from .legality import is_legal_pair
 from .orbits import preperiod1_points
 
@@ -41,7 +47,11 @@ __all__ = [
 
 
 class BuildError(RuntimeError):
-    """A theorem-backed contract of the construction was violated."""
+    """A theorem-backed contract of the construction was violated; `witness` is JSON or None."""
+
+    def __init__(self, message: str, witness: Optional[dict] = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class VerificationError(RuntimeError):
@@ -114,20 +124,44 @@ def seed_leaves() -> list[ComajorRecord]:
     return [make_record(Chord(a, b), ptype=t, block=1) for t, a, b in _SEED_DATA]
 
 
-def _sectors(scale: int) -> list[tuple[int, int]]:
+def _ints(values, scale: int) -> np.ndarray:
+    """Grid values as an array: int64 while +-2 * scale fits it, Python ints beyond."""
+    return np.array(values, dtype=np.int64 if 2 * scale < 2**63 else object)
+
+
+def _arcs(chords: list[Chord], scale: int) -> np.ndarray:
+    """(start, end) of the chords' short arcs on the grid, 0 <= start < scale."""
+    pairs = [(on_grid(ch.a, scale), on_grid(ch.b, scale)) for ch in chords]
+    x, y = _ints(pairs, scale).reshape(-1, 2).T
+    wrap = 2 * (y - x) > scale
+    return np.stack([np.where(wrap, y, x), np.where(wrap, x + scale, y)], axis=1)
+
+
+def _sectors(scale: int) -> np.ndarray:
     """(start, span) of the arcs of the central component left by the step-1 leaves."""
-    arcs = sorted(_arc(on_grid(a, scale), on_grid(b, scale), scale) for _, a, b in _SEED_DATA)
-    return [((s + w) % scale, (arcs[(i + 1) % len(arcs)][0] - s - w) % scale)
-            for i, (s, w) in enumerate(arcs)]
+    arcs = _arcs([Chord(a, b) for _, a, b in _SEED_DATA], scale)
+    arcs = arcs[np.argsort(arcs[:, 0])]
+    return np.stack([arcs[:, 1] % scale, (np.roll(arcs[:, 0], -1) - arcs[:, 1]) % scale], axis=1)
 
 
-def _arc(x: int, y: int, scale: int) -> tuple[int, int]:
-    """(start, span) of the short arc of the chord (x, y), x <= y, on the grid of modulus scale."""
-    return (x, y - x) if 2 * (y - x) <= scale else (y, scale - (y - x))
+def _arc_family(chords: list[Chord], scale: int) -> tuple[np.ndarray, np.ndarray, Laminar]:
+    """(rows, owner, laminar structure) of the short arcs of crossing-free chords.
 
-
-def _grid_pairs(chords: list[Chord], scale: int) -> list[Pair]:
-    return [(on_grid(ch.a, scale), on_grid(ch.b, scale)) for ch in chords]
+    Row i < len(chords) is the arc of chord i; an arc reaching the seam
+    at `scale` is repeated shifted by -scale, so that every arc holding
+    a point of [0, scale) holds it on the line, and `owner` maps each
+    row to its chord.  These lifts of a crossing-free family are
+    laminar; a crossing raises BuildError.
+    """
+    rows = _arcs(chords, scale)
+    seam = np.flatnonzero(rows[:, 1] >= scale)
+    rows = np.concatenate([rows, rows[seam] - scale])
+    owner = np.concatenate([np.arange(len(chords)), seam])
+    lam = laminar(rows)
+    if lam.crossing is not None:
+        first, second = (chords[owner[r]] for r in lam.crossing)
+        raise BuildError(f"leaf {first} crosses leaf {second}", crossing_to_json(first, second))
+    return rows, owner, lam
 
 
 def group_by_component(points: list[Angle], state: BuildState) -> list[list[Angle]]:
@@ -135,65 +169,43 @@ def group_by_component(points: list[Angle], state: BuildState) -> list[list[Angl
 
     Two points share a group iff no existing leaf separates them; the
     under-arcs of the leaves are laminar, so a point's component is
-    keyed by the innermost arc containing it.  Within the central
-    component (under no leaf), groups are further split by the four
-    step-1 sectors.  Points are ordered along their component's boundary
-    arc (wrap-aware); groups are ordered by smallest member.  A point
-    colliding with an existing endpoint signals an enumeration bug.
+    keyed by the innermost arc containing it (`Laminar.regions`).
+    Within the central component (under no leaf), groups are further
+    split by the four step-1 sectors.  Points are ordered along their
+    component's boundary arc (wrap-aware); groups are ordered by
+    smallest member.  A point colliding with an existing endpoint
+    signals an enumeration bug.
     """
     leaves = state.chords()
     # common integer scale for the step: all comparisons become int ops
     scale = scale_of([*points, *(v for ch in leaves for v in ch.endpoints())], 12)
-    pts = [on_grid(p, scale) for p in points]
-    pairs = _grid_pairs(leaves, scale)
-    taken = {v for pair in pairs for v in pair}
+    rows, owner, lam = _arc_family(leaves, scale)
+    pts = _ints([on_grid(p, scale) for p in points], scale)
+    ends = np.sort(rows[: len(leaves)] % scale, axis=None)  # a point past them all wraps to 0
+    taken = np.flatnonzero(ends[np.searchsorted(ends, pts) % len(ends)] == pts)
+    if len(taken):
+        raise BuildError(f"candidate point {points[taken[0]]} collides with an existing leaf "
+                         "endpoint")
 
-    # leaf arcs as line intervals (start, end, leaf index); a wrapping arc
-    # also as its copy shifted by -scale.  Both families stay laminar.
-    intervals = []
-    for idx, (x, y) in enumerate(pairs):
-        s, w = _arc(x, y, scale)
-        intervals.append((s, s + w, idx))
-        if s + w >= scale:
-            intervals.append((s - scale, s + w - scale, idx))
-    intervals.sort(key=lambda iv: (iv[0], -iv[1]))
+    # bucket: the leaf of the innermost arc, or len(leaves) + sector for a
+    # central point; pos: the offset along the bucket's boundary arc
+    row = lam.regions(pts)
+    bucket, pos = owner[row], pts - rows[row, 0]
     sectors = _sectors(scale)
+    off = (pts[:, None] - sectors[:, 0]) % scale
+    in_sector = (0 < off) & (off < sectors[:, 1])
+    central = np.flatnonzero(row < 0)
+    homeless = central[~in_sector[central].any(axis=1)]
+    if len(homeless):
+        raise BuildError(f"central point {points[homeless[0]]} lies in no sector")
+    sector = in_sector[central].argmax(axis=1)
+    bucket[central], pos[central] = len(leaves) + sector, off[central, sector]
 
-    # one sweep: the stack holds the arcs open at the current point,
-    # innermost on top
-    buckets: dict[tuple, list[tuple[int, int, Angle]]] = {}
-    stack: list[tuple[int, int, int]] = []
-    k = 0
-    for p_i, p in sorted(zip(pts, points)):
-        if p_i in taken:
-            raise BuildError(f"candidate point {p} collides with an existing leaf endpoint")
-        while k < len(intervals) and intervals[k][0] < p_i:
-            s, e, idx = intervals[k]
-            while stack and stack[-1][1] <= s:
-                stack.pop()
-            stack.append((s, e, idx))
-            k += 1
-        while stack and stack[-1][1] <= p_i:
-            stack.pop()
-        if stack:
-            s, _, idx = stack[-1]
-            key, pos = ("leaf", idx), p_i - s
-        else:
-            for i, (s, w) in enumerate(sectors):
-                off = (p_i - s) % scale
-                if 0 < off < w:
-                    key, pos = ("sector", i), off
-                    break
-            else:
-                raise BuildError(f"central point {p} lies in no sector")
-        buckets.setdefault(key, []).append((pos, p_i, p))
-
-    groups = []
-    for members in buckets.values():
-        members.sort()
-        groups.append((min(m[1] for m in members), [m[2] for m in members]))
-    groups.sort()
-    return [g for _, g in groups]
+    order = np.lexsort((pos, bucket))
+    starts = np.flatnonzero(np.diff(bucket[order], prepend=-1))
+    groups = np.split(order, starts[1:])
+    return [[points[i] for i in groups[k].tolist()]
+            for k in np.argsort(np.minimum.reduceat(pts[order], starts)).tolist()]
 
 
 def pair_consecutively(group: list[Angle]) -> list[Chord]:
@@ -218,15 +230,10 @@ def _commit(state: BuildState, block: int, ptype: str) -> None:
     new: list[Chord] = []
     for group in group_by_component(points, state):
         new.extend(pair_consecutively(group))
-    # one laminarity sweep replaces pairwise crossing checks; any crossing
+    # one laminarity pass replaces pairwise crossing checks; any crossing
     # between a new leaf and the family is a hard error
     family = state.chords() + new
-    scale = scale_of(v for ch in family for v in ch.endpoints())
-    pairs = _grid_pairs(family, scale)
-    offender = crossing_pair(pairs)
-    if offender is not None:
-        first, second = (family[pairs.index(p)] for p in offender)
-        raise BuildError(f"leaf {first} crosses leaf {second}")
+    _arc_family(family, scale_of(v for ch in family for v in ch.endpoints()))
     for ch in new:
         state.leaves.append(make_record(ch, ptype=ptype, block=block))
 
@@ -280,24 +287,26 @@ def nesting_audit(state: BuildState) -> NestingReport:
     """
     chords = state.chords()
     scale = scale_of(v for ch in chords for v in ch.endpoints())
+    rows, owner, lam = _arc_family(chords, scale)
     # (start, span) on the common integer scale, aligned with leaves
-    arcs = [_arc(x, y, scale) for x, y in _grid_pairs(chords, scale)]
+    arcs = [(s, e - s) for s, e in rows[: len(chords)].tolist()]
 
     def nested(i: int, j: int) -> bool:
         si, wi = arcs[i]
         sj, wj = arcs[j]
         return (si - sj) % scale + wi <= wj
 
-    # innermost enclosing leaf of strictly smaller block, per leaf
-    ancestor: list[Optional[int]] = [None] * len(arcs)
-    for i, rec in enumerate(state.leaves):
-        best = None
-        for j, other in enumerate(state.leaves):
-            if other.block_period >= rec.block_period:
-                continue
-            if nested(i, j) and (best is None or arcs[j][1] < arcs[best][1]):
-                best = j
-        ancestor[i] = best
+    # innermost enclosing leaf of strictly smaller block, per leaf: all
+    # leaves climb their chains of enclosing arcs at once.  Index -1 is a
+    # sentinel past the top, of block 0, which stops every climb.
+    parent = lam.parents()[: len(chords)]
+    up = np.append(np.where(parent >= 0, owner[parent], -1), -1)
+    blocks = np.array([rec.block_period for rec in state.leaves] + [0])
+    ancestor = up[:-1].copy()
+    climbing = np.flatnonzero(blocks[ancestor] >= blocks[:-1])
+    while len(climbing):
+        ancestor[climbing] = up[ancestor[climbing]]
+        climbing = climbing[blocks[ancestor[climbing]] >= blocks[climbing]]
 
     by_block: dict[int, list[int]] = {}
     for i, rec in enumerate(state.leaves):
@@ -317,8 +326,8 @@ def nesting_audit(state: BuildState) -> NestingReport:
                 if leaves[inner].ptype != leaves[outer].ptype:
                     cross.append((leaves[inner], leaves[outer]))
                     continue
-                sep = ancestor[inner]
-                if sep is None or not nested(sep, outer):
+                sep = int(ancestor[inner])
+                if sep < 0 or not nested(sep, outer):
                     raise BuildError(
                         f"same-type block-{block} leaves nested with no smaller-block leaf "
                         f"between them: {leaves[inner].chord} under {leaves[outer].chord}"

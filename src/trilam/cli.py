@@ -5,6 +5,8 @@ Subcommands: comajors (run the block-period construction), check
 pullback family of a legal pair), render (chords JSON to SVG).
 
 Exit codes: 0 success, 1 verification or legality failure, 2 usage.
+A failed construction or invariant prints its crossing witness, when it
+has one, on stderr as one JSON line after the message.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ def _write(text: str, out: Optional[str]) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _fail(what: str, exc: BuildError | InvariantError) -> int:
+    """Report a failed contract on stderr, then its witness, if any, as one JSON line; exit 1."""
+    print(f"{what}: {exc}", file=sys.stderr)
+    if exc.witness is not None:
+        print(json.dumps(exc.witness), file=sys.stderr)
+    return 1
 
 
 def _render_cfg(args) -> RenderConfig:
@@ -70,8 +80,7 @@ def cmd_comajors(args) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except BuildError as exc:
-        print(f"build failure: {exc}", file=sys.stderr)
-        return 1
+        return _fail("build failure", exc)
     _emit_records(state, args)
     return 0
 
@@ -129,8 +138,7 @@ def cmd_pullback(args) -> int:
         print(f"illegal seed: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return 1
+        return _fail("invariant failure", exc)
     if args.format == "svg":
         svg = render_svg(pre.pairs, _render_cfg(args), modulus=pre.modulus)
         _write(svg, args.out)

@@ -31,6 +31,11 @@ def chord_to_json(ch: Chord) -> dict:
     return {"a": angle_str(ch.a), "b": angle_str(ch.b)}
 
 
+def crossing_to_json(first: Chord, second: Chord) -> dict:
+    """The witness of a crossing pair of chords in a family that must be laminar."""
+    return {"kind": "crossing", "first": chord_to_json(first), "second": chord_to_json(second)}
+
+
 def record_to_json(rec: "ComajorRecord") -> dict:
     return {
         "a": angle_str(rec.chord.a),

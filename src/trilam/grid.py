@@ -5,7 +5,10 @@ is x -> 3x mod N and the half-turn x -> x + N/2.  `Fraction` angles
 enter through `scale_of`/`on_grid` and leave as `Fraction(x, N)`; the
 hot paths of orbits, builder, legality and pullback run in between.
 A chord is an int pair; chords sharing an endpoint never cross and
-degenerate chords cross nothing.  The quadrilateral of a short chord
+degenerate chords cross nothing.  `laminar` is the one laminarity
+primitive: a vectorised pass over the open/close events of a family of
+(lo, hi) chords gives its verdict, a crossing witness, parent pointers
+and the regions of points.  The quadrilateral of a short chord
 and its strips (`majors`, `strip_parts`) serve both the legality oracle
 and the pullback barriers; the canonical chord order (`short_arc_order`)
 serves the pullback engine and the renderer.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -24,8 +27,6 @@ Pair = tuple[int, int]
 # Largest modulus n for which n * n - 1, hence any product of two grid
 # values and any key lo * n + hi, fits a signed 64-bit integer.
 MAX_INT64_MODULUS = 3037000499
-
-_SLICE = 4096  # rows of an int64 family converted to Python ints at a time
 
 
 def scale_of(angles: Iterable[Fraction], *moduli: int) -> int:
@@ -60,31 +61,81 @@ def crosses(p: Pair, q: Pair, n: int) -> bool:
     return ((a2 - a1) % n < span) != ((b2 - a1) % n < span)
 
 
-def crossing_pair(pairs: Union[Iterable[Pair], np.ndarray]) -> Optional[tuple[Pair, Pair]]:
-    """A crossing pair of a family of (lo, hi) chords with lo <= hi, or None.
+class Laminar:
+    """The laminar structure of an (m, 2) array of (lo, hi) chords with lo <= hi.
 
-    Laminarity stack sweep, O(n log n): two chords cross iff their
-    [lo, hi] intervals partially overlap with all four inequalities
-    strict.  The family may come in any order, as int pairs or as an
-    int64 array of shape (n, 2); none of its chords may wrap past 0.
+    The array is int64 or holds Python ints of dtype object; degenerate
+    chords are dropped.  Two chords cross iff lo1 < lo2 < hi1 < hi2 or
+    the reverse.  Opens are ordered by (lo asc, hi desc, row asc) and
+    closes by (hi asc, open rank desc), closes first at an equal
+    position; the family is laminar iff every chord's depth at its open
+    equals its depth at its close.  (A chord has as many more chords
+    open at its close as it has right crossers minus left crossers, and
+    the earliest-opening chord of any crossing has only right crossers.)
+    `crossing` is None for a laminar family, else the rows of one
+    crossing pair, the earlier-opening chord first.
     """
-    if isinstance(pairs, np.ndarray):
-        # order in numpy and convert in slices, so a large family is never
-        # held as Python objects all at once
-        order = np.lexsort((-pairs[:, 1], pairs[:, 0]))
-        ordered = (p for i in range(0, len(order), _SLICE)
-                   for p in pairs[order[i:i + _SLICE]].tolist())
-    else:
-        ordered = sorted(pairs, key=lambda p: (p[0], -p[1]))
-    stack: list = []
-    for p in ordered:
-        lo, hi = p
-        while stack and stack[-1][1] <= lo:
-            stack.pop()
-        if stack and stack[-1][1] < hi:
-            return (stack[-1], p)
-        stack.append(p)
-    return None
+
+    def __init__(self, pairs: np.ndarray):
+        # array methods rather than np.* wrappers: they cost less per call,
+        # which the small orbit families of the legality oracle feel
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        keep = lo < hi
+        self._rows = None if np.count_nonzero(keep) == len(keep) else keep.nonzero()[0]
+        if self._rows is not None:
+            lo, hi = lo[self._rows], hi[self._rows]
+        self._size, m = len(pairs), len(lo)
+        rank = np.empty(m, dtype=np.int32 if m < 2**31 else np.intp)
+        self._opens = np.lexsort((-hi, lo)).astype(rank.dtype)
+        rank[self._opens] = np.arange(m)
+        closes = np.lexsort((-rank, hi))
+        self._lo, self._hi = lo[self._opens], hi[closes]
+        self._depth = np.arange(1, m + 1) - self._hi.searchsorted(self._lo, "right")
+        rank = rank[closes]  # the open rank of each close
+        bad = (self._depth[rank] != self._lo.searchsorted(self._hi) - np.arange(m)).nonzero()[0]
+        self.crossing: Optional[tuple[int, int]] = None
+        if len(bad):
+            c = self._opens[rank[bad].min()]
+            hits = ((lo < lo[c]) & (lo[c] < hi) & (hi < hi[c])) | \
+                ((lo[c] < lo) & (lo < hi[c]) & (hi[c] < hi))
+            self.crossing = tuple(int(i) for i in self._row(np.array([c, hits.argmax()])))
+        self._keys: Optional[np.ndarray] = None
+
+    def _row(self, i: np.ndarray) -> np.ndarray:
+        return i if self._rows is None else self._rows[i]
+
+    def _innermost(self, rank: np.ndarray, depth: np.ndarray) -> np.ndarray:
+        """Row of the last chord of the given depth opening before the given open rank, or -1."""
+        if self.crossing is not None:
+            raise ValueError("the family is not laminar")
+        m1 = len(self._opens) + 1
+        if m1 == 1:
+            return np.full(len(rank), -1, dtype=np.intp)
+        if self._keys is None:  # opens grouped by depth, in open order within a depth
+            by_depth = np.argsort(self._depth, kind="stable")
+            self._keys = np.append(-1, self._depth[by_depth] * m1 + by_depth)
+        key = self._keys[np.searchsorted(self._keys, depth * m1 + rank) - 1]
+        return np.where(key // m1 == depth, self._row(self._opens[np.maximum(key, 0) % m1]), -1)
+
+    def parents(self) -> np.ndarray:
+        """Per row, the row of the innermost other chord enclosing it, or -1.
+
+        It is the last chord opening before it one level up; a repeated
+        chord encloses its later copies, and degenerate rows get -1.
+        """
+        out = np.full(self._size, -1, dtype=np.intp)
+        out[self._row(self._opens)] = self._innermost(np.arange(len(self._opens)), self._depth - 1)
+        return out
+
+    def regions(self, points: np.ndarray) -> np.ndarray:
+        """Per point x, the row of the innermost chord with lo < x < hi, or -1."""
+        rank = np.searchsorted(self._lo, points)
+        return self._innermost(rank, rank - np.searchsorted(self._hi, points, side="right"))
+
+
+def laminar(pairs: np.ndarray) -> Laminar:
+    """One vectorised pass over the open/close events of a chord family: see `Laminar`."""
+    return Laminar(pairs)
 
 
 def short_arc_order(pairs: np.ndarray, n: int) -> np.ndarray:

@@ -30,7 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from . import grid
 from .chords import Chord
@@ -153,9 +156,11 @@ def is_legal_pair(c: Chord) -> LegalityVerdict:
     def tag(k: int) -> tuple[int, str]:
         return (k, "c") if k < len(orbit) else (k - len(orbit), "-c")
 
-    # (a) no two iterated forward images of c and -c cross; the sweep
-    # decides, the ordered scan finds the first witness
-    if grid.crossing_pair(family) is not None:
+    # (a) no two iterated forward images of c and -c cross; the laminar
+    # pass decides, the ordered scan finds the first witness
+    ends = np.fromiter(chain.from_iterable(family), np.int64 if n < 2**63 else object,
+                       2 * len(family))
+    if grid.laminar(ends.reshape(-1, 2)).crossing is not None:
         k, j = next((k, j) for k in range(len(family)) for j in range(k + 1, len(family))
                     if grid.crosses(family[k], family[j], n))
         return LegalityVerdict(

@@ -7,6 +7,10 @@ its quadrilateral pair together with the finite forward orbits of
 preimage chords that cross none of the generating barriers (the
 critical chords, respectively the quadrilateral edges), taken from the
 grid strips the legality oracle uses (`grid.majors`, `grid.strip_parts`).
+Whether a candidate crosses a barrier depends only on which barrier
+endpoint or open arc between them each of its endpoints lies in, so a
+family's barriers become one small survival table over those regions
+(`_barrier_regions`) and each candidate costs one lookup.
 
 Preimage selection.  The six preimage points of a chord alternate
 around the circle, so its preimage chords organize into at most five
@@ -37,21 +41,23 @@ Levels are deduplicated on those keys: each level's children are
 reduced to their sorted unique keys, the keys already seen are dropped
 by a binary search in the sorted set of earlier keys, and the fresh
 ones are merged into it and form the next frontier.  A chord's depth is
-the level of its first appearance.
+the level of its first appearance.  The finished family must be laminar
+(`grid.laminar`); a crossing raises InvariantError with its witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from .angles import orbit_info
 from .chords import Chord, image
+from .formats import crossing_to_json
 from .grid import (MAX_INT64_MODULUS, Pair, antipode, arclen, canon, chord_orbit, closure,
-                   crosses, crossing_pair, majors, on_grid, scale_of, short_arc_order,
-                   strip_parts)
+                   crosses, laminar, majors, on_grid, scale_of, short_arc_order, strip_parts)
 from .legality import LegalityVerdict, is_legal_pair
 
 __all__ = [
@@ -73,7 +79,11 @@ class IllegalSeedError(ValueError):
 
 
 class InvariantError(RuntimeError):
-    """The generated chord family violated a structural invariant."""
+    """The generated chord family violated a structural invariant; `witness` is JSON or None."""
+
+    def __init__(self, message: str, witness: Optional[dict] = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 # Perfect non-crossing matchings of the six alternating preimage points,
@@ -202,7 +212,7 @@ class Prelamination:
     # -- structural invariants ------------------------------------------------
 
     def noncrossing(self) -> bool:
-        return crossing_pair(self.pairs) is None
+        return laminar(self.pairs).crossing is None
 
     def antipode_closed(self) -> bool:
         n = self.modulus
@@ -300,27 +310,40 @@ def _has_disjoint_triple(member: tuple[int, int], group: list[tuple[int, int]],
     return False
 
 
-def _level_children(frontier: np.ndarray, barriers: list[tuple[int, int]],
+def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E, table): the sorted distinct barrier endpoints and the survival table of their regions.
+
+    A point x has region code 2 * searchsorted(E, x), plus 1 when x is
+    in E; whether a chord crosses a barrier depends on its endpoints'
+    codes alone.  table[c1, c2] says that a chord with endpoint codes c1
+    and c2 crosses no barrier, by `grid.crosses` at representatives on
+    the grid 2n (the regions before E[0] and after E[-1] are one arc).
+    """
+    ends = np.unique(barriers)
+    reps = np.full(2 * len(ends) + 1, 2 * ends[-1] + 1)
+    reps[1::2], reps[2:-1:2] = 2 * ends, ends[:-1] + ends[1:]
+    bars = [(2 * x, 2 * y) for x, y in barriers]
+    return ends, np.array([[not any(crosses((x, y), q, 2 * n) for q in bars)
+                            for y in reps.tolist()] for x in reps.tolist()])
+
+
+def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray],
                     n: int) -> np.ndarray:
-    """All selected pullback pairs of the frontier chords (with duplicates)."""
+    """All selected pullback pairs of the frontier chords (with duplicates).
+
+    `regions` is `_barrier_regions` of the barriers on the grid n.
+    """
     a = frontier[:, 0]
     b = frontier[:, 1]
     third = n // 3
     offs = np.array([0, third, 2 * third], dtype=np.int64)
     us = (a[:, None] // 3 + offs) % n
     vs = (b[:, None] // 3 + offs) % n
+    ends, table = regions
+    cu, cv = (np.searchsorted(ends, x) + np.searchsorted(ends, x, side="right") for x in (us, vs))
+    surv = table[cu[:, :, None], cv[:, None, :]].reshape(-1, 9)  # candidate 3*i + j: (u_i, v_j)
     x1 = us[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]]
     x2 = vs[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]]
-    crossed = np.zeros(x1.shape, dtype=bool)
-    for bs, be in barriers:
-        span = (be - bs) % n
-        o1 = (x1 - bs) % n
-        o2 = (x2 - bs) % n
-        in1 = (0 < o1) & (o1 < span)
-        in2 = (0 < o2) & (o2 < span)
-        shared = (o1 == 0) | (o1 == span) | (o2 == 0) | (o2 == span)
-        crossed |= (in1 != in2) & ~shared
-    surv = ~crossed
     mask = surv.astype(np.int64) @ (1 << np.arange(9, dtype=np.int64))
 
     span_p = (b - a) % n
@@ -353,6 +376,23 @@ def _level_children(frontier: np.ndarray, barriers: list[tuple[int, int]],
     return np.concatenate(chunks, axis=0)
 
 
+def _levels(seen: np.ndarray, regions: tuple[np.ndarray, np.ndarray], n: int,
+            depth: int) -> list[np.ndarray]:
+    """Per level, the sorted keys lo * n + hi of the chords first appearing there.
+
+    `seen` holds the sorted seed keys; the expansion's temporaries die with this frame.
+    """
+    levels = [seen]
+    for _ in range(depth):
+        children = _level_children(np.stack(np.divmod(levels[-1], n), axis=1), regions, n)
+        keys = np.unique(children[:, 0] * n + children[:, 1])
+        at = np.searchsorted(seen, keys)
+        fresh = seen[np.minimum(at, len(seen) - 1)] != keys
+        seen = np.insert(seen, at[fresh], keys[fresh])
+        levels.append(keys[fresh])
+    return levels
+
+
 def build_prelamination(c: Chord, depth: int) -> Prelamination:
     """The depth-truncated pullback family of a legal pair {c, -c}."""
     if depth < 0:
@@ -362,30 +402,22 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     n = n0 * scale
     _check_modulus(n)
 
-    bars = [(x * scale, y * scale) for x, y in barriers]
+    regions = _barrier_regions([(x * scale, y * scale) for x, y in barriers], n)
     seeded = np.array(seeds, dtype=np.int64) * scale
-    seen = np.unique(seeded[:, 0] * n + seeded[:, 1])
-    level_keys = [seen]
-    for _ in range(depth):
-        frontier = np.stack(np.divmod(level_keys[-1], n), axis=1)
-        if len(frontier) == 0:
-            break
-        children = _level_children(frontier, bars, n)
-        keys = np.unique(children[:, 0] * n + children[:, 1])
-        at = np.searchsorted(seen, keys)
-        fresh = seen[np.minimum(at, len(seen) - 1)] != keys
-        seen = np.insert(seen, at[fresh], keys[fresh])
-        level_keys.append(keys[fresh])
-
-    keys = np.concatenate(level_keys)
+    levels = _levels(np.unique(seeded[:, 0] * n + seeded[:, 1]), regions, n, depth)
+    depths = np.repeat(np.arange(len(levels), dtype=np.int64), [len(k) for k in levels])
+    keys = np.concatenate(levels)
+    del levels
     pairs = np.stack(np.divmod(keys, n), axis=1)
-    depths = np.repeat(np.arange(len(level_keys), dtype=np.int64),
-                       [len(k) for k in level_keys])
+    del keys
     order = short_arc_order(pairs, n)
-    pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs[order],
-                        depths=depths[order])
+    pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs[order], depths=depths[order])
+    del pairs, depths, order  # only the family stays alive through the invariant check
     if not pre.noncrossing():
-        raise InvariantError(f"pullback family of {c} produced a crossing")
+        first, second = (Chord(Fraction(lo, n), Fraction(hi, n))
+                         for lo, hi in pre.pairs[list(laminar(pre.pairs).crossing)].tolist())
+        raise InvariantError(f"pullback family of {c} produced a crossing: "
+                             f"{first} crosses {second}", crossing_to_json(first, second))
     return pre
 
 

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from trilam import builder, pullback
+from trilam.angles import parse_angle
 from trilam.builder import build
-from trilam.chords import Chord
+from trilam.chords import Chord, crosses
 
 
 def ch(p, q, r, s) -> Chord:
@@ -30,3 +33,35 @@ def build4():
 @pytest.fixture(scope="session")
 def build6():
     return build(6)
+
+
+# the witness of a block-2 leaf (1/4, 3/8) drawn across the seed leaf (1/6, 1/3)
+CROSSING_LEAVES = {"kind": "crossing", "first": {"a": "1/6", "b": "1/3"},
+                   "second": {"a": "1/4", "b": "3/8"}}
+
+
+@pytest.fixture
+def crossing_leaf(monkeypatch):
+    """The builder draws the block-2 leaf (1/4, 3/8), which crosses a seed leaf."""
+    monkeypatch.setattr(builder, "group_by_component",
+                        lambda points, state: [[Fraction(1, 4), Fraction(3, 8)]])
+
+
+@pytest.fixture
+def crossing_pullback(monkeypatch):
+    """Each pullback level also yields its longest child moved one grid step back: a crossing."""
+    real = pullback._level_children
+
+    def with_crossing(frontier, regions, n):
+        out = real(frontier, regions, n)
+        lo, hi = out[np.argmax((out[:, 1] - out[:, 0]) * (out[:, 0] > 0))]
+        return np.vstack([out, [[lo - 1, hi - 1]]])
+
+    monkeypatch.setattr(pullback, "_level_children", with_crossing)
+
+
+def witness_crosses(witness: dict) -> bool:
+    """True iff a JSON crossing witness names two chords that cross."""
+    first, second = (Chord(parse_angle(witness[k]["a"]), parse_angle(witness[k]["b"]))
+                     for k in ("first", "second"))
+    return witness["kind"] == "crossing" and crosses(first, second)

@@ -5,9 +5,13 @@ legality oracle and its short strips, of the preperiod-1 point
 enumeration, of the pullback seed system and of the SVG and JSON
 emission of chord families, and the per-chord dict dedup of pullback
 levels.  The SVG oracle draws one chord at a time with scalar `math`
-(four trig calls per chord and an `atan2` sweep flag).  The package computes all of them on the integer grid
-(`trilam.grid`) or with sorted int64 keys; the differential tests
-compare the two.  Nothing here is used by `src/`.
+(four trig calls per chord and an `atan2` sweep flag).  The laminarity
+oracles are stack sweeps: `crossing_pair` for the verdict and
+`group_by_component` for point components; `level_children` tests
+every pullback candidate against every barrier.  The package computes
+all of them on the integer grid (`trilam.grid`), with sorted int64 keys
+or with the vectorised laminar pass (`grid.laminar`); the differential
+tests compare the two.  Nothing here is used by `src/`.
 """
 
 from __future__ import annotations
@@ -16,17 +20,18 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from trilam.angles import Angle, THIRD, antipode, in_open_arc, tripling
 from trilam.chords import Chord, SIXTH, chord_antipode, crosses, length, majors_of
+from trilam.builder import _SEED_DATA, BuildError
 from trilam.formats import chord_to_json, record_to_json
 from trilam.grid import on_grid, scale_of, short_arc_order
 from trilam.legality import LegalityVerdict, LegalityWitness
 from trilam.orbits import chord_orbit
-from trilam.pullback import IllegalSeedError, _level_children
+from trilam.pullback import _MATCHINGS, _MATCH_MASKS, IllegalSeedError, _select_pullbacks
 from trilam.render import RenderConfig, _TYPE_COLORS, _block_color
 
 # -- preperiod-1 points ------------------------------------------------------
@@ -97,6 +102,94 @@ def crosses_by_arcs(c1: Chord, c2: Chord) -> bool:
     if c1.a in (c2.a, c2.b) or c1.b in (c2.a, c2.b):
         return False
     return in_open_arc(c2.a, c1.a, c1.b) != in_open_arc(c2.b, c1.a, c1.b)
+
+
+def crossing_pair(pairs: Union[Iterable[tuple[int, int]], np.ndarray]):
+    """A crossing pair of a family of (lo, hi) chords with lo <= hi, or None.
+
+    Laminarity stack sweep, O(n log n): two chords cross iff their
+    [lo, hi] intervals partially overlap with all four inequalities
+    strict.  The family may come in any order, as int pairs or as an
+    (n, 2) array; none of its chords may wrap past 0.
+    """
+    if isinstance(pairs, np.ndarray):
+        pairs = pairs.tolist()
+    stack: list = []
+    for p in sorted(pairs, key=lambda p: (p[0], -p[1])):
+        lo, hi = p
+        while stack and stack[-1][1] <= lo:
+            stack.pop()
+        if stack and stack[-1][1] < hi:
+            return (stack[-1], p)
+        stack.append(p)
+    return None
+
+
+def _arc(x: int, y: int, scale: int) -> tuple[int, int]:
+    """(start, span) of the short arc of the chord (x, y), x <= y, on the grid of modulus scale."""
+    return (x, y - x) if 2 * (y - x) <= scale else (y, scale - (y - x))
+
+
+def _sectors(scale: int) -> list[tuple[int, int]]:
+    """(start, span) of the arcs of the central component left by the step-1 leaves."""
+    arcs = sorted(_arc(on_grid(a, scale), on_grid(b, scale), scale) for _, a, b in _SEED_DATA)
+    return [((s + w) % scale, (arcs[(i + 1) % len(arcs)][0] - s - w) % scale)
+            for i, (s, w) in enumerate(arcs)]
+
+
+def group_by_component(points: list[Angle], state) -> list[list[Angle]]:
+    """`builder.group_by_component` by one stack sweep over the sorted points and leaf arcs."""
+    leaves = state.chords()
+    scale = scale_of([*points, *(v for ch in leaves for v in ch.endpoints())], 12)
+    pts = [on_grid(p, scale) for p in points]
+    pairs = [(on_grid(ch.a, scale), on_grid(ch.b, scale)) for ch in leaves]
+    taken = {v for pair in pairs for v in pair}
+
+    # leaf arcs as line intervals (start, end, leaf index); a wrapping arc
+    # also as its copy shifted by -scale.  Both families stay laminar.
+    intervals = []
+    for idx, (x, y) in enumerate(pairs):
+        s, w = _arc(x, y, scale)
+        intervals.append((s, s + w, idx))
+        if s + w >= scale:
+            intervals.append((s - scale, s + w - scale, idx))
+    intervals.sort(key=lambda iv: (iv[0], -iv[1]))
+    sectors = _sectors(scale)
+
+    # the stack holds the arcs open at the current point, innermost on top
+    buckets: dict[tuple, list[tuple[int, int, Angle]]] = {}
+    stack: list[tuple[int, int, int]] = []
+    k = 0
+    for p_i, p in sorted(zip(pts, points)):
+        if p_i in taken:
+            raise BuildError(f"candidate point {p} collides with an existing leaf endpoint")
+        while k < len(intervals) and intervals[k][0] < p_i:
+            s, e, idx = intervals[k]
+            while stack and stack[-1][1] <= s:
+                stack.pop()
+            stack.append((s, e, idx))
+            k += 1
+        while stack and stack[-1][1] <= p_i:
+            stack.pop()
+        if stack:
+            s, _, idx = stack[-1]
+            key, pos = ("leaf", idx), p_i - s
+        else:
+            for i, (s, w) in enumerate(sectors):
+                off = (p_i - s) % scale
+                if 0 < off < w:
+                    key, pos = ("sector", i), off
+                    break
+            else:
+                raise BuildError(f"central point {p} lies in no sector")
+        buckets.setdefault(key, []).append((pos, p_i, p))
+
+    groups = []
+    for members in buckets.values():
+        members.sort()
+        groups.append((min(m[1] for m in members), [m[2] for m in members]))
+    groups.sort()
+    return [g for _, g in groups]
 
 
 # -- legality ----------------------------------------------------------------
@@ -257,6 +350,58 @@ def seed_system(c: Chord) -> tuple[list[Chord], list[Chord]]:
     return seeds, barriers
 
 
+def level_children(frontier: np.ndarray, barriers: list[tuple[int, int]],
+                   n: int) -> np.ndarray:
+    """All selected pullback pairs of the frontier chords (with duplicates), barrier by barrier.
+
+    Each of the nine candidates of every parent is tested against every
+    barrier with the modular crossing test; the selection is the
+    engine's (`_MATCHINGS` fast path, `_select_pullbacks` otherwise).
+    """
+    a = frontier[:, 0]
+    b = frontier[:, 1]
+    third = n // 3
+    offs = np.array([0, third, 2 * third], dtype=np.int64)
+    us = (a[:, None] // 3 + offs) % n
+    vs = (b[:, None] // 3 + offs) % n
+    x1 = us[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]]
+    x2 = vs[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]]
+    crossed = np.zeros(x1.shape, dtype=bool)
+    for bs, be in barriers:
+        span = (be - bs) % n
+        o1 = (x1 - bs) % n
+        o2 = (x2 - bs) % n
+        in1 = (0 < o1) & (o1 < span)
+        in2 = (0 < o2) & (o2 < span)
+        shared = (o1 == 0) | (o1 == span) | (o2 == 0) | (o2 == span)
+        crossed |= (in1 != in2) & ~shared
+    surv = ~crossed
+    mask = surv.astype(np.int64) @ (1 << np.arange(9, dtype=np.int64))
+
+    span_p = (b - a) % n
+    critical = (span_p == third) | (span_p == 2 * third)
+    fast = ~critical & np.isin(mask, np.array(_MATCH_MASKS, dtype=mask.dtype))
+
+    lo = np.minimum(x1, x2)
+    hi = np.maximum(x1, x2)
+    chunks: list[np.ndarray] = []
+    for m, mbits in zip(_MATCHINGS, _MATCH_MASKS):
+        sel = fast & (mask == mbits)
+        if sel.any():
+            ids = list(m)
+            chunks.append(np.stack([lo[sel][:, ids].ravel(), hi[sel][:, ids].ravel()], axis=1))
+
+    slow_pairs: list[tuple[int, int]] = []
+    for pi in np.nonzero(~fast)[0]:
+        surv_map = {cid: (int(lo[pi, cid]), int(hi[pi, cid])) for cid in range(9) if surv[pi, cid]}
+        slow_pairs.extend(_select_pullbacks((int(a[pi]), int(b[pi])), surv_map, n))
+    if slow_pairs:
+        chunks.append(np.array(slow_pairs, dtype=np.int64).reshape(-1, 2))
+    if not chunks:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.concatenate(chunks, axis=0)
+
+
 def prelamination_levels(c: Chord, depth: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Canonically ordered pairs and depths of the pullback family of c, and its modulus.
 
@@ -286,7 +431,7 @@ def prelamination_levels(c: Chord, depth: int) -> tuple[np.ndarray, np.ndarray, 
     for level in range(1, depth + 1):
         if len(frontier) == 0:
             break
-        fresh = [(lo, hi) for lo, hi in _level_children(frontier, bars, n).tolist()
+        fresh = [(lo, hi) for lo, hi in level_children(frontier, bars, n).tolist()
                  if commit((lo, hi), level)]
         frontier = np.array(fresh, dtype=np.int64).reshape(-1, 2)
     pairs = np.array(ordered, dtype=np.int64).reshape(-1, 2)

@@ -1,7 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+import reference
+from trilam import builder
 from trilam.builder import (
     BuildError,
     BuildState,
@@ -16,7 +19,7 @@ from trilam.builder import (
 from trilam.formats import records_to_csv, records_to_json
 from trilam.orbits import preperiod1_points
 
-from conftest import ch
+from conftest import CROSSING_LEAVES, ch
 
 
 def test_seed_leaves():
@@ -145,3 +148,55 @@ def test_nesting_audit_accepts_separated_same_type(build4):
     assert rep.separated_same_type
     for inner, outer, sep in rep.separated_same_type:
         assert sep.block_period < inner.block_period == outer.block_period
+
+
+def test_group_by_component_matches_sweep_oracle_through_block_8(monkeypatch):
+    # every step of build(8) groups its points as the stack sweep does
+    real = builder.group_by_component
+    calls = []
+
+    def checked(points, state):
+        got = real(points, state)
+        assert got == reference.group_by_component(points, state)
+        calls.append(len(points))
+        return got
+
+    monkeypatch.setattr(builder, "group_by_component", checked)
+    build(8)
+    assert len(calls) == 14 and sum(calls) == 2 * (19408 - 4)
+
+
+# sha256 of the nesting_audit lists of build(k), recorded before the audit
+# ran on `grid.laminar` parents (block 8 takes over 20 s, so it stops at 7)
+_AUDIT_DIGESTS = {
+    1: "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    2: "bdb175136ca0d38c1ef7837f56b850c9ccd5a15e037bafa47f35f73b4b4673ad",
+    3: "c9b2bdeeccc5bbdfdccb0f73b732d49e78207c78980d70cbd7d0f60ef37ecc86",
+    4: "cccc7ec59511cf3b95c0b027e828e338800a64ad66bd2d4e0ee9a411def6266f",
+    5: "28d40a6b8f913f6887edc870f38285e7e1b9d15883877a74191d217530d985c4",
+    6: "9875ee0e3fc3a61ab93df8fa696caf4402ae41ed8075e815a05c3f60ded0c2b2",
+    7: "40611289cdc9a66e0a619e3def4b50688595e85f5147b6da7846a483e5e1f5eb",
+}
+
+
+def test_nesting_audit_lists_match_pinned_digests():
+    for k, want in _AUDIT_DIGESTS.items():
+        rep = nesting_audit(build(k))
+        text = repr(([(str(i.chord), str(o.chord)) for i, o in rep.cross_type],
+                     [(str(i.chord), str(o.chord), str(s.chord))
+                      for i, o, s in rep.separated_same_type]))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, k
+
+
+def test_crossing_leaf_raises_with_witness(crossing_leaf):
+    with pytest.raises(BuildError, match=r"leaf \(1/6, 1/3\) crosses leaf \(1/4, 3/8\)") as err:
+        build(2)
+    assert err.value.witness == CROSSING_LEAVES
+
+
+def test_nesting_audit_rejects_crossing_leaves():
+    state = BuildState(leaves=[make_record(ch(1, 6, 1, 3), "D", 1),
+                               make_record(ch(1, 4, 3, 8), "D", 2)], completed_block=2)
+    with pytest.raises(BuildError) as err:
+        nesting_audit(state)
+    assert err.value.witness == CROSSING_LEAVES

@@ -7,6 +7,8 @@ from trilam.angles import parse_angle
 from trilam.cli import main
 from trilam.formats import chords_from_json
 
+from conftest import CROSSING_LEAVES, witness_crosses
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -162,6 +164,26 @@ def test_pullback_invariant_failure_exits_1(capsys, monkeypatch, argv):
     assert code == 1
     assert out == ""
     assert err == "invariant failure: pullback family of (11/12, 1/12) produced a crossing\n"
+
+
+def test_comajors_crossing_prints_witness_and_exits_1(capsys, crossing_leaf):
+    code, out, err = run(capsys, "comajors", "--max-block", "2")
+    assert code == 1
+    assert out == ""
+    message, witness = err.splitlines()
+    assert message == "build failure: leaf (1/6, 1/3) crosses leaf (1/4, 3/8)"
+    assert json.loads(witness) == CROSSING_LEAVES
+
+
+@pytest.mark.parametrize("argv", [[], ["--prune"]], ids=["plain", "prune"])
+def test_pullback_crossing_prints_witness_and_exits_1(capsys, crossing_pullback, argv):
+    code, out, err = run(capsys, "pullback", "11/12", "1/12", "--depth", "2", *argv)
+    assert code == 1
+    assert out == ""
+    message, witness = err.splitlines()
+    assert message.startswith("invariant failure: pullback family of (11/12, 1/12) produced a "
+                              "crossing: ")
+    assert witness_crosses(json.loads(witness))
 
 
 @pytest.mark.parametrize("text,named", [

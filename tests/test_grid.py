@@ -73,26 +73,100 @@ def _random_family(rng, n, size):
     return out
 
 
+def _laminar_family(rng, n, size):
+    """A random crossing-free family: chords open and close as a stack walks the grid.
+
+    Chords may repeat, share endpoints or be degenerate.
+    """
+    out, stack = [], []
+    while len(out) < size:
+        for x in range(n):
+            while stack and rng.random() < 0.3:
+                out.append((stack.pop(), x))
+                if rng.random() < 0.1:
+                    out.append(out[-1])
+            if rng.random() < 0.3:
+                stack.append(x)
+        out += [(x, n - 1) for x in reversed(stack)]
+        stack.clear()
+    rng.shuffle(out)
+    return out
+
+
+def _families(rng):
+    """Random families, crossing and laminar, with their grid modulus."""
+    for k in range(1200):
+        n = rng.choice([12, 24, 30, 48])
+        if k % 2:
+            yield n, _random_family(rng, n, rng.randint(0, 9))
+        else:
+            pairs = _laminar_family(rng, n, rng.randint(1, 24))
+            if k % 4 == 0:  # move one endpoint: often a crossing
+                i = rng.randrange(len(pairs))
+                pairs[i] = tuple(sorted((pairs[i][0], rng.randrange(n))))
+            yield n, pairs
+
+
+def _as_rows(pairs, shift):
+    """The family as an array: int64, or Python ints shifted past 2**64 by a multiple of n."""
+    if shift == 0:
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.array(pairs, dtype=object).reshape(-1, 2) + shift
+
+
 def test_sweep_matches_pairwise_crosses():
+    """The reference stack sweep and `grid.laminar` agree with pairwise `crosses`."""
     rng = random.Random(7)
     outcomes = set()
-    for _ in range(600):
-        n = rng.choice([12, 24, 30, 48])
-        pairs = _random_family(rng, n, rng.randint(0, 7))
+    for n, pairs in _families(rng):
         chords = [Chord(Fraction(x, n), Fraction(y, n)) for x, y in pairs]
         pairwise = any(crosses(chords[i], chords[j])
                        for i in range(len(chords)) for j in range(i + 1, len(chords)))
-        found = grid.crossing_pair(pairs)
-        assert (found is not None) == pairwise, pairs
-        rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        assert (grid.crossing_pair(rows) is not None) == pairwise, pairs
-        if found is not None:
-            p, q = found
-            assert grid.crosses(p, q, n)
-            assert crosses(Chord(Fraction(p[0], n), Fraction(p[1], n)),
-                           Chord(Fraction(q[0], n), Fraction(q[1], n)))
+        assert (reference.crossing_pair(pairs) is not None) == pairwise, pairs
+        for shift in (0, n * 2**64):
+            rows = _as_rows(pairs, shift)
+            found = grid.laminar(rows).crossing
+            assert (found is not None) == pairwise, (pairs, shift)
+            if found is not None:
+                i, j = found
+                assert grid.crosses(tuple(rows[i]), tuple(rows[j]), n), (pairs, found)
         outcomes.add(pairwise)
     assert outcomes == {True, False}
+
+
+def _innermost(pairs, encloses):
+    """Row of the innermost chord `encloses(j, a, b)` selects, by brute force.
+
+    Innermost is the least span; among equal copies the latest row.
+    """
+    best = -1
+    for j, (a, b) in enumerate(pairs):
+        if a < b and encloses(j, a, b) and (best < 0 or b - a <= pairs[best][1] - pairs[best][0]):
+            best = j
+    return best
+
+
+def test_laminar_parents_and_regions_match_brute_force():
+    rng = random.Random(12)
+    checked = 0
+    for n, pairs in _families(rng):
+        # a chord's parent encloses it; of its equal copies only the earlier ones do
+        parents = [-1 if lo == hi else _innermost(
+            pairs, lambda j, a, b: j != i and a <= lo and hi <= b and (j < i or (a, b) != (lo, hi)))
+            for i, (lo, hi) in enumerate(pairs)]
+        regions = [_innermost(pairs, lambda j, a, b: a < x < b) for x in range(-1, n + 1)]
+        for shift in (0, n * 2**64):
+            lam = grid.laminar(_as_rows(pairs, shift))
+            if lam.crossing is not None:
+                with pytest.raises(ValueError, match="not laminar"):
+                    lam.parents()
+                continue
+            assert lam.parents().tolist() == parents, pairs
+            points = np.array([x + shift for x in range(-1, n + 1)],
+                              dtype=object if shift else np.int64)
+            assert lam.regions(points).tolist() == regions, pairs
+            checked += 1
+    assert checked > 500
 
 
 def test_grid_crosses_matches_fraction_crosses():

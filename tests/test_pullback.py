@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,9 @@ from trilam.orbits import chord_orbit
 from trilam.grid import MAX_INT64_MODULUS, closure, on_grid, scale_of
 from trilam.pullback import (
     IllegalSeedError,
+    InvariantError,
     Prelamination,
+    _barrier_regions,
     _level_children,
     _seed_system,
     build_prelamination,
@@ -18,7 +22,7 @@ from trilam.pullback import (
 )
 
 import reference
-from conftest import PULLBACK_SEEDS, ch
+from conftest import PULLBACK_SEEDS, ch, witness_crosses
 
 
 def grid_chord(p, n):
@@ -34,7 +38,8 @@ def pullbacks(parent, barriers):
     """Selected preimages of one chord among the barriers, by `_level_children` on their grid."""
     n = 3 * scale_of(v for c in (parent, *barriers) for v in c.endpoints())
     pairs = [(on_grid(c.a, n), on_grid(c.b, n)) for c in (parent, *barriers)]
-    got = _level_children(np.array(pairs[:1], dtype=np.int64), pairs[1:], n).tolist()
+    got = _level_children(np.array(pairs[:1], dtype=np.int64), _barrier_regions(pairs[1:], n),
+                          n).tolist()
     return sorted((grid_chord(p, n) for p in got), key=Chord.sort_key)
 
 
@@ -266,3 +271,65 @@ def test_prelamination_keys_are_the_sorted_chord_keys():
     n = pre.modulus
     assert pre.keys.tolist() == sorted(lo * n + hi for lo, hi in pre.pairs.tolist())
     assert all(pre.contains(c) for c in pre.chords())
+
+
+# sha256 of the pullback JSON, recorded before the laminar pass and the
+# barrier regions replaced the stack sweep and the per-barrier loop
+_PINNED_JSON = [
+    (PULLBACK_SEEDS[0], 8, "f9a708abeafa3e5999963df1f9daf0cd2842d61e602d1b3e4dd9fb47b82cb98b"),
+    (PULLBACK_SEEDS[1], 8, "8b2aaba7e62c5151fed4e88c636fc00a799119fac9e90277d5cad145d31c0529"),
+    (PULLBACK_SEEDS[2], 8, "d9e972a3bc8a31dcfd02beb40ec7bee17ad295f68e0e0c498838982f476e5e98"),
+    (PULLBACK_SEEDS[3], 8, "9c3588b3ae151c6244f7f7ab8b32113c73ae40fce09c74c2351a003e4dd37277"),
+    (PULLBACK_SEEDS[4], 8, "1b59a371cebfc62bd18783c21d1d601fb2ab646bab11542242c32c7a1f4449ec"),
+    (PULLBACK_SEEDS[5], 8, "9458fa9cb4519b661a49a818c3a7fd67661898d623c031381d7aa4c490bc8fe4"),
+    (ch(4367, 4368, 1, 4368), 9,
+     "e9c88bd01d9b5d8d0d1ffce13e9abd6e17e8ff4feccc44d223f1a89a41d12113"),
+]
+
+
+@pytest.mark.parametrize("seed,depth,digest", _PINNED_JSON,
+                         ids=[f"{c}-depth{d}" for c, d, _ in _PINNED_JSON])
+def test_pullback_json_matches_pinned_digest(seed, depth, digest):
+    text = build_prelamination(seed, depth).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _check_level(frontier, barriers, n):
+    got = _level_children(frontier, _barrier_regions(barriers, n), n)
+    assert np.array_equal(got, reference.level_children(frontier, barriers, n))
+    return got
+
+
+def test_level_children_matches_barrier_oracle_on_build5_seeds():
+    levels = 0
+    for rec in build(5).leaves:
+        n0, seeds, barriers = _seed_system(rec.chord)
+        scale = 3**5
+        n = n0 * scale
+        bars = [(x * scale, y * scale) for x, y in barriers]
+        frontier = np.array(seeds, dtype=np.int64) * scale
+        for _ in range(5):
+            children = _check_level(frontier, bars, n)
+            frontier = np.stack(np.divmod(np.unique(children[:, 0] * n + children[:, 1]), n), 1)
+            levels += 1
+    assert levels == 5 * 688
+
+
+def test_level_children_matches_barrier_oracle_on_endpoint_barriers():
+    # barriers whose endpoints are preimage points of the frontier or
+    # their grid neighbours, so candidates end on barrier endpoints
+    rng = random.Random(3)
+    n = 6 * 3**6
+    for _ in range(300):
+        frontier = np.array([sorted(rng.sample(range(n), 2)) for _ in range(40)], dtype=np.int64)
+        pre = [(int(x) // 3 + k * (n // 3)) % n for x in frontier.ravel() for k in range(3)]
+        ends = [(rng.choice(pre) + rng.choice([-1, 0, 0, 1])) % n
+                for _ in range(rng.randint(2, 16))]
+        barriers = [tuple(sorted(rng.sample(ends, 2))) for _ in range(rng.randint(1, 8))]
+        _check_level(frontier, barriers, n)
+
+
+def test_crossing_family_raises_invariant_error_with_witness(crossing_pullback):
+    with pytest.raises(InvariantError, match="produced a crossing") as err:
+        build_prelamination(ch(11, 12, 1, 12), 2)
+    assert witness_crosses(err.value.witness)

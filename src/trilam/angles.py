@@ -4,12 +4,13 @@ Angles are points of the circle R/Z of circumference 1, represented as
 `fractions.Fraction` values normalized to [0, 1).  The map of interest
 is the tripling map t(x) = 3x mod 1; its half-turn symmetry is
 x -> x + 1/2.  `Fraction` is the type of the public API, of parsing and
-of serialization; the hot paths convert angles to ints on a common
-integer grid (`trilam.grid`) and back.  Every rational angle is
-eventually periodic under tripling: for reduced p/q with q = 3^e * m
-(3 does not divide m) the preperiod is e and the period is the
-multiplicative order of 3 mod m, which is how `orbit_info` computes
-them.
+of serialization; arcs, crossings and orbits are computed on a common
+integer grid (`trilam.grid`), and only single angles stay here: their
+parsing, string form, tripling, antipode and orbit data.  Every
+rational angle is eventually periodic under tripling: for reduced p/q
+with q = 3^e * m (3 does not divide m) the preperiod is e and the
+period is the multiplicative order of 3 mod m, which is how
+`orbit_info` computes them.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ __all__ = [
     "Angle",
     "OrbitInfo",
     "HALF",
-    "make_angle",
     "parse_fraction",
     "parse_angle",
     "angle_str",
     "tripling",
     "antipode",
-    "in_open_arc",
     "orbit_info",
 ]
 
@@ -37,7 +36,6 @@ __all__ = [
 Angle = Fraction
 
 HALF = Fraction(1, 2)
-THIRD = Fraction(1, 3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,16 +44,6 @@ class OrbitInfo:
 
     preperiod: int
     period: int
-
-
-def make_angle(p: int, q: int) -> Angle:
-    """Reduced, normalized representative of p/q mod 1.
-
-    q = 0 is rejected; negative p and p >= q wrap around the circle.
-    """
-    if q <= 0:
-        raise ValueError(f"denominator must be positive, got {q}")
-    return Fraction(p % q, q)
 
 
 def parse_fraction(text: str) -> tuple[int, int]:
@@ -92,17 +80,6 @@ def tripling(a: Angle) -> Angle:
 def antipode(a: Angle) -> Angle:
     """Rotation by a half turn: a + 1/2 mod 1.  An involution commuting with tripling."""
     return (a + HALF) % 1
-
-
-def in_open_arc(x: Angle, a: Angle, b: Angle) -> bool:
-    """True iff x lies strictly inside the positively oriented arc from a to b.
-
-    Wraparound through 0 is handled; a == b is rejected (empty/full arc
-    is ambiguous).
-    """
-    if a == b:
-        raise ValueError("arc endpoints must be distinct")
-    return (x - a) % 1 < (b - a) % 1 and x != a
 
 
 def orbit_info(a: Angle) -> OrbitInfo:

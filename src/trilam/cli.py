@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .angles import angle_str, orbit_info, parse_angle, tripling
 from .builder import BuildError, BuildState, VerificationError, build
-from .chords import Chord
+from .chords import Chord, image
 from .formats import (
     chords_from_json,
     prelamination_to_json,
@@ -96,15 +96,13 @@ def cmd_check(args) -> int:
         info = orbit_info(c.a)
         print(f"degenerate pair; preperiod {info.preperiod}, period {info.period}")
         return 0
-    for v in c.endpoints():
-        info = orbit_info(v)
-        print(f"endpoint {angle_str(v)}: preperiod {info.preperiod}, period {info.period}")
-    minor = Chord(tripling(c.a), tripling(c.b))
     infos = [orbit_info(v) for v in c.endpoints()]
+    for v, info in zip(c.endpoints(), infos):
+        print(f"endpoint {angle_str(v)}: preperiod {info.preperiod}, period {info.period}")
     if all(i.preperiod == 1 for i in infos):
         pc = classify_periodic(tripling(c.a))
         print(f"co-periodic comajor: type {pc.ptype}, block period {pc.block_period},"
-              f" minor {minor}")
+              f" minor {image(c)}")
     return 0
 
 
@@ -118,9 +116,7 @@ def cmd_orbit(args) -> int:
         pts.append(angle_str(cur))
         cur = tripling(cur)
     print("orbit: " + " -> ".join(pts) + " -> ...")
-    tail = x
-    for _ in range(info.preperiod):
-        tail = tripling(tail)
+    tail = x * 3**info.preperiod % 1
     pc = classify_periodic(tail)
     print(f"periodic tail at {angle_str(tail)}: type {pc.ptype}, "
           f"block period {pc.block_period}, point period {pc.point_period}")

@@ -23,10 +23,19 @@ from typing import Iterable, Optional
 import numpy as np
 
 Pair = tuple[int, int]
+# bounding chords, boundary arcs and markers (M, -M) of `strip_parts`
+Strips = tuple[list[Pair], list[Pair], tuple[Pair, Pair]]
 
 # Largest modulus n for which n * n - 1, hence any product of two grid
 # values and any key lo * n + hi, fits a signed 64-bit integer.
 MAX_INT64_MODULUS = 3037000499
+
+
+def check_int64(n: int) -> None:
+    """Refuse a modulus n whose int64 products and chord keys would wrap."""
+    if n > MAX_INT64_MODULUS:
+        raise ValueError(f"modulus {n} exceeds {MAX_INT64_MODULUS}, where int64 products "
+                         "and chord keys lo * n + hi would wrap")
 
 
 def scale_of(angles: Iterable[Fraction], *moduli: int) -> int:
@@ -222,8 +231,7 @@ def boundary_arcs(first: Pair, second: Pair) -> list[Pair]:
     return [(verts[i], verts[(i + 1) % k]) for i in range(k) if owner[i] != owner[(i + 1) % k]]
 
 
-def strip_parts(big: Pair, small: Pair,
-                n: int) -> tuple[list[Pair], list[Pair], tuple[Pair, Pair]]:
+def strip_parts(big: Pair, small: Pair, n: int) -> Strips:
     """Bounding chords, boundary arcs and markers (M, -M) of the strips between big and small.
 
     The bounds are the distinct chords among big, small and their

@@ -21,30 +21,30 @@ exact closure, so the verdict is exact.
 The oracle runs on the integer grid of modulus N = lcm(6, denominators
 of c) (`trilam.grid`): the orbit, the antipodes at +N/2, the majors at
 +-N/3, the strip arcs and both scans are int operations.  The strips
-come from `grid.majors`/`grid.strip_parts`, the routine the pullback
-engine takes its barriers from.  `Chord` values are built only for a
-witness.
+come from `strips_on_grid` (`grid.majors`, `grid.strip_parts`), the
+routine the pullback engine takes its barriers from.  `Chord` values
+are built only for a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from . import grid
+from .angles import Angle
 from .chords import Chord
-from .grid import Pair, canon, majors, on_grid, scale_of, strip_parts
+from .grid import Pair, Strips, canon, majors, scale_of, strip_parts
 
 __all__ = [
     "LegalityWitness",
     "LegalityVerdict",
     "hits_strip_interior",
     "is_legal_pair",
-    "is_comajor",
+    "strips_on_grid",
 ]
 
 
@@ -93,6 +93,14 @@ class LegalityVerdict:
         return doc
 
 
+def strips_on_grid(c: Chord, *angles: Angle) -> tuple[int, Pair, Strips]:
+    """(n, p, strips) of a chord c of length <= 1/6: the grid n = lcm(6, denominators of c
+    and of the angles), c as the pair p on it and `grid.strip_parts` of its majors."""
+    n = scale_of([*c.endpoints(), *angles], 6)
+    p = c.on_grid(n)
+    return n, p, strip_parts(*majors(p, n), n)
+
+
 def hits_strip_interior(d: Chord, c: Chord) -> bool:
     """True iff d meets the open strip region of c (a chord of length <= 1/6).
 
@@ -104,9 +112,8 @@ def hits_strip_interior(d: Chord, c: Chord) -> bool:
     through the open region).  Bounding chords themselves and chords
     that touch a strip vertex but leave the strips return false.
     """
-    n = scale_of([*d.endpoints(), *c.endpoints()], 6)
-    strips = strip_parts(*majors((on_grid(c.a, n), on_grid(c.b, n)), n), n)
-    return _violation((on_grid(d.a, n), on_grid(d.b, n)), *strips, n) is not None
+    n, _, strips = strips_on_grid(c, *d.endpoints())
+    return _violation(d.on_grid(n), *strips, n) is not None
 
 
 def _in_open_arc(x: int, s: int, e: int, n: int) -> bool:
@@ -144,14 +151,9 @@ def is_legal_pair(c: Chord) -> LegalityVerdict:
     """
     if c.degenerate:
         return LegalityVerdict("legal")
-    n = scale_of(c.endpoints(), 6)
-    p = (on_grid(c.a, n), on_grid(c.b, n))
-    strips = strip_parts(*majors(p, n), n)  # rejects length > 1/6
+    n, p, strips = strips_on_grid(c)  # rejects length > 1/6
     orbit = [canon(x, y) for x, y in grid.chord_orbit(p, n)]
     family = orbit + [grid.antipode(q, n) for q in orbit]
-
-    def chord(q: Pair) -> Chord:
-        return Chord(Fraction(q[0], n), Fraction(q[1], n))
 
     def tag(k: int) -> tuple[int, str]:
         return (k, "c") if k < len(orbit) else (k - len(orbit), "-c")
@@ -165,7 +167,8 @@ def is_legal_pair(c: Chord) -> LegalityVerdict:
                     if grid.crosses(family[k], family[j], n))
         return LegalityVerdict(
             "illegal",
-            LegalityWitness("crossing", *tag(k), chord(family[k]), *tag(j), chord(family[j])),
+            LegalityWitness("crossing", *tag(k), Chord.from_grid(family[k], n),
+                            *tag(j), Chord.from_grid(family[j], n)),
         )
 
     # (b) no forward image of c crosses the interior of the short strips
@@ -174,11 +177,7 @@ def is_legal_pair(c: Chord) -> LegalityVerdict:
         if violated is not None:
             return LegalityVerdict(
                 "illegal",
-                LegalityWitness("strip", i, "c", chord(d), None, None, chord(violated)),
+                LegalityWitness("strip", i, "c", Chord.from_grid(d, n), None, None,
+                                Chord.from_grid(violated, n)),
             )
     return LegalityVerdict("legal")
-
-
-def is_comajor(c: Chord) -> bool:
-    """A symmetric pair is a comajor pair iff it is legal."""
-    return is_legal_pair(c).is_legal

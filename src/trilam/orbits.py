@@ -9,7 +9,8 @@ co-periodic leaves the builder draws.
 Enumeration runs on the integer grid: over numerators modulo 3^k - 1
 (every period-k point has such a denominator), or 2(3^k - 1) for the
 type-B closed form, filtered by exact period; angles become `Fraction`
-only on output.
+only on output.  Orbits of chords are taken on the grid as well, by
+`grid.chord_orbit`.
 """
 
 from __future__ import annotations
@@ -20,16 +21,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import grid
-from .angles import Angle, antipode, orbit_info, tripling
-from .chords import Chord
+from .angles import Angle, antipode, orbit_info
 
 __all__ = [
     "PeriodicClass",
-    "ChordOrbit",
     "classify_periodic",
-    "periodic_points",
     "preperiod1_points",
-    "chord_orbit",
 ]
 
 
@@ -40,32 +37,14 @@ class PeriodicClass:
     point_period: int
 
 
-@dataclass(frozen=True, slots=True)
-class ChordOrbit:
-    """Eventually periodic orbit of a chord: preperiod part plus one cycle."""
-
-    preperiod: int
-    pointwise_period: int
-    setwise_period: int
-    chords: tuple[Chord, ...]
-
-    def cycle(self) -> tuple[Chord, ...]:
-        return self.chords[self.preperiod:]
-
-
 def classify_periodic(x: Angle) -> PeriodicClass:
     """Type (B/D) and block period of a periodic angle; non-periodic input rejected."""
     info = orbit_info(x)
     if info.preperiod != 0:
         raise ValueError(f"{x} is not periodic (preperiod {info.preperiod})")
     p = info.period
-    if p % 2 == 0:
-        half = p // 2
-        y = x
-        for _ in range(half):
-            y = tripling(y)
-        if y == antipode(x):
-            return PeriodicClass("B", half, p)
+    if p % 2 == 0 and x * 3 ** (p // 2) % 1 == antipode(x):
+        return PeriodicClass("B", p // 2, p)
     return PeriodicClass("D", p, p)
 
 
@@ -84,21 +63,6 @@ def _exact_period(nums: np.ndarray, modulus: int, period: int) -> np.ndarray:
     return keep
 
 
-def _check_int64(modulus: int) -> None:
-    if modulus > grid.MAX_INT64_MODULUS:
-        raise ValueError(f"denominator {modulus} is too large for exact int64 enumeration")
-
-
-def periodic_points(k: int) -> list[Angle]:
-    """All angles of exact tripling-period k, sorted."""
-    if k < 1:
-        raise ValueError("period must be positive")
-    modulus = 3**k - 1
-    _check_int64(modulus)
-    nums = np.arange(modulus, dtype=np.int64)
-    return [Fraction(int(a), modulus) for a in nums[_exact_period(nums, modulus, k)]]
-
-
 def _block_numerators(block: int, ptype: str) -> tuple[np.ndarray, int]:
     """Numerators a and the common denominator M of the periodic points of one class.
 
@@ -106,13 +70,11 @@ def _block_numerators(block: int, ptype: str) -> tuple[np.ndarray, int]:
     kept when their exact period is 2k.  Type D: a/(3^k - 1) of exact
     period k, minus the type-B points of block k/2.
     """
+    modulus = 2 * (3**block - 1) if ptype == "B" else 3**block - 1
+    grid.check_int64(modulus)
     if ptype == "B":
-        modulus = 2 * (3**block - 1)
-        _check_int64(modulus)
         nums = np.arange(1, modulus, 2, dtype=np.int64)
         return nums[_exact_period(nums, modulus, 2 * block)], modulus
-    modulus = 3**block - 1
-    _check_int64(modulus)
     nums = np.arange(modulus, dtype=np.int64)
     keep = _exact_period(nums, modulus, block)
     if block % 2 == 0:
@@ -138,28 +100,3 @@ def preperiod1_points(block: int, ptype: str) -> list[Angle]:
     out = np.sort(cands[cands != 3 * pred[:, None]])
     den = 3 * modulus
     return [Fraction(int(v), den) for v in out]
-
-
-def chord_orbit(ch: Chord) -> ChordOrbit:
-    """Full eventually periodic orbit of a chord under the tripling map.
-
-    Tracks the ordered endpoint pair on the grid of the chord's common
-    denominator, so the orbit closes exactly after the larger endpoint
-    preperiod plus the lcm of the endpoint periods (the pointwise
-    period); the setwise period is the first recurrence of the chord as
-    an unordered pair (it divides the pointwise period, and the two
-    preperiods coincide).
-    """
-    n = grid.scale_of(ch.endpoints())
-    pairs = grid.chord_orbit((grid.on_grid(ch.a, n), grid.on_grid(ch.b, n)), n)
-    first = pairs.index(pairs[-1])
-    pointwise = len(pairs) - 1 - first
-    start = set(pairs[first])
-    setwise = next(s for s in range(1, pointwise + 1) if set(pairs[first + s]) == start)
-    chords = tuple(Chord(Fraction(x, n), Fraction(y, n)) for x, y in pairs[: first + setwise])
-    return ChordOrbit(
-        preperiod=first,
-        pointwise_period=pointwise,
-        setwise_period=setwise,
-        chords=chords,
-    )

@@ -6,7 +6,7 @@ its quadrilateral pair together with the finite forward orbits of
 +-c.  Each level adds, for every chord of the previous level, the
 preimage chords that cross none of the generating barriers (the
 critical chords, respectively the quadrilateral edges), taken from the
-grid strips the legality oracle uses (`grid.majors`, `grid.strip_parts`).
+grid strips the legality oracle uses (`legality.strips_on_grid`).
 Whether a candidate crosses a barrier depends only on which barrier
 endpoint or open arc between them each of its endpoints lies in, so a
 family's barriers become one small survival table over those regions
@@ -48,7 +48,6 @@ the level of its first appearance.  The finished family must be laminar
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -56,9 +55,9 @@ import numpy as np
 from .angles import orbit_info
 from .chords import Chord, image
 from .formats import crossing_to_json
-from .grid import (MAX_INT64_MODULUS, Pair, antipode, arclen, canon, chord_orbit, closure,
-                   crosses, laminar, majors, on_grid, scale_of, short_arc_order, strip_parts)
-from .legality import LegalityVerdict, is_legal_pair
+from .grid import (Pair, antipode, arclen, canon, check_int64, chord_orbit, closure, crosses,
+                   laminar, short_arc_order)
+from .legality import LegalityVerdict, is_legal_pair, strips_on_grid
 
 __all__ = [
     "Prelamination",
@@ -106,50 +105,31 @@ def _select_pullbacks(parent: tuple[int, int], survivors: dict[int, tuple[int, i
     `survivors` maps candidate id (3*i + j) to its canonical int pair.
     Implements the selection rules described in the module docstring.
     """
-    a, b = parent
-    if arclen(a, b, n) * 3 == n:
-        # critical parent
-        keep = [(cid, pr) for cid, pr in survivors.items() if arclen(*pr, n) * 3 <= n]
-        keep.sort(key=lambda item: (arclen(*item[1], n), item[1]))
+    if arclen(*parent, n) * 3 == n:
+        # critical parent: the shortest candidates of length <= 1/3 sharing no endpoint
         chosen: list[tuple[int, int]] = []
         used: set[int] = set()
-        for _, pr in keep:
-            if pr[0] in used or pr[1] in used:
-                continue
-            chosen.append(pr)
-            used.update(pr)
+        for pr in sorted((pr for pr in survivors.values() if arclen(*pr, n) * 3 <= n),
+                         key=lambda pr: (arclen(*pr, n), pr)):
+            if not used & set(pr):
+                chosen.append(pr)
+                used.update(pr)
         return sorted(chosen)
 
     viable = [m for m in _MATCHINGS if all(cid in survivors for cid in m)]
     if not viable:
         return sorted(survivors.values())
-    if len(viable) > 1:
-        parent_pair = tuple(sorted(parent))
-        containing = [m for m in viable
-                      if any(survivors[cid] == parent_pair for cid in m)]
-        pool = containing or viable
-        pool = sorted(
-            pool,
-            key=lambda m: (sorted(arclen(*survivors[cid], n) for cid in m),
-                           sorted(survivors[cid] for cid in m)),
-        )
-        chosen_m = pool[0]
-    else:
-        chosen_m = viable[0]
+    parent_pair = tuple(sorted(parent))
+    pool = [m for m in viable if any(survivors[cid] == parent_pair for cid in m)] or viable
+    chosen_m = min(pool, key=lambda m: (sorted(arclen(*survivors[cid], n) for cid in m),
+                                        sorted(survivors[cid] for cid in m)))
     return sorted(survivors[cid] for cid in chosen_m)
-
-
-def _strips(c: Chord) -> tuple[int, list[Pair], list[Pair]]:
-    """n0 = lcm(6, denominators of c), and the bounding chords and boundary arcs of c's strips."""
-    n = scale_of(c.endpoints(), 6)
-    bounds, arcs, _ = strip_parts(*majors((on_grid(c.a, n), on_grid(c.b, n)), n), n)
-    return n, bounds, arcs
 
 
 def short_quad_edges(c: Chord) -> list[Chord]:
     """The two edges of the quadrilateral of c other than the major pair, plus antipodes."""
-    n, _, arcs = _strips(c)
-    return list(dict.fromkeys(Chord(Fraction(s, n), Fraction(e, n)) for s, e in arcs))
+    n, _, (_, arcs, _) = strips_on_grid(c)
+    return list(dict.fromkeys(Chord.from_grid(arc, n) for arc in arcs))
 
 
 def _seed_system(c: Chord) -> tuple[int, list[Pair], list[Pair]]:
@@ -163,10 +143,10 @@ def _seed_system(c: Chord) -> tuple[int, list[Pair], list[Pair]]:
     verdict = is_legal_pair(c)
     if not verdict.is_legal:
         raise IllegalSeedError(c, verdict)
-    n, bounds, arcs = _strips(c)
+    n, p, (bounds, arcs, _) = strips_on_grid(c)
     barriers = list(dict.fromkeys(bounds + [canon(s, e) for s, e in arcs]))
-    orbit = [canon(x, y) for x, y in chord_orbit((on_grid(c.a, n), on_grid(c.b, n)), n)]
-    seeds = barriers + [p for q in orbit for p in (q, antipode(q, n)) if p[0] != p[1]]
+    orbit = [canon(x, y) for x, y in chord_orbit(p, n)]
+    seeds = barriers + [r for q in orbit for r in (q, antipode(q, n)) if r[0] != r[1]]
     return n, seeds, barriers
 
 
@@ -183,7 +163,7 @@ class Prelamination:
     keys: np.ndarray = field(init=False, repr=False)  # sorted lo * modulus + hi
 
     def __post_init__(self):
-        _check_modulus(self.modulus)
+        check_int64(self.modulus)
         self.keys = np.sort(self.pairs[:, 0] * self.modulus + self.pairs[:, 1])
 
     def __len__(self) -> int:
@@ -191,23 +171,29 @@ class Prelamination:
 
     def chords(self) -> list[Chord]:
         n = self.modulus
-        return [Chord(Fraction(int(lo), n), Fraction(int(hi), n)) for lo, hi in self.pairs]
+        return [Chord.from_grid(p, n) for p in self.pairs.tolist()]
 
-    def to_pair(self, ch: Chord) -> tuple[int, int]:
-        lo = ch.a * self.modulus
-        hi = ch.b * self.modulus
+    def _key(self, ch: Chord) -> Optional[int]:
+        """lo * modulus + hi of ch, or None when ch is off this family's grid."""
+        lo, hi = ch.a * self.modulus, ch.b * self.modulus
         if lo.denominator != 1 or hi.denominator != 1:
-            raise ValueError(f"{ch} is not on the grid of this prelamination")
-        return (int(lo), int(hi))
+            return None
+        return int(lo) * self.modulus + int(hi)
 
     def contains(self, ch: Chord) -> bool:
-        try:
-            lo, hi = self.to_pair(ch)
-        except ValueError:
+        key = self._key(ch)
+        if key is None:
             return False  # off the grid: certainly not a member
-        key = lo * self.modulus + hi
         i = int(np.searchsorted(self.keys, key))
         return i < len(self.keys) and self.keys[i] == key
+
+    def _orbit(self):
+        """Endpoint columns at tripling steps 0 .. e + k - 1, (e, k) = closure: every orbit state."""
+        n = self.modulus
+        x, y = self.pairs.T.copy()
+        for _ in range(sum(closure(n))):
+            yield x, y
+            x, y = 3 * x % n, 3 * y % n
 
     # -- structural invariants ------------------------------------------------
 
@@ -216,70 +202,60 @@ class Prelamination:
 
     def antipode_closed(self) -> bool:
         n = self.modulus
-        half = n // 2
-        x = (self.pairs[:, 0] + half) % n
-        y = (self.pairs[:, 1] + half) % n
-        keys = np.sort(np.minimum(x, y) * n + np.maximum(x, y))
-        return bool(np.array_equal(keys, self.keys))
+        x, y = (self.pairs.T + n // 2) % n
+        return bool(np.array_equal(np.sort(_keys(x, y, n)), self.keys))
 
     def forward_closed(self) -> bool:
         n = self.modulus
-        x = (3 * self.pairs[:, 0]) % n
-        y = (3 * self.pairs[:, 1]) % n
-        nondeg = x != y
-        keys = np.minimum(x, y) * n + np.maximum(x, y)
-        present = np.isin(keys[nondeg], self.keys)
-        return bool(present.all())
+        x, y = 3 * self.pairs.T % n
+        return bool(np.isin(_keys(x, y, n)[x != y], self.keys).all())
 
     def sibling_complete(self) -> bool:
-        """Every chord at interior depth whose image is non-critical admits a
-        full collection of three pairwise disjoint same-image chords."""
-        n = self.modulus
-        groups: dict[int, list[tuple[int, int]]] = {}
-        img_keys = []
-        for lo, hi in self.pairs:
-            x, y = (3 * int(lo)) % n, (3 * int(hi)) % n
-            key = min(x, y) * n + max(x, y)
-            img_keys.append(key)
-            groups.setdefault(key, []).append((int(lo), int(hi)))
-        for (lo, hi), d, key in zip(self.pairs.tolist(), self.depths.tolist(), img_keys):
-            if not (1 <= d <= self.depth - 1):
-                continue
-            if arclen((3 * lo) % n, (3 * hi) % n, n) * 3 == n:
-                continue  # image critical: the third sibling is excluded by construction
-            if not _has_disjoint_triple((lo, hi), groups[key], n):
-                return False
-        return True
+        """Every chord at interior depth whose image is not critical lies in a full collection.
+
+        That is one of the five `_MATCHINGS` of its image's six preimage
+        points, with all three chords present: three pairwise disjoint
+        chords of the same image.
+        """
+        n, third = self.modulus, self.modulus // 3
+        inner = self.pairs[(1 <= self.depths) & (self.depths <= self.depth - 1)]
+        x, y = 3 * inner.T % n
+        keep = (abs(x - y) != third) & (abs(x - y) != 2 * third)  # image not critical
+        key, x, y = (inner[:, 0] * n + inner[:, 1])[keep], x[keep], y[keep]
+        offs = third * np.arange(3)
+        lo, hi = _candidates(np.minimum(x, y)[:, None] // 3 + offs,
+                             np.maximum(x, y)[:, None] // 3 + offs)
+        keys = lo * n + hi
+        present = np.isin(keys, self.keys)
+        ok = np.zeros(len(key), dtype=bool)
+        for m in map(list, _MATCHINGS):
+            ok |= present[:, m].all(axis=1) & (keys[:, m] == key[:, None]).any(axis=1)
+        return bool(ok.all())
 
     def min_length_law(self) -> bool:
         """No forward image of any chord is shorter than min(its length, the minor's)."""
         n = self.modulus
         if self.seed.degenerate:
             return True  # the minor is a point, so the bound is 0 and the law is vacuous
-        minor = image(self.seed)
-        minor_len = arclen(on_grid(minor.a, n), on_grid(minor.b, n), n)
-        own = np.minimum((self.pairs[:, 1] - self.pairs[:, 0]) % n,
-                         (self.pairs[:, 0] - self.pairs[:, 1]) % n)
-        bound = np.minimum(own, minor_len)
-        x, y = self.pairs[:, 0].copy(), self.pairs[:, 1].copy()
-        ok = np.ones(len(self.pairs), dtype=bool)
-        for _ in range(sum(closure(n))):
-            x, y = (3 * x) % n, (3 * y) % n
-            ln = np.minimum((y - x) % n, (x - y) % n)
-            ok &= ln >= bound
-        return bool(ok.all())
+        minor_len = arclen(*image(self.seed).on_grid(n), n)
+
+        def length(x, y):
+            return np.minimum((y - x) % n, (x - y) % n)
+
+        bound = np.minimum(length(*self.pairs.T), minor_len)
+        return all((length(x, y) >= bound).all() for x, y in self._orbit())
 
     def forward_orbit_hits(self, targets: list[Chord]) -> np.ndarray:
-        """Boolean mask of chords whose forward orbit (index >= 0) reaches a target."""
+        """Boolean mask of chords whose forward orbit (index >= 0) reaches a target.
+
+        A target off this family's grid is reached by no orbit.
+        """
         n = self.modulus
-        tkeys = np.array(sorted(min(p) * n + max(p) for p in
-                                (self.to_pair(t) for t in targets)), dtype=np.int64)
-        x, y = self.pairs[:, 0].copy(), self.pairs[:, 1].copy()
+        tkeys = np.array(sorted(k for k in map(self._key, targets) if k is not None),
+                         dtype=np.int64)
         hit = np.zeros(len(self.pairs), dtype=bool)
-        for _ in range(sum(closure(n))):
-            keys = np.minimum(x, y) * n + np.maximum(x, y)
-            hit |= np.isin(keys, tkeys)
-            x, y = (3 * x) % n, (3 * y) % n
+        for x, y in self._orbit():
+            hit |= np.isin(_keys(x, y, n), tkeys)
         return hit
 
     def to_json(self) -> str:
@@ -288,26 +264,15 @@ class Prelamination:
         return prelamination_to_json(self.seed, self.depth, self.pairs, self.modulus)
 
 
-def _check_modulus(n: int) -> None:
-    """Refuse a modulus whose int64 chord keys lo * n + hi would wrap."""
-    if n > MAX_INT64_MODULUS:
-        raise ValueError(f"modulus {n} exceeds {MAX_INT64_MODULUS}, where int64 chord keys "
-                         "would wrap")
+def _keys(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Keys lo * n + hi of the chords with endpoint arrays x and y on the grid of modulus n."""
+    return np.minimum(x, y) * n + np.maximum(x, y)
 
 
-def _has_disjoint_triple(member: tuple[int, int], group: list[tuple[int, int]],
-                         n: int) -> bool:
-    others = [g for g in group if g != member]
-    for i, g1 in enumerate(others):
-        if set(g1) & set(member) or crosses(g1, member, n):
-            continue
-        for g2 in others[i + 1:]:
-            if set(g2) & (set(member) | set(g1)):
-                continue
-            if crosses(g2, member, n) or crosses(g2, g1, n):
-                continue
-            return True
-    return False
+def _candidates(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the nine candidates 3*i + j = (u_i, v_j), per row of preimages us and vs."""
+    x1, x2 = us[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]], vs[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]]
+    return np.minimum(x1, x2), np.maximum(x1, x2)
 
 
 def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -342,16 +307,13 @@ def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray]
     ends, table = regions
     cu, cv = (np.searchsorted(ends, x) + np.searchsorted(ends, x, side="right") for x in (us, vs))
     surv = table[cu[:, :, None], cv[:, None, :]].reshape(-1, 9)  # candidate 3*i + j: (u_i, v_j)
-    x1 = us[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]]
-    x2 = vs[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]]
+    lo, hi = _candidates(us, vs)
     mask = surv.astype(np.int64) @ (1 << np.arange(9, dtype=np.int64))
 
     span_p = (b - a) % n
     critical = (span_p == third) | (span_p == 2 * third)
     fast = ~critical & np.isin(mask, np.array(_MATCH_MASKS, dtype=mask.dtype))
 
-    lo = np.minimum(x1, x2)
-    hi = np.maximum(x1, x2)
     chunks: list[np.ndarray] = []
     for m, mbits in zip(_MATCHINGS, _MATCH_MASKS):
         sel = fast & (mask == mbits)
@@ -359,16 +321,10 @@ def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray]
             ids = list(m)
             chunks.append(np.stack([lo[sel][:, ids].ravel(), hi[sel][:, ids].ravel()], axis=1))
 
-    slow_idx = np.nonzero(~fast)[0]
     slow_pairs: list[tuple[int, int]] = []
-    for pi in slow_idx:
-        surv_map = {
-            cid: (int(lo[pi, cid]), int(hi[pi, cid]))
-            for cid in range(9)
-            if surv[pi, cid]
-        }
-        parent = (int(a[pi]), int(b[pi]))
-        slow_pairs.extend(_select_pullbacks(parent, surv_map, n))
+    for pi in np.nonzero(~fast)[0]:
+        surv_map = {cid: (int(lo[pi, cid]), int(hi[pi, cid])) for cid in range(9) if surv[pi, cid]}
+        slow_pairs.extend(_select_pullbacks((int(a[pi]), int(b[pi])), surv_map, n))
     if slow_pairs:
         chunks.append(np.array(slow_pairs, dtype=np.int64).reshape(-1, 2))
     if not chunks:
@@ -400,7 +356,7 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     n0, seeds, barriers = _seed_system(c)
     scale = 3**depth
     n = n0 * scale
-    _check_modulus(n)
+    check_int64(n)
 
     regions = _barrier_regions([(x * scale, y * scale) for x, y in barriers], n)
     seeded = np.array(seeds, dtype=np.int64) * scale
@@ -414,8 +370,8 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs[order], depths=depths[order])
     del pairs, depths, order  # only the family stays alive through the invariant check
     if not pre.noncrossing():
-        first, second = (Chord(Fraction(lo, n), Fraction(hi, n))
-                         for lo, hi in pre.pairs[list(laminar(pre.pairs).crossing)].tolist())
+        first, second = (Chord.from_grid(p, n)
+                         for p in pre.pairs[list(laminar(pre.pairs).crossing)].tolist())
         raise InvariantError(f"pullback family of {c} produced a crossing: "
                              f"{first} crosses {second}", crossing_to_json(first, second))
     return pre

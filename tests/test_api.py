@@ -1,0 +1,29 @@
+"""The public surface: every exported name exists, and the package imports only exported names."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import trilam
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(trilam.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module(f"trilam.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"trilam.{name}.__all__ lists missing names {missing}"
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse(Path(trilam.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"trilam.{node.module}")
+        unlisted = [alias.name for alias in node.names if alias.name not in module.__all__]
+        assert not unlisted, f"trilam/__init__ imports {unlisted} not in trilam.{node.module}.__all__"

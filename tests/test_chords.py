@@ -1,29 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trilam import grid
-from trilam.chords import (
-    Chord,
-    LengthClass,
-    SIXTH,
-    chord_antipode,
-    classify,
-    crosses,
-    image,
-    length,
-    majors_of,
-    separates,
-    sml_siblings,
-    translate_siblings,
-    under,
-)
+from trilam.chords import Chord, SIXTH, chord_antipode, crosses, image, length
 
 import reference
 from conftest import ch
+from reference import LengthClass, classify, majors_of, sml_siblings
 
 angles = st.fractions(min_value=0, max_value=1, max_denominator=600).map(lambda f: f % 1)
 
@@ -77,13 +65,17 @@ def test_image_of_critical_is_degenerate():
     assert img.degenerate and img.a == Fraction(1, 2)
 
 
+def translates(c):
+    """The chords c + 1/3 and c + 2/3."""
+    return tuple(Chord((c.a + t) % 1, (c.b + t) % 1) for t in (Fraction(1, 3), Fraction(2, 3)))
+
+
 def test_translate_siblings():
-    assert translate_siblings(ch(0, 1, 1, 100)) == (
-        Chord(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 100)),
-        Chord(Fraction(2, 3), Fraction(2, 3) + Fraction(1, 100)),
-    )
-    assert translate_siblings(ch(1, 6, 1, 3)) == (ch(1, 2, 2, 3), ch(5, 6, 0, 1))
-    assert translate_siblings(ch(1, 4, 3, 4)) == (ch(7, 12, 1, 12), ch(11, 12, 5, 12))
+    assert translates(ch(0, 1, 1, 100)) == (ch(1, 3, 103, 300), ch(2, 3, 203, 300))
+    assert translates(ch(1, 6, 1, 3)) == (ch(1, 2, 2, 3), ch(5, 6, 0, 1))
+    assert translates(ch(1, 4, 3, 4)) == (ch(7, 12, 1, 12), ch(11, 12, 5, 12))
+    for c in (ch(0, 1, 1, 100), ch(1, 6, 1, 3), ch(1, 4, 3, 4)):
+        assert {image(t) for t in translates(c)} == {image(c)}
 
 
 @pytest.mark.parametrize("c,first,second,first_class,second_class", [
@@ -159,34 +151,17 @@ def test_quad(c, verts):
     assert sorted({Fraction(v, n) for v in big + small}) == verts
 
 
-@pytest.mark.parametrize("m,n,expected", [
-    (ch(5, 24, 7, 24), ch(1, 6, 1, 3), True),
-    (ch(1, 6, 1, 3), ch(5, 24, 7, 24), False),
-    (ch(47, 48, 1, 48), ch(23, 24, 1, 24), True),  # wrapping arcs
-])
-def test_under(m, n, expected):
-    assert under(m, n) is expected
-
-
-def test_under_is_irreflexive_and_rejects_diameters():
-    c = ch(1, 6, 1, 3)
-    assert not under(c, c)
-    with pytest.raises(ValueError):
-        under(c, ch(0, 1, 1, 2))
-
-
 @pytest.mark.parametrize("c,x,y,expected", [
     (ch(0, 1, 1, 2), Fraction(1, 4), Fraction(3, 4), True),
     (ch(11, 12, 1, 12), Fraction(23, 24), Fraction(1, 24), False),  # both inside
     (ch(47, 48, 1, 48), Fraction(23, 24), Fraction(1, 24), False),  # both outside
 ])
 def test_separates(c, x, y, expected):
-    assert separates(c, x, y) is expected
-
-
-def test_separates_rejects_endpoints():
-    with pytest.raises(ValueError):
-        separates(ch(0, 1, 1, 2), Fraction(0), Fraction(1, 4))
+    # c separates x from y iff they lie in different regions of the family {c}
+    n = grid.scale_of([*c.endpoints(), x, y])
+    regions = grid.laminar(np.array([[grid.on_grid(c.a, n), grid.on_grid(c.b, n)]])).regions(
+        np.array([grid.on_grid(x, n), grid.on_grid(y, n)]))
+    assert bool(regions[0] != regions[1]) is expected
 
 
 def chords_strategy(max_den=600):
@@ -197,14 +172,17 @@ def chords_strategy(max_den=600):
 @settings(max_examples=300)
 def test_translate_collection_shares_image_and_length(c):
     assume(not c.degenerate)
-    s1, s2 = translate_siblings(c)
+    s1, s2 = translates(c)
     assert image(s1) == image(s2) == image(c)
     assert length(s1) == length(s2) == length(c)
 
 
-@given(chords_strategy())
+@given(angles, st.fractions(min_value=0, max_value=SIXTH, max_denominator=600))
 @settings(max_examples=300)
-def test_sml_pattern_for_interior_short_chords(c):
+def test_sml_pattern_for_interior_short_chords(a, ln):
+    # drawn short rather than filtered: a filter keeping one chord in three
+    # fails Hypothesis's filter health check on some seeds
+    c = Chord(a, (a + ln) % 1)
     assume(0 < length(c) < SIXTH)
     first, second = sml_siblings(c)
     assert image(first) == image(second) == image(c)
@@ -230,8 +208,9 @@ def _random_chord(rng, n, lo, hi):
 
 
 def test_crosses_matches_open_arc_form():
-    # endpoints in [0, 1) take the ordered-comparison path, the rest the
-    # open-arc path; small grids make shared endpoints and degenerate chords common
+    # the grid predicate against the Fraction open-arc form, half the cases
+    # with endpoints in [0, 1) and half with endpoints beyond it; small
+    # grids make shared endpoints and degenerate chords common
     rng = random.Random(5)
     outcomes = {True: set(), False: set()}
     for i in range(6000):

@@ -13,7 +13,7 @@ import pytest
 import reference
 from trilam import grid
 from trilam.builder import build
-from trilam.chords import Chord, SIXTH, crosses, length
+from trilam.chords import Chord, SIXTH, length
 from trilam.legality import hits_strip_interior, is_legal_pair
 from trilam.orbits import preperiod1_points
 
@@ -115,12 +115,12 @@ def _as_rows(pairs, shift):
 
 
 def test_sweep_matches_pairwise_crosses():
-    """The reference stack sweep and `grid.laminar` agree with pairwise `crosses`."""
+    """The reference stack sweep and `grid.laminar` agree with the pairwise open-arc test."""
     rng = random.Random(7)
     outcomes = set()
     for n, pairs in _families(rng):
         chords = [Chord(Fraction(x, n), Fraction(y, n)) for x, y in pairs]
-        pairwise = any(crosses(chords[i], chords[j])
+        pairwise = any(reference.crosses_by_arcs(chords[i], chords[j])
                        for i in range(len(chords)) for j in range(i + 1, len(chords)))
         assert (reference.crossing_pair(pairs) is not None) == pairwise, pairs
         for shift in (0, n * 2**64):
@@ -176,7 +176,7 @@ def test_grid_crosses_matches_fraction_crosses():
         p, q = _random_family(rng, n, 2)
         fp = Chord(Fraction(p[0], n), Fraction(p[1], n))
         fq = Chord(Fraction(q[0], n), Fraction(q[1], n))
-        assert grid.crosses(p, q, n) == crosses(fp, fq)
+        assert grid.crosses(p, q, n) == reference.crosses_by_arcs(fp, fq)
 
 
 def _brute_orbit(x, n):

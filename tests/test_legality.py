@@ -8,11 +8,7 @@ import reference
 from trilam import grid
 from trilam.angles import orbit_info
 from trilam.chords import Chord, SIXTH, chord_antipode, crosses, image, length
-from trilam.legality import (
-    hits_strip_interior,
-    is_comajor,
-    is_legal_pair,
-)
+from trilam.legality import hits_strip_interior, is_legal_pair
 
 from conftest import ch
 
@@ -89,8 +85,14 @@ def test_illegal_with_strip_witness():
     assert w.first == ch(1, 4, 1, 2)
     # the witness is reproducible: the image really crosses the reported boundary
     assert crosses(w.first, w.second)
+    assert hits_strip_interior(w.first, ch(1, 12, 1, 6))
     # and the boundary chord claimed in the worked derivation also crosses it
     assert crosses(ch(1, 4, 1, 2), ch(11, 12, 1, 3))
+
+
+def is_comajor(c):
+    """A symmetric pair is a comajor pair iff it is legal."""
+    return is_legal_pair(c).is_legal
 
 
 @pytest.mark.parametrize("c,expected", [

@@ -1,16 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trilam.angles import antipode, tripling
-from trilam.orbits import (
-    chord_orbit,
-    classify_periodic,
-    periodic_points,
-    preperiod1_points,
-)
+from trilam.orbits import _exact_period, classify_periodic, preperiod1_points
 
 from conftest import ch
+from reference import chord_orbit
 
 
 @pytest.mark.parametrize("x,ptype,block,period", [
@@ -26,6 +23,12 @@ def test_classify_periodic(x, ptype, block, period):
 def test_classify_periodic_rejects_preperiodic():
     with pytest.raises(ValueError):
         classify_periodic(Fraction(1, 6))
+
+
+def periodic_points(k):
+    """The angles of exact tripling period k, from the enumeration's exact-period mask."""
+    nums = np.arange(3**k - 1)
+    return [Fraction(int(a), 3**k - 1) for a in nums[_exact_period(nums, 3**k - 1, k)]]
 
 
 def test_periodic_points_small():
@@ -128,4 +131,4 @@ def test_enumeration_refuses_denominators_beyond_int64_products():
     with pytest.raises(ValueError, match="int64"):
         preperiod1_points(20, "B")
     with pytest.raises(ValueError, match="int64"):
-        periodic_points(21)
+        preperiod1_points(21, "D")

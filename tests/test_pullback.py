@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from trilam.builder import build
-from trilam.chords import Chord, classify, image, length, LengthClass, sml_siblings
-from trilam.orbits import chord_orbit
+from trilam.chords import Chord, image, length
 from trilam.grid import MAX_INT64_MODULUS, closure, on_grid, scale_of
 from trilam.pullback import (
     IllegalSeedError,
@@ -23,6 +22,7 @@ from trilam.pullback import (
 
 import reference
 from conftest import PULLBACK_SEEDS, ch, witness_crosses
+from reference import LengthClass, chord_orbit, classify, sml_siblings
 
 
 def grid_chord(p, n):
@@ -217,6 +217,39 @@ def test_closest_to_criticality_law():
     assert sampled >= 3
 
 
+def _sibling_families():
+    """Pullback families at depths 2-6, and copies with every fifth chord of the interior
+    depths, or of the last depth, dropped.
+
+    The seeds are `PULLBACK_SEEDS` and every 16th leaf of `build(4)`.
+    """
+    leaves = [r.chord for r in build(4).leaves]
+    for seed in PULLBACK_SEEDS + leaves[::16]:
+        for depth in range(2, 7):
+            pre = build_prelamination(seed, depth)
+            yield pre
+            for drop in ((pre.depths >= 1) & (pre.depths < depth), pre.depths == depth):
+                keep = np.ones(len(pre), dtype=bool)
+                keep[np.flatnonzero(drop)[::5]] = False
+                yield Prelamination(seed=seed, depth=depth, modulus=pre.modulus,
+                                    pairs=pre.pairs[keep], depths=pre.depths[keep])
+
+
+def test_sibling_complete_matches_reference():
+    verdicts = []
+    for pre in _sibling_families():
+        verdicts.append(pre.sibling_complete())
+        assert verdicts[-1] == reference.sibling_complete(pre), (pre.seed, pre.depth, len(pre))
+    assert set(verdicts) == {True, False}
+    # on the grid 36 the preimages of (3, 9) are u = 1, 13, 25 and v = 3, 15, 27: a full
+    # collection (1, 3), (13, 15), (25, 27), and (1, 15) beside it, which is in none
+    pairs = [(3, 9), (1, 3), (13, 15), (25, 27), (1, 15)]
+    for m in (4, 5):
+        pre = Prelamination(seed=PULLBACK_SEEDS[0], depth=2, modulus=36,
+                            pairs=np.array(pairs[:m]), depths=np.array([0, 1, 1, 1, 1][:m]))
+        assert pre.sibling_complete() == reference.sibling_complete(pre) == (m == 4)
+
+
 def _hand_built(modulus, pairs, seed):
     return Prelamination(seed=seed, depth=0, modulus=modulus,
                          pairs=np.array(pairs, dtype=np.int64),
@@ -242,6 +275,18 @@ def test_forward_orbit_hits_runs_to_exact_closure():
     x = pow(3, 45, n)
     late = Chord(Fraction(x, n), Fraction(2 * x % n, n))
     assert pre.forward_orbit_hits([late]).tolist() == [True]
+    x = pow(3, 51, n)  # the last state before the orbit closes
+    last = Chord(Fraction(x, n), Fraction(2 * x % n, n))
+    assert pre.forward_orbit_hits([last]).tolist() == [True]
+
+
+def test_forward_orbit_hits_misses_targets_off_the_grid():
+    pre = build_prelamination(Chord(Fraction(1, 2), Fraction(1, 2)), 3)
+    off, on = ch(1, 7, 2, 7), ch(1, 6, 5, 6)
+    assert not pre.contains(off)
+    assert not pre.forward_orbit_hits([off]).any()
+    assert pre.forward_orbit_hits([off, on]).tolist() == pre.forward_orbit_hits([on]).tolist()
+    assert pre.forward_orbit_hits([on]).any()
 
 
 def test_forward_orbit_hits_matches_chord_orbits():

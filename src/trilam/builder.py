@@ -10,8 +10,8 @@ produced chord is short, every point is used exactly once, and the
 growing family stays crossing-free and closed under the half-turn;
 violations of any of these raise rather than being repaired, since each
 is backed by a theorem about the comajor lamination.  The step's
-crossing check, the components of its points and the ancestors of the
-nesting audit all come from one laminar pass over the leaves
+crossing check, the components of its points and the nested pairs of
+the nesting audit all come from one laminar pass over the leaves
 (`grid.laminar`); a crossing raises BuildError with its witness.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 from .angles import Angle
 from .chords import Chord, SIXTH, image, length
 from .formats import crossing_to_json
-from .grid import Laminar, laminar, on_grid, scale_of
+from .grid import Laminar, int_dtype, laminar, on_grid, scale_of
 from .legality import is_legal_pair
 from .orbits import preperiod1_points
 
@@ -124,15 +124,11 @@ def seed_leaves() -> list[ComajorRecord]:
     return [make_record(Chord(a, b), ptype=t, block=1) for t, a, b in _SEED_DATA]
 
 
-def _ints(values, scale: int) -> np.ndarray:
-    """Grid values as an array: int64 while +-2 * scale fits it, Python ints beyond."""
-    return np.array(values, dtype=np.int64 if 2 * scale < 2**63 else object)
-
-
 def _arcs(chords: list[Chord], scale: int) -> np.ndarray:
     """(start, end) of the chords' short arcs on the grid, 0 <= start < scale."""
     pairs = [(on_grid(ch.a, scale), on_grid(ch.b, scale)) for ch in chords]
-    x, y = _ints(pairs, scale).reshape(-1, 2).T
+    # with the lifts of `_arc_family` differences of these stay below 3 * scale
+    x, y = np.array(pairs, dtype=int_dtype(3 * scale)).reshape(-1, 2).T
     wrap = 2 * (y - x) > scale
     return np.stack([np.where(wrap, y, x), np.where(wrap, x + scale, y)], axis=1)
 
@@ -180,7 +176,7 @@ def group_by_component(points: list[Angle], state: BuildState) -> list[list[Angl
     # common integer scale for the step: all comparisons become int ops
     scale = scale_of([*points, *(v for ch in leaves for v in ch.endpoints())], 12)
     rows, owner, lam = _arc_family(leaves, scale)
-    pts = _ints([on_grid(p, scale) for p in points], scale)
+    pts = np.array([on_grid(p, scale) for p in points], dtype=rows.dtype)
     ends = np.sort(rows[: len(leaves)] % scale, axis=None)  # a point past them all wraps to 0
     taken = np.flatnonzero(ends[np.searchsorted(ends, pts) % len(ends)] == pts)
     if len(taken):
@@ -283,55 +279,38 @@ def nesting_audit(state: BuildState) -> NestingReport:
     the inner leaf in its own component when the pair was drawn).  For a
     same-type pair a missing separator is a hard error; cross-type pairs
     are reported, the separated same-type ones listed with their
-    separator.
+    separator.  Pairs are ordered by block, then by their leaves' positions.
     """
     chords = state.chords()
     scale = scale_of(v for ch in chords for v in ch.endpoints())
-    rows, owner, lam = _arc_family(chords, scale)
-    # (start, span) on the common integer scale, aligned with leaves
-    arcs = [(s, e - s) for s, e in rows[: len(chords)].tolist()]
-
-    def nested(i: int, j: int) -> bool:
-        si, wi = arcs[i]
-        sj, wj = arcs[j]
-        return (si - sj) % scale + wi <= wj
-
-    # innermost enclosing leaf of strictly smaller block, per leaf: all
-    # leaves climb their chains of enclosing arcs at once.  Index -1 is a
-    # sentinel past the top, of block 0, which stops every climb.
+    _, owner, lam = _arc_family(chords, scale)
+    # all leaves climb their chains of enclosing arcs at once, recording
+    # each same-block ancestor with the first smaller-block leaf passed
     parent = lam.parents()[: len(chords)]
-    up = np.append(np.where(parent >= 0, owner[parent], -1), -1)
-    blocks = np.array([rec.block_period for rec in state.leaves] + [0])
-    ancestor = up[:-1].copy()
-    climbing = np.flatnonzero(blocks[ancestor] >= blocks[:-1])
-    while len(climbing):
-        ancestor[climbing] = up[ancestor[climbing]]
-        climbing = climbing[blocks[ancestor[climbing]] >= blocks[climbing]]
+    up = np.where(parent >= 0, owner[parent], -1)
+    blocks = np.array([rec.block_period for rec in state.leaves])
+    leaf = np.flatnonzero(up >= 0)
+    at, passed = up[leaf], np.full(len(leaf), -1)
+    found = []
+    while len(leaf):
+        same = blocks[at] == blocks[leaf]
+        found.append(np.stack([leaf[same], at[same], passed[same]]))
+        passed = np.where((passed < 0) & (blocks[at] < blocks[leaf]), at, passed)
+        at = up[at]
+        keep = at >= 0
+        leaf, at, passed = leaf[keep], at[keep], passed[keep]
+    inner, outer, sep = np.concatenate([np.empty((3, 0), dtype=np.intp), *found], axis=1)
+    order = np.lexsort((np.maximum(inner, outer), np.minimum(inner, outer), blocks[inner]))
 
-    by_block: dict[int, list[int]] = {}
-    for i, rec in enumerate(state.leaves):
-        by_block.setdefault(rec.block_period, []).append(i)
-    cross = []
-    separated = []
-    leaves = state.leaves
-    for block, idxs in sorted(by_block.items()):
-        for a_pos, i in enumerate(idxs):
-            for j in idxs[a_pos + 1:]:
-                if nested(i, j):
-                    inner, outer = i, j
-                elif nested(j, i):
-                    inner, outer = j, i
-                else:
-                    continue
-                if leaves[inner].ptype != leaves[outer].ptype:
-                    cross.append((leaves[inner], leaves[outer]))
-                    continue
-                sep = int(ancestor[inner])
-                if sep < 0 or not nested(sep, outer):
-                    raise BuildError(
-                        f"same-type block-{block} leaves nested with no smaller-block leaf "
-                        f"between them: {leaves[inner].chord} under {leaves[outer].chord}"
-                    )
-                separated.append((leaves[inner], leaves[outer], leaves[sep]))
+    cross, separated, leaves = [], [], state.leaves
+    for i, o, s in zip(inner[order].tolist(), outer[order].tolist(), sep[order].tolist()):
+        if leaves[i].ptype != leaves[o].ptype:
+            cross.append((leaves[i], leaves[o]))
+        elif s < 0:
+            raise BuildError(f"same-type block-{leaves[i].block_period} leaves nested with no "
+                             f"smaller-block leaf between them: {leaves[i].chord} under "
+                             f"{leaves[o].chord}")
+        else:
+            separated.append((leaves[i], leaves[o], leaves[s]))
     return NestingReport(checked_blocks=state.completed_block, cross_type=cross,
                          separated_same_type=separated)

@@ -12,17 +12,22 @@ g = gcd(x, N), so no `Fraction` is built per chord.  The documents that
 from __future__ import annotations
 
 import json
-from math import lcm
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .angles import angle_str, parse_angle, parse_fraction
 from .chords import Chord
-from .grid import MAX_INT64_MODULUS
+from .grid import int_dtype, scale_of
 
 if TYPE_CHECKING:
     from .builder import ComajorRecord
+
+__all__ = [
+    "CSV_HEADER", "chord_to_json", "crossing_to_json", "record_to_json", "record_from_json",
+    "records_to_json", "records_from_json", "records_to_csv", "grid_angle_strs",
+    "prelamination_to_json", "chords_from_json",
+]
 
 CSV_HEADER = "a,b,type,block"
 
@@ -110,18 +115,18 @@ def chords_from_json(doc) -> tuple[np.ndarray, int]:
 
     Returns the (m, 2) pairs lo <= hi and their modulus n, the lcm of
     the denominators as written, for `render_svg(pairs, modulus=n)`.
-    The pairs are int64 while n <= `MAX_INT64_MODULUS` and Python ints
-    of dtype object beyond.
+    The pairs are int64 while they fit it (`grid.int_dtype`) and Python
+    ints of dtype object beyond.
     """
     if isinstance(doc, dict) and "chords" in doc:
         doc = doc["chords"]
     if not isinstance(doc, list):
         raise ValueError(f"expected a list of chords, got {doc!r}")
     ends = [_fraction_ends(item) for item in doc]
-    n = lcm(*{q for ab in ends for _, q in ab})
+    n = scale_of((), *{q for ab in ends for _, q in ab})
     scale = {q: n // q for ab in ends for _, q in ab}
     flat = [p * scale[q] for ab in ends for p, q in ab]
-    pairs = np.array(flat, dtype=np.int64 if n <= MAX_INT64_MODULUS else object).reshape(-1, 2)
+    pairs = np.array(flat, dtype=int_dtype(n)).reshape(-1, 2)
     pairs.sort(axis=1)
     return pairs, n
 

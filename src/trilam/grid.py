@@ -4,23 +4,30 @@ On the grid of modulus N the angle x/N is the int x in [0, N); tripling
 is x -> 3x mod N and the half-turn x -> x + N/2.  `Fraction` angles
 enter through `scale_of`/`on_grid` and leave as `Fraction(x, N)`; the
 hot paths of orbits, builder, legality and pullback run in between.
-A chord is an int pair; chords sharing an endpoint never cross and
-degenerate chords cross nothing.  `laminar` is the one laminarity
-primitive: a vectorised pass over the open/close events of a family of
-(lo, hi) chords gives its verdict, a crossing witness, parent pointers
-and the regions of points.  The quadrilateral of a short chord
-and its strips (`majors`, `strip_parts`) serve both the legality oracle
-and the pullback barriers; the canonical chord order (`short_arc_order`)
-serves the pullback engine and the renderer.
+The common scale (`scale_of`), int64 or Python ints (`int_dtype`),
+crossing (`crosses`) and orbit stepping (`orbit`) are each decided here
+once.  `laminar` is the one laminarity primitive: a vectorised pass
+over the open/close events of a family of (lo, hi) chords gives its
+verdict, a crossing witness, parent pointers and the regions of points.
+The quadrilateral of a short chord and its strips (`majors`,
+`strip_parts`) serve both the legality oracle and the pullback
+barriers; the canonical chord order (`short_arc_order`) serves the
+pullback engine and the renderer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Optional
 
 import numpy as np
+
+__all__ = [
+    "Pair", "Strips", "MAX_INT64_MODULUS", "check_int64", "int_dtype", "scale_of", "on_grid",
+    "arclen", "crosses", "Laminar", "laminar", "short_arc_order", "closure", "orbit", "canon",
+    "antipode", "majors", "boundary_arcs", "strip_parts",
+]
 
 Pair = tuple[int, int]
 # bounding chords, boundary arcs and markers (M, -M) of `strip_parts`
@@ -33,9 +40,14 @@ MAX_INT64_MODULUS = 3037000499
 
 def check_int64(n: int) -> None:
     """Refuse a modulus n whose int64 products and chord keys would wrap."""
-    if n > MAX_INT64_MODULUS:
+    if int_dtype(n * n - 1) is object:
         raise ValueError(f"modulus {n} exceeds {MAX_INT64_MODULUS}, where int64 products "
                          "and chord keys lo * n + hi would wrap")
+
+
+def int_dtype(largest: int) -> type:
+    """np.int64 if it holds `largest`, the caller's bound on its grid values; else object."""
+    return np.int64 if largest < 2**63 else object
 
 
 def scale_of(angles: Iterable[Fraction], *moduli: int) -> int:
@@ -44,8 +56,8 @@ def scale_of(angles: Iterable[Fraction], *moduli: int) -> int:
 
 
 def on_grid(x: Fraction, n: int) -> int:
-    """The int standing for x on the grid of modulus n; n must be a multiple of x's denominator."""
-    return x.numerator * (n // x.denominator)
+    """The int in [0, n) standing for x on the grid of modulus n, a multiple of x's denominator."""
+    return x.numerator * (n // x.denominator) % n
 
 
 def arclen(x: int, y: int, n: int) -> int:
@@ -54,20 +66,15 @@ def arclen(x: int, y: int, n: int) -> int:
     return min(d, n - d)
 
 
-def crosses(p: Pair, q: Pair, n: int) -> bool:
+def crosses(p, q, n):
     """True iff chords p and q of the grid of modulus n cross inside the disk.
 
-    Exactly one endpoint of q lies strictly inside the arc from p[0] to
-    p[1]; shared endpoints and degenerate chords never cross.
+    Elementwise over ints or broadcasting arrays: one endpoint of q lies strictly
+    inside the arc from p[0] to p[1] and the other strictly outside it.
     """
-    a1, b1 = p
-    a2, b2 = q
-    if a1 == b1 or a2 == b2:
-        return False
-    if a1 in (a2, b2) or b1 in (a2, b2):
-        return False
-    span = (b1 - a1) % n
-    return ((a2 - a1) % n < span) != ((b2 - a1) % n < span)
+    a, b = p
+    span, u, v = (b - a) % n, (q[0] - a) % n, (q[1] - a) % n
+    return ((0 < u) & (u < span) & (span < v)) | ((0 < v) & (v < span) & (span < u))
 
 
 class Laminar:
@@ -103,10 +110,9 @@ class Laminar:
         rank = rank[closes]  # the open rank of each close
         bad = (self._depth[rank] != self._lo.searchsorted(self._hi) - np.arange(m)).nonzero()[0]
         self.crossing: Optional[tuple[int, int]] = None
-        if len(bad):
+        if len(bad):  # scan its earliest-opening chord on a circle longer than the family
             c = self._opens[rank[bad].min()]
-            hits = ((lo < lo[c]) & (lo[c] < hi) & (hi < hi[c])) | \
-                ((lo[c] < lo) & (lo < hi[c]) & (hi[c] < hi))
+            hits = crosses((lo[c], hi[c]), (lo, hi), int(self._hi[-1]) - int(self._lo[0]) + 1)
             self.crossing = tuple(int(i) for i in self._row(np.array([c, hits.argmax()])))
         self._keys: Optional[np.ndarray] = None
 
@@ -177,20 +183,12 @@ def closure(n: int) -> tuple[int, int]:
     return e, k
 
 
-def chord_orbit(p: Pair, n: int) -> list[Pair]:
-    """Ordered endpoint pairs of p and its images to exact closure.
-
-    Holds indices 0..pre + per, where pre is the larger endpoint
-    preperiod and per the lcm of the endpoint periods: the pairs at
-    indices pre and pre + per coincide and all earlier ones are distinct.
-    """
-    (ea, ka), (eb, kb) = (closure(n // gcd(v, n)) for v in p)
-    x, y = p
-    out = [p]
-    for _ in range(max(ea, eb) + lcm(ka, kb)):
+def orbit(x, y, n: int):
+    """Endpoints x and y, ints or arrays, at tripling steps 0 .. e + k - 1 for (e, k) =
+    closure(n): every state of any chord's orbit on the grid of modulus n."""
+    for _ in range(sum(closure(n))):
+        yield x, y
         x, y = 3 * x % n, 3 * y % n
-        out.append((x, y))
-    return out
 
 
 def canon(x: int, y: int) -> Pair:
@@ -212,7 +210,7 @@ def majors(c: Pair, n: int) -> tuple[Pair, Pair]:
     x, y = c
     if 6 * arclen(x, y, n) > n:
         raise ValueError(f"expected a chord of length <= 1/6, got {Fraction(arclen(x, y, n), n)}")
-    s, e = (x, y) if 2 * (y - x) <= n else (y, x)  # the short arc
+    s, e = (x, y) if 2 * ((y - x) % n) <= n else (y, x)  # the short arc
     third = n // 3
     first = canon((s + third) % n, (e - third) % n)
     second = canon((s + 2 * third) % n, (e - 2 * third) % n)

@@ -15,8 +15,8 @@ stay outside.
 
 Condition (a) is checked over all pairs drawn from the union of both
 full orbits (indices >= 0, the most conservative reading); condition
-(b) over images with index >= 1.  Orbits are finite and computed to
-exact closure, so the verdict is exact.
+(b) over images with index >= 1.  `grid.orbit` steps through every
+state the grid allows, so the verdict is exact.
 
 The oracle runs on the integer grid of modulus N = lcm(6, denominators
 of c) (`trilam.grid`): the orbit, the antipodes at +N/2, the majors at
@@ -113,11 +113,7 @@ def hits_strip_interior(d: Chord, c: Chord) -> bool:
     that touch a strip vertex but leave the strips return false.
     """
     n, _, strips = strips_on_grid(c, *d.endpoints())
-    return _violation(d.on_grid(n), *strips, n) is not None
-
-
-def _in_open_arc(x: int, s: int, e: int, n: int) -> bool:
-    return x != s and (x - s) % n < (e - s) % n
+    return _violation(canon(*d.on_grid(n)), *strips, n) is not None
 
 
 def _violation(d: Pair, bounds: list[Pair], arcs: list[Pair], markers: tuple[Pair, Pair],
@@ -132,13 +128,13 @@ def _violation(d: Pair, bounds: list[Pair], arcs: list[Pair], markers: tuple[Pai
         if grid.crosses(d, bound, n):
             return bound
     for s, e in arcs:
-        if _in_open_arc(d[0], s, e, n) or _in_open_arc(d[1], s, e, n):
+        if any(0 < (v - s) % n < (e - s) % n for v in d):
             return canon(s, e)
     if arcs and d not in bounds:
         # both endpoints on the closed circle part of one strip: d stays
         # between that strip's bounding chords and meets its interior
         for half, marker in ((arcs[:2], markers[0]), (arcs[2:], markers[1])):
-            if all(any(v in (s, e) or _in_open_arc(v, s, e, n) for s, e in half) for v in d):
+            if all(any((v - s) % n <= (e - s) % n for s, e in half) for v in d):
                 return marker
     return None
 
@@ -152,7 +148,7 @@ def is_legal_pair(c: Chord) -> LegalityVerdict:
     if c.degenerate:
         return LegalityVerdict("legal")
     n, p, strips = strips_on_grid(c)  # rejects length > 1/6
-    orbit = [canon(x, y) for x, y in grid.chord_orbit(p, n)]
+    orbit = [canon(x, y) for x, y in grid.orbit(*p, n)]
     family = orbit + [grid.antipode(q, n) for q in orbit]
 
     def tag(k: int) -> tuple[int, str]:
@@ -160,8 +156,7 @@ def is_legal_pair(c: Chord) -> LegalityVerdict:
 
     # (a) no two iterated forward images of c and -c cross; the laminar
     # pass decides, the ordered scan finds the first witness
-    ends = np.fromiter(chain.from_iterable(family), np.int64 if n < 2**63 else object,
-                       2 * len(family))
+    ends = np.fromiter(chain.from_iterable(family), grid.int_dtype(n), 2 * len(family))
     if grid.laminar(ends.reshape(-1, 2)).crossing is not None:
         k, j = next((k, j) for k in range(len(family)) for j in range(k + 1, len(family))
                     if grid.crosses(family[k], family[j], n))

@@ -9,8 +9,8 @@ co-periodic leaves the builder draws.
 Enumeration runs on the integer grid: over numerators modulo 3^k - 1
 (every period-k point has such a denominator), or 2(3^k - 1) for the
 type-B closed form, filtered by exact period; angles become `Fraction`
-only on output.  Orbits of chords are taken on the grid as well, by
-`grid.chord_orbit`.
+only on output.  Orbits of chords are stepped on the grid as well, by
+`grid.orbit`.
 """
 
 from __future__ import annotations

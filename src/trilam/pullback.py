@@ -55,8 +55,8 @@ import numpy as np
 from .angles import orbit_info
 from .chords import Chord, image
 from .formats import crossing_to_json
-from .grid import (Pair, antipode, arclen, canon, check_int64, chord_orbit, closure, crosses,
-                   laminar, short_arc_order)
+from .grid import (Pair, antipode, arclen, canon, check_int64, crosses, laminar, orbit,
+                   short_arc_order)
 from .legality import LegalityVerdict, is_legal_pair, strips_on_grid
 
 __all__ = [
@@ -145,8 +145,8 @@ def _seed_system(c: Chord) -> tuple[int, list[Pair], list[Pair]]:
         raise IllegalSeedError(c, verdict)
     n, p, (bounds, arcs, _) = strips_on_grid(c)
     barriers = list(dict.fromkeys(bounds + [canon(s, e) for s, e in arcs]))
-    orbit = [canon(x, y) for x, y in chord_orbit(p, n)]
-    seeds = barriers + [r for q in orbit for r in (q, antipode(q, n)) if r[0] != r[1]]
+    images = [canon(x, y) for x, y in orbit(*p, n)]
+    seeds = barriers + [r for q in images for r in (q, antipode(q, n)) if r[0] != r[1]]
     return n, seeds, barriers
 
 
@@ -186,14 +186,6 @@ class Prelamination:
             return False  # off the grid: certainly not a member
         i = int(np.searchsorted(self.keys, key))
         return i < len(self.keys) and self.keys[i] == key
-
-    def _orbit(self):
-        """Endpoint columns at tripling steps 0 .. e + k - 1, (e, k) = closure: every orbit state."""
-        n = self.modulus
-        x, y = self.pairs.T.copy()
-        for _ in range(sum(closure(n))):
-            yield x, y
-            x, y = 3 * x % n, 3 * y % n
 
     # -- structural invariants ------------------------------------------------
 
@@ -243,7 +235,7 @@ class Prelamination:
             return np.minimum((y - x) % n, (x - y) % n)
 
         bound = np.minimum(length(*self.pairs.T), minor_len)
-        return all((length(x, y) >= bound).all() for x, y in self._orbit())
+        return all((length(x, y) >= bound).all() for x, y in orbit(*self.pairs.T.copy(), n))
 
     def forward_orbit_hits(self, targets: list[Chord]) -> np.ndarray:
         """Boolean mask of chords whose forward orbit (index >= 0) reaches a target.
@@ -254,7 +246,7 @@ class Prelamination:
         tkeys = np.array(sorted(k for k in map(self._key, targets) if k is not None),
                          dtype=np.int64)
         hit = np.zeros(len(self.pairs), dtype=bool)
-        for x, y in self._orbit():
+        for x, y in orbit(*self.pairs.T.copy(), n):
             hit |= np.isin(_keys(x, y, n), tkeys)
         return hit
 
@@ -287,9 +279,9 @@ def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, np.ndarr
     ends = np.unique(barriers)
     reps = np.full(2 * len(ends) + 1, 2 * ends[-1] + 1)
     reps[1::2], reps[2:-1:2] = 2 * ends, ends[:-1] + ends[1:]
-    bars = [(2 * x, 2 * y) for x, y in barriers]
-    return ends, np.array([[not any(crosses((x, y), q, 2 * n) for q in bars)
-                            for y in reps.tolist()] for x in reps.tolist()])
+    bars = 2 * np.array(barriers, dtype=np.int64).T
+    hit = crosses((reps[:, None, None], reps[None, :, None]), bars, 2 * n)
+    return ends, ~hit.any(axis=2)
 
 
 def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray],

@@ -10,10 +10,11 @@ floating point appears; all data paths stay exact.
 The renderer works on the integer grid (`trilam.grid`) in one pass:
 `Chord`s are put on their common scale N once; a pullback family or a
 `render --in` document passes its int pairs and modulus.  The ints are
-int64 while N <= `MAX_INT64_MODULUS` and Python ints beyond, so they
-are exact at any scale; they give the canonical order
+int64 while 2N fits it (`grid.int_dtype`) and Python ints beyond, so
+they are exact at any scale; they give the canonical order
 (`grid.short_arc_order`) and each arc's sweep flag.  The floats are
-exactly these: the correctly rounded turns `x / N`, equal to
+exactly these: the correctly rounded turns `x / N` of Python ints
+(numpy would round an int64 x past 2^53 first), equal to
 `float(Fraction(x, N))`; `math.cos` and `math.sin` of `2.0 * math.pi *
 (x / N)` once per distinct angle of each slice of 1,024 chords; and
 float64 array arithmetic for points, centers and radii in the operation
@@ -31,7 +32,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .chords import Chord
-from .grid import MAX_INT64_MODULUS, on_grid, scale_of, short_arc_order
+from .grid import int_dtype, on_grid, scale_of, short_arc_order
 
 __all__ = ["RenderConfig", "render_svg"]
 
@@ -94,7 +95,7 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
     `chords` are `Chord`s or, when `modulus` is given, an (n, 2) array
     of int pairs lo <= hi on the grid of that modulus, such as
     `Prelamination.pairs` or the pairs of `formats.chords_from_json`;
-    beyond `MAX_INT64_MODULUS` they are taken as Python ints.  `classes`
+    once 2 * modulus leaves int64 they are taken as Python ints.  `classes`
     (e.g. the leaf types) and `blocks` attach style classes and colors
     per chord; both default to a single neutral style.  One element is
     emitted per chord, in canonical chord order.
@@ -108,7 +109,7 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
         chords = [on_grid(v, n) for ch in chords for v in ch.endpoints()]
     else:
         n = int(modulus)
-    pairs = np.asarray(chords, dtype=np.int64 if n <= MAX_INT64_MODULUS else object).reshape(-1, 2)
+    pairs = np.asarray(chords, dtype=int_dtype(2 * n)).reshape(-1, 2)
     m = len(pairs)
     order = short_arc_order(pairs, n)
     pairs = pairs[order]
@@ -143,7 +144,8 @@ def _elements(pairs: np.ndarray, styled: list[tuple[str, str]], n: int,
     lo to hi is the short one, 2 (hi - lo) < n.
     """
     ends, inv = np.unique(pairs.ravel(), return_inverse=True)
-    th = (2.0 * math.pi * (ends / n).astype(np.float64)).tolist()
+    tau = 2.0 * math.pi
+    th = [tau * (x / n) for x in ends.tolist()]
     cos = np.fromiter(map(math.cos, th), np.float64, len(th))
     sin = np.fromiter(map(math.sin, th), np.float64, len(th))
     i1, i2 = inv[0::2], inv[1::2]

@@ -210,10 +210,13 @@ def chord_orbit(c: Chord) -> ChordOrbit:
 
 
 def crosses_by_arcs(c1: Chord, c2: Chord) -> bool:
-    """Crossing as exactly one endpoint of c2 strictly inside the arc from c1.a to c1.b."""
+    """Crossing as exactly one endpoint of c2 strictly inside the arc from c1.a to c1.b.
+
+    Endpoints are points of the circle, so they are compared mod 1.
+    """
     if c1.degenerate or c2.degenerate:
         return False
-    if c1.a in (c2.a, c2.b) or c1.b in (c2.a, c2.b):
+    if {c1.a % 1, c1.b % 1} & {c2.a % 1, c2.b % 1}:
         return False
     return in_open_arc(c2.a, c1.a, c1.b) != in_open_arc(c2.b, c1.a, c1.b)
 

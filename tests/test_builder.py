@@ -167,7 +167,7 @@ def test_group_by_component_matches_sweep_oracle_through_block_8(monkeypatch):
 
 
 # sha256 of the nesting_audit lists of build(k), recorded before the audit
-# ran on `grid.laminar` parents (block 8 takes over 20 s, so it stops at 7)
+# ran on `grid.laminar` parents
 _AUDIT_DIGESTS = {
     1: "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
     2: "bdb175136ca0d38c1ef7837f56b850c9ccd5a15e037bafa47f35f73b4b4673ad",
@@ -176,6 +176,7 @@ _AUDIT_DIGESTS = {
     5: "28d40a6b8f913f6887edc870f38285e7e1b9d15883877a74191d217530d985c4",
     6: "9875ee0e3fc3a61ab93df8fa696caf4402ae41ed8075e815a05c3f60ded0c2b2",
     7: "40611289cdc9a66e0a619e3def4b50688595e85f5147b6da7846a483e5e1f5eb",
+    8: "6aaa06995af500ee23ed82b4794d6f05f99f003c4feaa08e19285c08b3f34518",
 }
 
 

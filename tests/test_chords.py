@@ -41,6 +41,7 @@ def test_classify(c, expected):
     (ch(0, 1, 1, 2), ch(1, 4, 3, 4), True),    # interleaved
     (ch(1, 4, 1, 2), ch(0, 1, 1, 4), False),   # shared endpoint
     (ch(1, 4, 1, 2), ch(1, 3, 11, 12), True),  # 1/3 inside (1/4,1/2), 11/12 outside
+    (Chord(Fraction(0), Fraction(1, 2)), Chord(Fraction(3, 4), Fraction(1)), False),  # 0 is 1
 ])
 def test_crosses(c1, c2, expected):
     assert crosses(c1, c2) is expected

@@ -169,6 +169,20 @@ def test_laminar_parents_and_regions_match_brute_force():
     assert checked > 500
 
 
+@pytest.mark.parametrize("shift", [0, 48 * 2**64], ids=["int64", "object"])
+def test_crosses_array_form_matches_scalar_form(shift):
+    # the family includes degenerate chords and shared endpoints; the
+    # object rows sit past 2**64, a multiple of n higher
+    rng = random.Random(13)
+    n = 48
+    pairs = _random_family(rng, n, 60) + [(5, 5), (0, 47), (0, 5)]
+    rows = _as_rows(pairs, shift)
+    got = grid.crosses((rows[:, :1], rows[:, 1:]), (rows[:, 0], rows[:, 1]), n)
+    want = [[grid.crosses(p, q, n) for q in pairs] for p in pairs]
+    assert got.dtype == bool and got.tolist() == want
+    assert {True, False} <= set(np.ravel(want))
+
+
 def test_grid_crosses_matches_fraction_crosses():
     rng = random.Random(11)
     for _ in range(2000):
@@ -198,16 +212,22 @@ def test_closure_bounds_every_orbit_on_the_grid(n):
 
 
 def test_chord_orbit_closes_exactly():
+    # `grid.orbit` steps from the chord by tripling, and the step after its
+    # last repeats one of its states, so it holds every state of the orbit;
+    # the array form steps every chord at once
     n = 2 * 3**3 * 13
-    for p in [(1, 2), (5, 40), (0, 351), (7, 7)]:
-        orbit = grid.chord_orbit(p, n)
-        assert len(set(orbit)) == len(orbit) - 1
-        assert orbit[-1] in orbit[:-1]
+    chords = [(1, 2), (5, 40), (0, 351), (7, 7)]
+    columns = list(grid.orbit(*np.array(chords).T.copy(), n))
+    for i, p in enumerate(chords):
+        orbit = list(grid.orbit(*p, n))
+        assert orbit[0] == p and len(orbit) == sum(grid.closure(n))
         assert all(b == (3 * a[0] % n, 3 * a[1] % n) for a, b in zip(orbit, orbit[1:]))
+        assert (3 * orbit[-1][0] % n, 3 * orbit[-1][1] % n) in orbit
+        assert [(x[i], y[i]) for x, y in columns] == orbit
 
 
 def test_on_grid_and_scale_of():
-    angles = [Fraction(1, 6), Fraction(3, 8), Fraction(0)]
+    angles = [Fraction(1, 6), Fraction(3, 8), Fraction(0), Fraction(1), Fraction(-5, 8)]
     n = grid.scale_of(angles, 5)
     assert n == 120
-    assert [grid.on_grid(a, n) for a in angles] == [20, 45, 0]
+    assert [grid.on_grid(a, n) for a in angles] == [20, 45, 0, 0, 45]

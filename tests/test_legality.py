@@ -131,19 +131,25 @@ def test_length_one_sixth_scan_small():
     assert legal == {ch(1, 6, 1, 3), ch(2, 3, 5, 6), ch(5, 12, 7, 12), ch(11, 12, 1, 12)}
 
 
-@given(angles, angles)
+# short chords are drawn as an angle plus a length in [0, 1/6] rather than
+# filtered: a filter keeping one chord in three fails Hypothesis's filter
+# health check on some seeds
+short_lengths = st.fractions(min_value=0, max_value=SIXTH, max_denominator=400)
+
+
+@given(angles, short_lengths)
 @settings(max_examples=150, deadline=None)
-def test_legality_is_antipode_symmetric(a, b):
-    c = Chord(a, b)
-    assume(length(c) <= SIXTH)
+def test_legality_is_antipode_symmetric(a, ln):
+    c = Chord(a, (a + ln) % 1)
     assert is_legal_pair(c).status == is_legal_pair(chord_antipode(c)).status
 
 
-@given(angles, angles)
+@given(angles, short_lengths)
 @settings(max_examples=150, deadline=None)
-def test_mismatched_orbit_data_is_illegal(a, b):
+def test_mismatched_orbit_data_is_illegal(a, ln):
+    b = (a + ln) % 1
     c = Chord(a, b)
-    assume(0 < length(c) <= SIXTH)
+    assume(0 < length(c))
     ia, ib = orbit_info(a), orbit_info(b)
     assume((ia.preperiod, ia.period) != (ib.preperiod, ib.period))
     assert not is_legal_pair(c).is_legal

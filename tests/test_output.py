@@ -20,7 +20,7 @@ from trilam.builder import build
 from trilam.chords import Chord
 from trilam.cli import main
 from trilam.formats import grid_angle_strs, prelamination_to_json, records_to_json
-from trilam.grid import on_grid, scale_of
+from trilam.grid import int_dtype, on_grid, scale_of
 from trilam.pullback import build_prelamination, hyperbolic_prune
 from trilam.render import RenderConfig, render_svg
 
@@ -110,6 +110,20 @@ def test_render_beyond_int64_scale_matches_fraction_reference(cfg):
     want = reference.render_svg(chords, cfg)
     assert render_svg(chords, cfg) == want
     pairs = np.array([[on_grid(c.a, n), on_grid(c.b, n)] for c in chords], dtype=object)
+    assert render_svg(pairs, cfg, modulus=n) == want
+
+
+@pytest.mark.parametrize("cfg", STYLES, ids=["arc", "straight"])
+def test_render_int64_grid_past_2_53_matches_fraction_reference(cfg):
+    # 2n still fits int64, so the grid ints are int64; the turns x / n must
+    # come from Python ints, since numpy would round such an x to a double first
+    n = 6 * 3**33
+    assert 2**53 < n and int_dtype(2 * n) is np.int64
+    rng = random.Random(8)
+    pairs = np.sort(np.array([[rng.randrange(n), rng.randrange(n)] for _ in range(300)]), axis=1)
+    chords = [Chord(Fraction(a, n), Fraction(b, n)) for a, b in pairs.tolist()]
+    want = reference.render_svg(chords, cfg)
+    assert render_svg(chords, cfg) == want
     assert render_svg(pairs, cfg, modulus=n) == want
 
 

@@ -3,32 +3,31 @@
 Step 1 draws the four block-period-1 leaves.  Each later step takes the
 preperiod-1 points of the next block (type B first, then type D against
 the enlarged leaf set), partitions them into components cut out by the
-already drawn leaves (with the central component further split by the
-four sectors the step-1 leaves leave on the circle), and connects the
-points of each component consecutively along its boundary arc.  Every
-produced chord is short, every point is used exactly once, and the
-growing family stays crossing-free and closed under the half-turn;
-violations of any of these raise rather than being repaired, since each
-is backed by a theorem about the comajor lamination.  The step's
-crossing check, the components of its points and the nested pairs of
-the nesting audit all come from one laminar pass over the leaves
-(`grid.laminar`); a crossing raises BuildError with its witness.
+already drawn leaves (the central one split further by the four sectors
+the step-1 leaves leave on the circle), and pairs the points of each
+component consecutively along its boundary arc.  A long chord, an odd
+component, a reused point or a crossing raises BuildError rather than
+being repaired, since each contradicts a theorem about the lamination.
+The leaves live on one integer grid held by `BuildState`, a (lo, hi) row
+per leaf; each step grows its scale by one lcm.  Grouping, pairing, the
+crossing check and the nesting audit run on these rows through one
+laminar pass (`grid.laminar`); a `Fraction` is made only for a record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 import numpy as np
 
-from .angles import Angle
-from .chords import Chord, SIXTH, image, length
+from .chords import Chord, image
 from .formats import crossing_to_json
-from .grid import Laminar, int_dtype, laminar, on_grid, scale_of
+from .grid import Laminar, int_dtype, laminar, scale_of
 from .legality import is_legal_pair
-from .orbits import preperiod1_points
+from .orbits import preperiod1_grid
 
 __all__ = [
     "ComajorRecord",
@@ -36,7 +35,6 @@ __all__ = [
     "NestingReport",
     "BuildError",
     "VerificationError",
-    "make_record",
     "seed_leaves",
     "group_by_component",
     "pair_consecutively",
@@ -70,23 +68,41 @@ class ComajorRecord:
     chord: Chord
     ptype: str  # "B" or "D"
     block_period: int
-    minor: Chord
+
+    @property
+    def minor(self) -> Chord:
+        return image(self.chord)
 
     def sort_key(self):
         return (self.block_period, self.ptype == "B", self.chord.sort_key())
 
 
-def make_record(chord: Chord, ptype: str, block: int) -> ComajorRecord:
-    return ComajorRecord(chord=chord, ptype=ptype, block_period=block, minor=image(chord))
-
-
 @dataclass
 class BuildState:
+    """The leaves drawn so far, as records and as (lo, hi) rows on the grid of `scale`.
+
+    `pairs` holds one row per leaf, in leaf order, of dtype
+    `int_dtype(3 * scale)`; both are derived from `leaves` once, and
+    each step grows them (`grow`) and appends its rows.
+    """
+
     leaves: list[ComajorRecord] = field(default_factory=list)
     completed_block: int = 0
+    scale: int = field(init=False)
+    pairs: np.ndarray = field(init=False)
 
-    def chords(self) -> list[Chord]:
-        return [rec.chord for rec in self.leaves]
+    def __post_init__(self):
+        self.scale = scale_of((v for rec in self.leaves for v in rec.chord.endpoints()), 12)
+        rows = [rec.chord.on_grid(self.scale) for rec in self.leaves]
+        self.pairs = np.array(rows, dtype=int_dtype(3 * self.scale)).reshape(-1, 2)
+
+    def grow(self, nums: np.ndarray, den: int) -> np.ndarray:
+        """Grow the scale to a multiple of den and return the angles nums / den on it."""
+        scale = lcm(self.scale, den)
+        dtype = int_dtype(3 * scale)  # cast first: the products may pass int64
+        self.pairs = self.pairs.astype(dtype) * (scale // self.scale)
+        self.scale = scale
+        return nums.astype(dtype) * (scale // den)
 
     def sorted_leaves(self) -> list[ComajorRecord]:
         return sorted(self.leaves, key=ComajorRecord.sort_key)
@@ -121,117 +137,99 @@ _SEED_DATA = (
 
 def seed_leaves() -> list[ComajorRecord]:
     """The four block-period-1 comajor leaves."""
-    return [make_record(Chord(a, b), ptype=t, block=1) for t, a, b in _SEED_DATA]
+    return [ComajorRecord(Chord(a, b), t, 1) for t, a, b in _SEED_DATA]
 
 
-def _arcs(chords: list[Chord], scale: int) -> np.ndarray:
-    """(start, end) of the chords' short arcs on the grid, 0 <= start < scale."""
-    pairs = [(on_grid(ch.a, scale), on_grid(ch.b, scale)) for ch in chords]
-    # with the lifts of `_arc_family` differences of these stay below 3 * scale
-    x, y = np.array(pairs, dtype=int_dtype(3 * scale)).reshape(-1, 2).T
-    wrap = 2 * (y - x) > scale
-    return np.stack([np.where(wrap, y, x), np.where(wrap, x + scale, y)], axis=1)
+def _arc_family(pairs: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray, Laminar]:
+    """(rows, owner, laminar structure) of the short arcs of crossing-free (lo, hi) chords.
 
-
-def _sectors(scale: int) -> np.ndarray:
-    """(start, span) of the arcs of the central component left by the step-1 leaves."""
-    arcs = _arcs([Chord(a, b) for _, a, b in _SEED_DATA], scale)
-    arcs = arcs[np.argsort(arcs[:, 0])]
-    return np.stack([arcs[:, 1] % scale, (np.roll(arcs[:, 0], -1) - arcs[:, 1]) % scale], axis=1)
-
-
-def _arc_family(chords: list[Chord], scale: int) -> tuple[np.ndarray, np.ndarray, Laminar]:
-    """(rows, owner, laminar structure) of the short arcs of crossing-free chords.
-
-    Row i < len(chords) is the arc of chord i; an arc reaching the seam
-    at `scale` is repeated shifted by -scale, so that every arc holding
-    a point of [0, scale) holds it on the line, and `owner` maps each
-    row to its chord.  These lifts of a crossing-free family are
-    laminar; a crossing raises BuildError.
+    Row i < len(pairs) is the arc (start, end) of chord i, 0 <= start <
+    scale; an arc reaching the seam at `scale` is repeated shifted by
+    -scale, so that every arc holding a point of [0, scale) holds it on
+    the line, and `owner` maps each row to its chord.  These lifts of a
+    crossing-free family are laminar; a crossing raises BuildError.
     """
-    rows = _arcs(chords, scale)
+    x, y = pairs.T
+    wrap = 2 * (y - x) > scale
+    rows = np.stack([np.where(wrap, y, x), np.where(wrap, x + scale, y)], axis=1)
     seam = np.flatnonzero(rows[:, 1] >= scale)
     rows = np.concatenate([rows, rows[seam] - scale])
-    owner = np.concatenate([np.arange(len(chords)), seam])
+    owner = np.concatenate([np.arange(len(pairs)), seam])
     lam = laminar(rows)
     if lam.crossing is not None:
-        first, second = (chords[owner[r]] for r in lam.crossing)
+        first, second = (Chord.from_grid(pairs[owner[r]].tolist(), scale) for r in lam.crossing)
         raise BuildError(f"leaf {first} crosses leaf {second}", crossing_to_json(first, second))
     return rows, owner, lam
 
 
-def group_by_component(points: list[Angle], state: BuildState) -> list[list[Angle]]:
-    """Partition candidate points by the component of the disk they lie in.
+def group_by_component(points: np.ndarray, state: BuildState) -> list[np.ndarray]:
+    """Partition candidate points, ints on `state.scale`, by the component of the disk.
 
     Two points share a group iff no existing leaf separates them; the
     under-arcs of the leaves are laminar, so a point's component is
     keyed by the innermost arc containing it (`Laminar.regions`).
     Within the central component (under no leaf), groups are further
-    split by the four step-1 sectors.  Points are ordered along their
+    split by the four sectors ((3j + 1)/12, (3j + 2)/12) that the step-1
+    leaves leave on the circle.  Points are ordered along their
     component's boundary arc (wrap-aware); groups are ordered by
     smallest member.  A point colliding with an existing endpoint
     signals an enumeration bug.
     """
-    leaves = state.chords()
-    # common integer scale for the step: all comparisons become int ops
-    scale = scale_of([*points, *(v for ch in leaves for v in ch.endpoints())], 12)
-    rows, owner, lam = _arc_family(leaves, scale)
-    pts = np.array([on_grid(p, scale) for p in points], dtype=rows.dtype)
-    ends = np.sort(rows[: len(leaves)] % scale, axis=None)  # a point past them all wraps to 0
+    scale, pts = state.scale, points
+    rows, owner, lam = _arc_family(state.pairs, scale)
+    ends = np.sort(state.pairs, axis=None)  # a point past them all wraps to 0
     taken = np.flatnonzero(ends[np.searchsorted(ends, pts) % len(ends)] == pts)
     if len(taken):
-        raise BuildError(f"candidate point {points[taken[0]]} collides with an existing leaf "
-                         "endpoint")
+        raise BuildError(f"candidate point {Fraction(int(pts[taken[0]]), scale)} collides "
+                         "with an existing leaf endpoint")
 
-    # bucket: the leaf of the innermost arc, or len(leaves) + sector for a
+    # bucket: the leaf of the innermost arc, or len(pairs) + sector for a
     # central point; pos: the offset along the bucket's boundary arc
     row = lam.regions(pts)
     bucket, pos = owner[row], pts - rows[row, 0]
-    sectors = _sectors(scale)
-    off = (pts[:, None] - sectors[:, 0]) % scale
-    in_sector = (0 < off) & (off < sectors[:, 1])
+    off = (pts[:, None] - np.array([1, 4, 7, 10], dtype=pts.dtype) * (scale // 12)) % scale
+    in_sector = (0 < off) & (off < scale // 12)
     central = np.flatnonzero(row < 0)
     homeless = central[~in_sector[central].any(axis=1)]
     if len(homeless):
-        raise BuildError(f"central point {points[homeless[0]]} lies in no sector")
+        raise BuildError(f"central point {Fraction(int(pts[homeless[0]]), scale)} lies in no "
+                         "sector")
     sector = in_sector[central].argmax(axis=1)
-    bucket[central], pos[central] = len(leaves) + sector, off[central, sector]
+    bucket[central], pos[central] = len(state.pairs) + sector, off[central, sector]
 
     order = np.lexsort((pos, bucket))
     starts = np.flatnonzero(np.diff(bucket[order], prepend=-1))
-    groups = np.split(order, starts[1:])
-    return [[points[i] for i in groups[k].tolist()]
-            for k in np.argsort(np.minimum.reduceat(pts[order], starts)).tolist()]
+    groups = np.split(pts[order], starts[1:])
+    return [groups[k] for k in np.argsort(np.minimum.reduceat(pts[order], starts)).tolist()]
 
 
-def pair_consecutively(group: list[Angle]) -> list[Chord]:
-    """Pair (1st,2nd), (3rd,4th), ... of a boundary-ordered point group.
+def pair_consecutively(groups: list[np.ndarray], scale: int) -> np.ndarray:
+    """(lo, hi) rows pairing (1st,2nd), (3rd,4th), ... of each boundary-ordered group.
 
     Odd group size and chords longer than 1/6 are hard errors (both
     contradict theorems about co-periodic comajors).
     """
-    if len(group) % 2 != 0:
-        raise BuildError(f"component holds an odd number of candidate points: {group}")
-    out = []
-    for i in range(0, len(group), 2):
-        ch = Chord(group[i], group[i + 1])
-        if length(ch) > SIXTH:
-            raise BuildError(f"consecutive pairing produced an over-long chord {ch}")
-        out.append(ch)
-    return out
+    odd = np.flatnonzero(np.array([len(g) for g in groups]) % 2)
+    if len(odd):
+        raise BuildError("component holds an odd number of candidate points: "
+                         f"{[str(Fraction(v, scale)) for v in groups[odd[0]].tolist()]}")
+    pairs = np.sort(np.concatenate(groups).reshape(-1, 2), axis=1)
+    d = pairs[:, 1] - pairs[:, 0]
+    long = np.flatnonzero(6 * np.minimum(d, scale - d) > scale)
+    if len(long):
+        raise BuildError("consecutive pairing produced an over-long chord "
+                         f"{Chord.from_grid(pairs[long[0]].tolist(), scale)}")
+    return pairs
 
 
 def _commit(state: BuildState, block: int, ptype: str) -> None:
-    points = preperiod1_points(block, ptype)
-    new: list[Chord] = []
-    for group in group_by_component(points, state):
-        new.extend(pair_consecutively(group))
-    # one laminarity pass replaces pairwise crossing checks; any crossing
-    # between a new leaf and the family is a hard error
-    family = state.chords() + new
-    _arc_family(family, scale_of(v for ch in family for v in ch.endpoints()))
-    for ch in new:
-        state.leaves.append(make_record(ch, ptype=ptype, block=block))
+    points = state.grow(*preperiod1_grid(block, ptype))
+    new = pair_consecutively(group_by_component(points, state), state.scale)
+    family = np.concatenate([state.pairs, new])
+    _arc_family(family, state.scale)  # one laminarity pass: a crossing is a hard error
+    state.pairs = family
+    state.leaves.extend(ComajorRecord(Chord.from_grid(p, state.scale), ptype, block)
+                        for p in new.tolist())
 
 
 def run_step(state: BuildState, block: int) -> BuildState:
@@ -257,17 +255,14 @@ def build(max_block: int, verify: bool = False) -> BuildState:
 
 
 def _verify(state: BuildState) -> None:
-    used: set[Angle] = set()
     for rec in state.leaves:
         verdict = is_legal_pair(rec.chord)
         if not verdict.is_legal:
             raise VerificationError(rec, verdict)
-        used.update(rec.chord.endpoints())
-    expected: set[Angle] = set()
-    for block in range(1, state.completed_block + 1):
-        for t in ("B", "D"):
-            expected.update(preperiod1_points(block, t))
-    if used != expected:
+    # the multisets of leaf endpoints and candidate points agree
+    expected = [state.grow(*preperiod1_grid(block, t))
+                for block in range(1, state.completed_block + 1) for t in ("B", "D")]
+    if not np.array_equal(np.sort(state.pairs, axis=None), np.sort(np.concatenate(expected))):
         raise BuildError("endpoint usage does not cover each candidate point exactly once")
 
 
@@ -281,12 +276,10 @@ def nesting_audit(state: BuildState) -> NestingReport:
     are reported, the separated same-type ones listed with their
     separator.  Pairs are ordered by block, then by their leaves' positions.
     """
-    chords = state.chords()
-    scale = scale_of(v for ch in chords for v in ch.endpoints())
-    _, owner, lam = _arc_family(chords, scale)
+    _, owner, lam = _arc_family(state.pairs, state.scale)
     # all leaves climb their chains of enclosing arcs at once, recording
     # each same-block ancestor with the first smaller-block leaf passed
-    parent = lam.parents()[: len(chords)]
+    parent = lam.parents()[: len(state.leaves)]
     up = np.where(parent >= 0, owner[parent], -1)
     blocks = np.array([rec.block_period for rec in state.leaves])
     leaf = np.flatnonzero(up >= 0)

@@ -33,16 +33,16 @@ SIXTH = Fraction(1, 6)
 
 @dataclass(frozen=True, slots=True)
 class Chord:
-    """Unordered pair of angles in canonical (min, max) form."""
+    """Unordered pair of angles, reduced mod 1, in canonical (min, max) form."""
 
     a: Angle
     b: Angle
 
     def __post_init__(self):
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
+        # reduce mod 1, keeping an angle already in [0, 1): `% 1` makes a new Fraction
+        lo, hi = sorted(x if 0 <= x.numerator < x.denominator else x % 1 for x in (self.a, self.b))
+        object.__setattr__(self, "a", lo)
+        object.__setattr__(self, "b", hi)
 
     @classmethod
     def from_grid(cls, p: tuple[int, int], n: int) -> Chord:

@@ -51,13 +51,10 @@ def record_to_json(rec: "ComajorRecord") -> dict:
 
 
 def record_from_json(doc: dict) -> "ComajorRecord":
-    from .builder import make_record
+    from .builder import ComajorRecord
 
-    return make_record(
-        Chord(parse_angle(doc["a"]), parse_angle(doc["b"])),
-        ptype=doc["type"],
-        block=doc["block"],
-    )
+    return ComajorRecord(Chord(parse_angle(doc["a"]), parse_angle(doc["b"])), doc["type"],
+                         doc["block"])
 
 
 def records_to_json(records: Iterable["ComajorRecord"]) -> str:

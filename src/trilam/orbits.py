@@ -8,9 +8,11 @@ co-periodic leaves the builder draws.
 
 Enumeration runs on the integer grid: over numerators modulo 3^k - 1
 (every period-k point has such a denominator), or 2(3^k - 1) for the
-type-B closed form, filtered by exact period; angles become `Fraction`
-only on output.  Orbits of chords are stepped on the grid as well, by
-`grid.orbit`.
+type-B closed form, filtered by exact period.  `preperiod1_grid` hands
+the builder the numerators over 3M, which it scales onto its own grid;
+`preperiod1_points` is the `Fraction` view of the same list, for
+callers at the edge.  Orbits of chords are stepped on the grid as well,
+by `grid.orbit`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .angles import Angle, antipode, orbit_info
 __all__ = [
     "PeriodicClass",
     "classify_periodic",
+    "preperiod1_grid",
     "preperiod1_points",
 ]
 
@@ -82,12 +85,14 @@ def _block_numerators(block: int, ptype: str) -> tuple[np.ndarray, int]:
     return nums[keep], modulus
 
 
-def preperiod1_points(block: int, ptype: str) -> list[Angle]:
-    """All preperiod-1 angles whose image is periodic of the given type and block period.
+def preperiod1_grid(block: int, ptype: str) -> tuple[np.ndarray, int]:
+    """Sorted numerators and denominator 3M of the preperiod-1 angles of one class.
 
-    For each periodic point y = a/M of that class, the two preimages
-    (a + jM)/(3M) of y not on the cycle are collected; the third
-    preimage is y's cycle predecessor t^(p-1)(y), one modular multiply.
+    These are the angles whose image is periodic of the given type and
+    block period.  For each periodic point y = a/M of that class, the
+    two preimages (a + jM)/(3M) of y not on the cycle are collected; the
+    third preimage is y's cycle predecessor t^(p-1)(y), one modular
+    multiply.
     """
     if block < 1:
         raise ValueError("block period must be positive")
@@ -97,6 +102,10 @@ def preperiod1_points(block: int, ptype: str) -> list[Angle]:
     nums, modulus = _block_numerators(block, ptype)
     pred = nums * pow(3, period - 1, modulus) % modulus
     cands = nums[:, None] + modulus * np.arange(3, dtype=np.int64)
-    out = np.sort(cands[cands != 3 * pred[:, None]])
-    den = 3 * modulus
-    return [Fraction(int(v), den) for v in out]
+    return np.sort(cands[cands != 3 * pred[:, None]]), 3 * modulus
+
+
+def preperiod1_points(block: int, ptype: str) -> list[Angle]:
+    """The angles of `preperiod1_grid(block, ptype)` as sorted `Fraction`s."""
+    nums, den = preperiod1_grid(block, ptype)
+    return [Fraction(v, den) for v in nums.tolist()]

@@ -361,9 +361,9 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     order = short_arc_order(pairs, n)
     pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs[order], depths=depths[order])
     del pairs, depths, order  # only the family stays alive through the invariant check
-    if not pre.noncrossing():
-        first, second = (Chord.from_grid(p, n)
-                         for p in pre.pairs[list(laminar(pre.pairs).crossing)].tolist())
+    crossing = laminar(pre.pairs).crossing
+    if crossing is not None:
+        first, second = (Chord.from_grid(p, n) for p in pre.pairs[list(crossing)].tolist())
         raise InvariantError(f"pullback family of {c} produced a crossing: "
                              f"{first} crosses {second}", crossing_to_json(first, second))
     return pre

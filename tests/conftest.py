@@ -44,7 +44,7 @@ CROSSING_LEAVES = {"kind": "crossing", "first": {"a": "1/6", "b": "1/3"},
 def crossing_leaf(monkeypatch):
     """The builder draws the block-2 leaf (1/4, 3/8), which crosses a seed leaf."""
     monkeypatch.setattr(builder, "group_by_component",
-                        lambda points, state: [[Fraction(1, 4), Fraction(3, 8)]])
+                        lambda points, state: [np.array([state.scale // 4, 3 * state.scale // 8])])
 
 
 @pytest.fixture

@@ -104,12 +104,12 @@ TWO_THIRDS = Fraction(2, 3)
 def in_open_arc(x: Angle, a: Angle, b: Angle) -> bool:
     """True iff x lies strictly inside the positively oriented arc from a to b.
 
-    Wraparound through 0 is handled; a == b is rejected (empty/full arc
-    is ambiguous).
+    Angles are compared mod 1, so wraparound through 0 is handled;
+    a == b is rejected (empty/full arc is ambiguous).
     """
-    if a == b:
+    if (b - a) % 1 == 0:
         raise ValueError("arc endpoints must be distinct")
-    return (x - a) % 1 < (b - a) % 1 and x != a
+    return 0 < (x - a) % 1 < (b - a) % 1
 
 
 class LengthClass(enum.Enum):
@@ -256,7 +256,7 @@ def _sectors(scale: int) -> list[tuple[int, int]]:
 
 def group_by_component(points: list[Angle], state) -> list[list[Angle]]:
     """`builder.group_by_component` by one stack sweep over the sorted points and leaf arcs."""
-    leaves = state.chords()
+    leaves = [rec.chord for rec in state.leaves]
     scale = scale_of([*points, *(v for ch in leaves for v in ch.endpoints())], 12)
     pts = [on_grid(p, scale) for p in points]
     pairs = [(on_grid(ch.a, scale), on_grid(ch.b, scale)) for ch in leaves]
@@ -377,7 +377,7 @@ def strips_of(c: Chord) -> StripSystem:
 
 
 def _in_closed_arc(x: Angle, s: Angle, e: Angle) -> bool:
-    return x == s or x == e or in_open_arc(x, s, e)
+    return (x - s) % 1 <= (e - s) % 1
 
 
 def strip_violation(d: Chord, strips: StripSystem) -> Optional[Chord]:

@@ -75,6 +75,7 @@ def test_antipode(x, expected):
     (Fraction(1, 4), Fraction(0), Fraction(1, 2), True),
     (Fraction(3, 4), Fraction(0), Fraction(1, 2), False),
     (Fraction(1, 24), Fraction(11, 12), Fraction(1, 12), True),  # arc wrapping through 0
+    (Fraction(1), Fraction(0), Fraction(1, 2), False),  # 1 is the endpoint 0
 ])
 def test_in_open_arc(x, a, b, expected):
     assert in_open_arc(x, a, b) is expected

@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import reference
@@ -8,18 +9,22 @@ from trilam import builder
 from trilam.builder import (
     BuildError,
     BuildState,
+    ComajorRecord,
     build,
     group_by_component,
-    make_record,
     nesting_audit,
     pair_consecutively,
     run_step,
     seed_leaves,
 )
 from trilam.formats import records_to_csv, records_to_json
-from trilam.orbits import preperiod1_points
+from trilam.orbits import preperiod1_grid, preperiod1_points
 
 from conftest import CROSSING_LEAVES, ch
+
+
+def fractions(col: np.ndarray, scale: int) -> list[Fraction]:
+    return [Fraction(v, scale) for v in col.tolist()]
 
 
 def test_seed_leaves():
@@ -35,8 +40,8 @@ def test_seed_leaves():
 
 def test_group_block2_d_points_against_seeds():
     state = BuildState(leaves=seed_leaves(), completed_block=1)
-    groups = group_by_component(preperiod1_points(2, "D"), state)
-    assert [[str(p) for p in g] for g in groups] == [
+    groups = group_by_component(state.grow(*preperiod1_grid(2, "D")), state)
+    assert [[str(p) for p in fractions(g, state.scale)] for g in groups] == [
         ["23/24", "1/24"],   # ordered along the wrapping arc of (11/12, 1/12)
         ["5/24", "7/24"],
         ["11/24", "13/24"],
@@ -46,32 +51,33 @@ def test_group_block2_d_points_against_seeds():
 
 def test_group_block2_b_points_against_seeds():
     state = BuildState(leaves=seed_leaves(), completed_block=1)
-    groups = group_by_component(preperiod1_points(2, "B"), state)
+    groups = group_by_component(state.grow(*preperiod1_grid(2, "B")), state)
     assert len(groups) == 8
     assert all(len(g) == 2 for g in groups)
 
 
 def test_group_rejects_endpoint_collision():
     state = BuildState(leaves=seed_leaves(), completed_block=1)
-    with pytest.raises(BuildError):
-        group_by_component([Fraction(1, 6)], state)
+    with pytest.raises(BuildError, match="candidate point 1/6 collides"):
+        group_by_component(np.array([state.scale // 6]), state)
 
 
 def test_pair_consecutively():
-    assert pair_consecutively([Fraction(5, 24), Fraction(7, 24)]) == [ch(5, 24, 7, 24)]
-    assert pair_consecutively([Fraction(23, 24), Fraction(1, 24)]) == [ch(23, 24, 1, 24)]
-    b = [Fraction(1, 48), Fraction(5, 48), Fraction(7, 48), Fraction(11, 48)]
-    assert pair_consecutively(b) == [ch(1, 48, 5, 48), ch(7, 48, 11, 48)]
+    # groups on the grid of 48: (5/24, 7/24), the wrapping (23/24, 1/24),
+    # then two chords of one group, each as a (lo, hi) row
+    groups = [np.array([10, 14]), np.array([46, 2]), np.array([1, 5, 7, 11])]
+    assert pair_consecutively(groups, 48).tolist() == [[10, 14], [2, 46], [1, 5], [7, 11]]
+    assert pair_consecutively([np.array([0, 8])], 48).tolist() == [[0, 8]]  # length 1/6
 
 
 def test_pair_rejects_odd_groups():
-    with pytest.raises(BuildError):
-        pair_consecutively([Fraction(1, 24)])
+    with pytest.raises(BuildError, match=r"odd number of candidate points: \['1/24'\]"):
+        pair_consecutively([np.array([46, 2]), np.array([2])], 48)
 
 
 def test_pair_rejects_overlong_chords():
-    with pytest.raises(BuildError):
-        pair_consecutively([Fraction(0), Fraction(1, 4)])
+    with pytest.raises(BuildError, match=r"over-long chord \(0, 1/4\)"):
+        pair_consecutively([np.array([10, 14]), np.array([0, 12])], 48)
 
 
 def test_run_step_two():
@@ -101,6 +107,15 @@ def test_build_counts():
 def test_build_verified_through_block_three():
     state = build(3, verify=True)
     assert state.completed_block == 3
+
+
+def test_verify_counts_each_point_once():
+    # a repeated leaf uses each of its endpoints twice: the sets of used and
+    # candidate points still agree, their multisets do not
+    leaves = build(2).leaves
+    state = BuildState(leaves=leaves + leaves[-1:], completed_block=2)
+    with pytest.raises(BuildError, match="exactly once"):
+        builder._verify(state)
 
 
 def test_count_law(build4):
@@ -133,8 +148,8 @@ def test_nesting_audit_block_one_and_two():
 def test_nesting_audit_same_type_needs_separator():
     # two same-type same-block leaves nested with nothing between: hard error
     state = BuildState(
-        leaves=[make_record(ch(1, 20, 1, 12), "D", 5),
-                make_record(ch(1, 18, 1, 14), "D", 5)],
+        leaves=[ComajorRecord(ch(1, 20, 1, 12), "D", 5),
+                ComajorRecord(ch(1, 18, 1, 14), "D", 5)],
         completed_block=5,
     )
     with pytest.raises(BuildError):
@@ -157,7 +172,8 @@ def test_group_by_component_matches_sweep_oracle_through_block_8(monkeypatch):
 
     def checked(points, state):
         got = real(points, state)
-        assert got == reference.group_by_component(points, state)
+        want = reference.group_by_component(fractions(points, state.scale), state)
+        assert [fractions(g, state.scale) for g in got] == want
         calls.append(len(points))
         return got
 
@@ -180,13 +196,42 @@ _AUDIT_DIGESTS = {
 }
 
 
+def audit_digest(rep) -> str:
+    text = repr(([(str(i.chord), str(o.chord)) for i, o in rep.cross_type],
+                 [(str(i.chord), str(o.chord), str(s.chord))
+                  for i, o, s in rep.separated_same_type]))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_nesting_audit_lists_match_pinned_digests():
     for k, want in _AUDIT_DIGESTS.items():
-        rep = nesting_audit(build(k))
-        text = repr(([(str(i.chord), str(o.chord)) for i, o in rep.cross_type],
-                     [(str(i.chord), str(o.chord), str(s.chord))
-                      for i, o, s in rep.separated_same_type]))
-        assert hashlib.sha256(text.encode()).hexdigest() == want, k
+        assert audit_digest(nesting_audit(build(k))) == want, k
+
+
+def test_state_pairs_match_leaf_chords():
+    # the rows kept on the grid agree with the records after every step,
+    # and with a state rebuilt from the records alone
+    state = BuildState(leaves=seed_leaves(), completed_block=1)
+    for k in range(1, 7):
+        if k > 1:
+            run_step(state, k)
+        assert state.pairs.tolist() == [sorted(r.chord.on_grid(state.scale))
+                                        for r in state.leaves]
+        fresh = BuildState(leaves=state.leaves, completed_block=k)
+        assert (fresh.pairs * (state.scale // fresh.scale)).tolist() == state.pairs.tolist()
+
+
+def test_object_grid_from_mid_build_gives_same_output(monkeypatch, build6):
+    # 3 * scale is 2^15 at block 4 and 2^22 at block 5: with the int64
+    # bound lowered to 2^21 the build changes dtype inside block 5
+    monkeypatch.setattr(builder, "int_dtype", lambda largest: object if largest >= 2**21
+                        else np.int64)
+    state, dtypes = BuildState(leaves=seed_leaves(), completed_block=1), []
+    for k in range(2, 7):
+        dtypes.append(run_step(state, k).pairs.dtype)
+    assert dtypes == [np.int64] * 3 + [object] * 2
+    assert records_to_json(state.sorted_leaves()) == records_to_json(build6.sorted_leaves())
+    assert audit_digest(nesting_audit(state)) == _AUDIT_DIGESTS[6]
 
 
 def test_crossing_leaf_raises_with_witness(crossing_leaf):
@@ -196,8 +241,8 @@ def test_crossing_leaf_raises_with_witness(crossing_leaf):
 
 
 def test_nesting_audit_rejects_crossing_leaves():
-    state = BuildState(leaves=[make_record(ch(1, 6, 1, 3), "D", 1),
-                               make_record(ch(1, 4, 3, 8), "D", 2)], completed_block=2)
+    state = BuildState(leaves=[ComajorRecord(ch(1, 6, 1, 3), "D", 1),
+                               ComajorRecord(ch(1, 4, 3, 8), "D", 2)], completed_block=2)
     with pytest.raises(BuildError) as err:
         nesting_audit(state)
     assert err.value.witness == CROSSING_LEAVES

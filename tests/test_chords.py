@@ -48,6 +48,13 @@ def test_crosses(c1, c2, expected):
     assert crosses(c2, c1) is expected
 
 
+def test_chord_reduces_endpoints_mod_1():
+    full_turn = Chord(Fraction(0), Fraction(1))
+    assert full_turn.degenerate and length(full_turn) == 0
+    assert Chord(Fraction(3, 4), Fraction(1)) == ch(0, 1, 3, 4)
+    assert Chord(Fraction(-1, 4), Fraction(5, 4)).endpoints() == (Fraction(1, 4), Fraction(3, 4))
+
+
 def test_degenerate_never_crosses():
     dot = Chord(Fraction(1, 4), Fraction(1, 4))
     assert not crosses(dot, ch(0, 1, 1, 2))

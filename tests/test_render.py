@@ -105,6 +105,12 @@ def test_geodesic_arc_stays_inside_disk():
         assert math.hypot(px - disk_c, py - disk_c) < disk_r + 1e-6
 
 
+def test_unreduced_endpoint_renders_as_reference():
+    # 1 is the point 0: (3/4, 1) is the chord (0, 3/4), drawn before (3/4, 7/8)
+    chords = [Chord(Fraction(3, 4), Fraction(1)), Chord(Fraction(3, 4), Fraction(7, 8))]
+    assert render_svg(chords) == reference.render_svg(chords)
+
+
 def test_chord_below_float_resolution_renders_with_radius_zero():
     # for this chord one grid step long the float |o|^2 - 1 rounds below 0:
     # the reference's math.sqrt fails, the renderer draws an arc of radius

@@ -4,9 +4,9 @@ Subcommands: comajors (run the block-period construction), check
 (certify a symmetric pair), orbit (angle dynamics), pullback (finite
 pullback family of a legal pair), render (chords JSON to SVG).
 
-Exit codes: 0 success, 1 verification or legality failure, 2 usage.
-A failed construction or invariant prints its crossing witness, when it
-has one, on stderr as one JSON line after the message.
+Exit codes: 0 success, 1 verification or legality failure, 2 usage or
+file error.  A failed construction or invariant prints its witness, when
+it has one, on stderr as one JSON line after the message.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         ap.exit(2, f"{ap.prog}: error: {exc}\n")
         return 2  # unreachable; keeps type checkers content
 

@@ -37,12 +37,13 @@ that fixed scale (`trilam.grid`).  A modulus at which the int64 chord
 keys lo * n + hi would wrap is refused with ValueError before any level
 is expanded.
 
-Levels are deduplicated on those keys: each level's children are
-reduced to their sorted unique keys, the keys already seen are dropped
-by a binary search in the sorted set of earlier keys, and the fresh
-ones are merged into it and form the next frontier.  A chord's depth is
-the level of its first appearance.  The finished family must be laminar
-(`grid.laminar`); a crossing raises InvariantError with its witness.
+Every child triples back to its parent, so children of distinct
+parents are distinct and a child can repeat only a seed (one of an
+earlier level would have a parent repeating one too): each level's
+child keys are filtered against the seed keys alone and form the next
+frontier.  A chord's depth is the level of its first appearance.  The
+finished family must be laminar (`grid.laminar`) and free of repeats;
+a crossing or a repeat raises InvariantError with its witness.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ import numpy as np
 
 from .angles import orbit_info
 from .chords import Chord, image
-from .formats import crossing_to_json
-from .grid import (Pair, antipode, arclen, canon, check_int64, crosses, laminar, orbit,
-                   short_arc_order)
+from .formats import chord_to_json, crossing_to_json
+from .grid import (Pair, antipode, arclen, canon, check_int64, closure, crosses, laminar,
+                   orbit, short_arc_order)
 from .legality import LegalityVerdict, is_legal_pair, strips_on_grid
 
 __all__ = [
@@ -240,15 +241,24 @@ class Prelamination:
     def forward_orbit_hits(self, targets: list[Chord]) -> np.ndarray:
         """Boolean mask of chords whose forward orbit (index >= 0) reaches a target.
 
-        A target off this family's grid is reached by no orbit.
+        A target off this family's grid is reached by no orbit.  A chord
+        whose image is a member is hit iff it or its image is, so hits
+        spread by one gather per tripling step; only chords whose image is
+        no member (critical chords, whose image is a point) walk their orbits.
         """
-        n = self.modulus
-        tkeys = np.array(sorted(k for k in map(self._key, targets) if k is not None),
-                         dtype=np.int64)
-        hit = np.zeros(len(self.pairs), dtype=bool)
-        for x, y in orbit(*self.pairs.T.copy(), n):
-            hit |= np.isin(_keys(x, y, n), tkeys)
-        return hit
+        n, keys = self.modulus, self.keys
+        tkeys = np.array([k for k in map(self._key, targets) if k is not None], dtype=np.int64)
+        lo, hi = np.divmod(keys, n)
+        images = _keys(3 * lo % n, 3 * hi % n, n)
+        img = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
+        out = np.flatnonzero(keys[img] != images)
+        hit = np.isin(keys, tkeys)
+        for x, y in orbit(lo[out], hi[out], n):
+            hit[out] |= np.isin(_keys(x, y, n), tkeys)
+        img[out] = out
+        for _ in range(sum(closure(n)) - 1):
+            hit |= hit[img]
+        return hit[np.searchsorted(keys, self.pairs[:, 0] * n + self.pairs[:, 1])]
 
     def to_json(self) -> str:
         from .formats import prelamination_to_json
@@ -324,20 +334,20 @@ def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray]
     return np.concatenate(chunks, axis=0)
 
 
-def _levels(seen: np.ndarray, regions: tuple[np.ndarray, np.ndarray], n: int,
+def _levels(seeds: np.ndarray, regions: tuple[np.ndarray, np.ndarray], n: int,
             depth: int) -> list[np.ndarray]:
     """Per level, the sorted keys lo * n + hi of the chords first appearing there.
 
-    `seen` holds the sorted seed keys; the expansion's temporaries die with this frame.
+    `seeds` holds the sorted distinct seed keys, the only keys a child can
+    repeat, since its image is its parent (see the module docstring).  The
+    keys are sorted only to give the final sorts nearly sorted input.
     """
-    levels = [seen]
+    levels = [seeds]
     for _ in range(depth):
         children = _level_children(np.stack(np.divmod(levels[-1], n), axis=1), regions, n)
-        keys = np.unique(children[:, 0] * n + children[:, 1])
-        at = np.searchsorted(seen, keys)
-        fresh = seen[np.minimum(at, len(seen) - 1)] != keys
-        seen = np.insert(seen, at[fresh], keys[fresh])
-        levels.append(keys[fresh])
+        keys = children[:, 0] * n + children[:, 1]
+        fresh = seeds[np.minimum(np.searchsorted(seeds, keys), len(seeds) - 1)] != keys
+        levels.append(np.sort(keys[fresh]))
     return levels
 
 
@@ -366,6 +376,11 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
         first, second = (Chord.from_grid(p, n) for p in pre.pairs[list(crossing)].tolist())
         raise InvariantError(f"pullback family of {c} produced a crossing: "
                              f"{first} crosses {second}", crossing_to_json(first, second))
+    repeat = np.flatnonzero(pre.keys[1:] == pre.keys[:-1])
+    if len(repeat):
+        chord = Chord.from_grid(divmod(int(pre.keys[repeat[0]]), n), n)
+        raise InvariantError(f"pullback family of {c} repeats the chord {chord}",
+                             {"kind": "repeat", "chord": chord_to_json(chord)})
     return pre
 
 

@@ -60,6 +60,18 @@ def crossing_pullback(monkeypatch):
     monkeypatch.setattr(pullback, "_level_children", with_crossing)
 
 
+@pytest.fixture
+def repeating_pullback(monkeypatch):
+    """Each pullback level also yields its first child a second time: a repeated chord."""
+    real = pullback._level_children
+
+    def with_repeat(frontier, regions, n):
+        out = real(frontier, regions, n)
+        return np.vstack([out, out[:1]])
+
+    monkeypatch.setattr(pullback, "_level_children", with_repeat)
+
+
 def witness_crosses(witness: dict) -> bool:
     """True iff a JSON crossing witness names two chords that cross."""
     first, second = (Chord(parse_angle(witness[k]["a"]), parse_angle(witness[k]["b"]))

@@ -5,8 +5,9 @@ legality oracle and its short strips, of the preperiod-1 point
 enumeration, of chord crossing by open arcs, of length classes, sibling
 pairs, major pairs and chord orbits (`image` applied until a chord
 repeats), of the pullback seed system and of the SVG and JSON emission
-of chord families, and the per-chord dict dedup of pullback levels and
-the per-chord sibling-collection check.  The SVG oracle draws one chord
+of chord families, and the per-chord dict dedup of pullback levels,
+the per-chord sibling-collection check and the per-chord orbit walk of
+forward orbit hits.  The SVG oracle draws one chord
 at a time with scalar `math` (four trig calls per chord and an `atan2`
 sweep flag).  The laminarity oracles are stack sweeps: `crossing_pair`
 for the verdict and `group_by_component` for point components;
@@ -32,7 +33,7 @@ from trilam.angles import HALF, Angle, antipode, tripling
 from trilam.chords import Chord, SIXTH, chord_antipode, image, length
 from trilam.builder import _SEED_DATA, BuildError
 from trilam.formats import chord_to_json, record_to_json
-from trilam.grid import crosses, on_grid, scale_of, short_arc_order
+from trilam.grid import crosses, on_grid, orbit, scale_of, short_arc_order
 from trilam.legality import LegalityVerdict, LegalityWitness
 from trilam.pullback import _MATCHINGS, _MATCH_MASKS, IllegalSeedError, _select_pullbacks
 from trilam.render import RenderConfig, _TYPE_COLORS, _block_color
@@ -505,6 +506,20 @@ def sibling_complete(pre) -> bool:
         if not _has_disjoint_triple((lo, hi), groups[key], n):
             return False
     return True
+
+
+def forward_orbit_hits(pre, targets: list[Chord]) -> np.ndarray:
+    """Boolean mask of the chords of `pre` whose forward orbit (index >= 0) reaches a target.
+
+    Every chord steps through all states of its own orbit (`grid.orbit`),
+    and each state's key is looked up among the targets' keys.
+    """
+    n = pre.modulus
+    tkeys = np.array(sorted(k for k in map(pre._key, targets) if k is not None), dtype=np.int64)
+    hit = np.zeros(len(pre.pairs), dtype=bool)
+    for x, y in orbit(*pre.pairs.T.copy(), n):
+        hit |= np.isin(np.minimum(x, y) * n + np.maximum(x, y), tkeys)
+    return hit
 
 
 def level_children(frontier: np.ndarray, barriers: list[tuple[int, int]],

@@ -205,6 +205,20 @@ def test_render_malformed_input_is_usage_error(tmp_path, capsys, text, named):
     assert err.startswith("trilam: error: ") and named in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["render", "--in", "{dir}/missing.json"],
+    ["pullback", "11/12", "1/12", "--depth", "2", "--out", "{dir}/no/such/x.json"],
+], ids=["render-missing-input", "pullback-unwritable-output"])
+def test_file_error_is_usage_error(tmp_path, capsys, argv):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trilam: error: ") and "No such file or directory" in err
+    assert str(tmp_path) in err
+
+
 @pytest.mark.parametrize("text,angle", [
     (" 3/6 ", Fraction(1, 2)),
     ("7", Fraction(0)),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from trilam.angles import parse_angle
 from trilam.builder import build
 from trilam.chords import Chord, image, length
 from trilam.grid import MAX_INT64_MODULUS, closure, on_grid, scale_of
@@ -252,7 +253,7 @@ def test_sibling_complete_matches_reference():
 
 def _hand_built(modulus, pairs, seed):
     return Prelamination(seed=seed, depth=0, modulus=modulus,
-                         pairs=np.array(pairs, dtype=np.int64),
+                         pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2),
                          depths=np.zeros(len(pairs), dtype=np.int64))
 
 
@@ -299,6 +300,49 @@ def test_forward_orbit_hits_matches_chord_orbits():
     assert pre.forward_orbit_hits(targets).tolist() == want
     assert set(want) == {True, False}
     assert pre.min_length_law()
+
+
+def _single_and_all(targets):
+    return [[t] for t in targets] + [targets]
+
+
+@pytest.mark.parametrize("seed", PULLBACK_SEEDS, ids=str)
+def test_forward_orbit_hits_matches_orbit_walk(seed):
+    # targets: the short quadrilateral edges, two members, a chord off
+    # the grid and a degenerate chord (the image of a critical chord for 1/2)
+    point = 3 * seed.a % 1
+    verdicts = set()
+    for depth in range(6):
+        families = [build_prelamination(seed, depth)]
+        if not seed.degenerate:
+            families.append(hyperbolic_prune(seed, depth))
+        for pre in families:
+            chords = pre.chords()
+            targets = [chords[len(chords) // 3], chords[-1], ch(1, 7, 2, 7), Chord(point, point)]
+            if not seed.degenerate:
+                targets += short_quad_edges(seed)
+            for ts in _single_and_all(targets):
+                got = pre.forward_orbit_hits(ts)
+                assert np.array_equal(got, reference.forward_orbit_hits(pre, ts)), (depth, ts)
+                verdicts.update(got.tolist())
+    assert verdicts == {True, False}
+
+
+def test_forward_orbit_hits_matches_orbit_walk_off_the_family():
+    # on the grid 106, (1, 2) maps to the member (3, 6), whose image
+    # (9, 18) is no member; (4, 10) is repeated and (5, 5) degenerate
+    n = 106
+    seed = ch(1, 106, 2, 106)
+    pre = _hand_built(n, [(1, 2), (3, 6), (4, 10), (5, 5), (4, 10)], seed)
+    x = pow(3, 45, n)
+    targets = [Chord.from_grid(p, n) for p in [(x, 2 * x % n), (12, 30), (15, 15), (3, 6)]]
+    for ts in _single_and_all(targets):
+        assert np.array_equal(pre.forward_orbit_hits(ts), reference.forward_orbit_hits(pre, ts))
+    assert pre.forward_orbit_hits(targets[:1]).tolist() == [True, True, False, False, False]
+    assert pre.forward_orbit_hits(targets[1:3]).tolist() == [False, False, True, True, True]
+    empty = _hand_built(n, [], seed)
+    assert empty.forward_orbit_hits(targets).tolist() == []
+    assert reference.forward_orbit_hits(empty, targets).tolist() == []
 
 
 @pytest.mark.parametrize("seed", PULLBACK_SEEDS, ids=str)
@@ -352,10 +396,16 @@ def test_level_children_matches_barrier_oracle_on_build5_seeds():
         scale = 3**5
         n = n0 * scale
         bars = [(x * scale, y * scale) for x, y in barriers]
-        frontier = np.array(seeds, dtype=np.int64) * scale
+        seeded = np.array(seeds, dtype=np.int64) * scale
+        keys = np.unique(seeded[:, 0] * n + seeded[:, 1])  # the engine's level 0
         for _ in range(5):
-            children = _check_level(frontier, bars, n)
-            frontier = np.stack(np.divmod(np.unique(children[:, 0] * n + children[:, 1]), n), 1)
+            children = _check_level(np.stack(np.divmod(keys, n), 1), bars, n)
+            x, y = 3 * children.T % n
+            child_keys = children[:, 0] * n + children[:, 1]
+            # a child's image is its parent, so distinct parents have distinct children
+            assert (np.isin(np.minimum(x, y) * n + np.maximum(x, y), keys).all()
+                    and len(np.unique(child_keys)) == len(child_keys))
+            keys = np.unique(child_keys)
             levels += 1
     assert levels == 5 * 688
 
@@ -378,3 +428,14 @@ def test_crossing_family_raises_invariant_error_with_witness(crossing_pullback):
     with pytest.raises(InvariantError, match="produced a crossing") as err:
         build_prelamination(ch(11, 12, 1, 12), 2)
     assert witness_crosses(err.value.witness)
+
+
+def test_repeated_family_raises_invariant_error_with_witness(repeating_pullback, monkeypatch):
+    c = ch(11, 12, 1, 12)
+    with pytest.raises(InvariantError, match="repeats the chord") as err:
+        build_prelamination(c, 2)
+    witness = err.value.witness
+    assert witness["kind"] == "repeat" and set(witness) == {"kind", "chord"}
+    monkeypatch.undo()
+    repeated = Chord(parse_angle(witness["chord"]["a"]), parse_angle(witness["chord"]["b"]))
+    assert build_prelamination(c, 2).contains(repeated)

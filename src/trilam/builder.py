@@ -9,23 +9,24 @@ component consecutively along its boundary arc.  A long chord, an odd
 component, a reused point or a crossing raises BuildError rather than
 being repaired, since each contradicts a theorem about the lamination.
 The leaves live on one integer grid held by `BuildState`, a (lo, hi) row
-per leaf; each step grows its scale by one lcm.  Grouping, pairing, the
-crossing check and the nesting audit run on these rows through one
-laminar pass (`grid.laminar`); a `Fraction` is made only for a record.
+per leaf beside its type and block; each step grows the scale by one
+lcm.  Grouping, pairing, the crossing check and the nesting audit run on
+these rows through one laminar pass (`grid.laminar`); the `Fraction`
+records are made from the rows only when the leaves are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .chords import Chord, image
 from .formats import crossing_to_json
-from .grid import Laminar, int_dtype, laminar, scale_of
+from .grid import Laminar, int_dtype, laminar, scale_of, short_arc_order
 from .legality import is_legal_pair
 from .orbits import preperiod1_grid
 
@@ -73,28 +74,23 @@ class ComajorRecord:
     def minor(self) -> Chord:
         return image(self.chord)
 
-    def sort_key(self):
-        return (self.block_period, self.ptype == "B", self.chord.sort_key())
 
-
-@dataclass
 class BuildState:
-    """The leaves drawn so far, as records and as (lo, hi) rows on the grid of `scale`.
+    """The leaves drawn so far: (lo, hi) rows on the grid of `scale`, type and block columns.
 
     `pairs` holds one row per leaf, in leaf order, of dtype
-    `int_dtype(3 * scale)`; both are derived from `leaves` once, and
-    each step grows them (`grow`) and appends its rows.
+    `int_dtype(3 * scale)`; `ptypes` and `blocks` hold each leaf's type
+    and block.  All are derived from `leaves` once; each step grows the
+    grid (`grow`) and appends to them.
     """
 
-    leaves: list[ComajorRecord] = field(default_factory=list)
-    completed_block: int = 0
-    scale: int = field(init=False)
-    pairs: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.scale = scale_of((v for rec in self.leaves for v in rec.chord.endpoints()), 12)
-        rows = [rec.chord.on_grid(self.scale) for rec in self.leaves]
+    def __init__(self, leaves: Sequence[ComajorRecord] = (), completed_block: int = 0):
+        self.completed_block = completed_block
+        self.scale = scale_of((v for rec in leaves for v in rec.chord.endpoints()), 12)
+        rows = [rec.chord.on_grid(self.scale) for rec in leaves]
         self.pairs = np.array(rows, dtype=int_dtype(3 * self.scale)).reshape(-1, 2)
+        self.ptypes = np.array([rec.ptype for rec in leaves], dtype="U1")
+        self.blocks = np.array([rec.block_period for rec in leaves], dtype=np.int64)
 
     def grow(self, nums: np.ndarray, den: int) -> np.ndarray:
         """Grow the scale to a multiple of den and return the angles nums / den on it."""
@@ -104,8 +100,17 @@ class BuildState:
         self.scale = scale
         return nums.astype(dtype) * (scale // den)
 
+    def _records(self, order=slice(None)) -> list[ComajorRecord]:
+        return [ComajorRecord(Chord.from_grid(p, self.scale), t, b)
+                for p, t, b in zip(self.pairs[order].tolist(), self.ptypes[order].tolist(),
+                                   self.blocks[order].tolist())]
+
+    leaves = property(_records, doc="The records of the leaves in leaf order, made on each read.")
+
     def sorted_leaves(self) -> list[ComajorRecord]:
-        return sorted(self.leaves, key=ComajorRecord.sort_key)
+        """The records in canonical order: block, type D before B, then the short-arc key."""
+        order = short_arc_order(self.pairs, self.scale)
+        return self._records(order[np.lexsort((self.ptypes[order] == "B", self.blocks[order]))])
 
 
 @dataclass
@@ -228,12 +233,14 @@ def _commit(state: BuildState, block: int, ptype: str) -> None:
     family = np.concatenate([state.pairs, new])
     _arc_family(family, state.scale)  # one laminarity pass: a crossing is a hard error
     state.pairs = family
-    state.leaves.extend(ComajorRecord(Chord.from_grid(p, state.scale), ptype, block)
-                        for p in new.tolist())
+    state.ptypes = np.concatenate([state.ptypes, np.full(len(new), ptype)])
+    state.blocks = np.concatenate([state.blocks, np.full(len(new), block)])
 
 
 def run_step(state: BuildState, block: int) -> BuildState:
     """Add all block-`block` leaves: type B first, then type D against the enlarged set."""
+    if block < 2:
+        raise ValueError(f"block {block} is no step: block 1 is the seed, seed_leaves()")
     if state.completed_block != block - 1:
         raise ValueError(f"state completed block {state.completed_block}, expected {block - 1}")
     _commit(state, block, "B")
@@ -279,9 +286,9 @@ def nesting_audit(state: BuildState) -> NestingReport:
     _, owner, lam = _arc_family(state.pairs, state.scale)
     # all leaves climb their chains of enclosing arcs at once, recording
     # each same-block ancestor with the first smaller-block leaf passed
-    parent = lam.parents()[: len(state.leaves)]
+    parent = lam.parents()[: len(state.pairs)]
     up = np.where(parent >= 0, owner[parent], -1)
-    blocks = np.array([rec.block_period for rec in state.leaves])
+    blocks = state.blocks
     leaf = np.flatnonzero(up >= 0)
     at, passed = up[leaf], np.full(len(leaf), -1)
     found = []

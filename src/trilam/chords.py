@@ -69,11 +69,6 @@ class Chord:
             return (self.a, self.b)
         return (self.b, self.a)
 
-    def sort_key(self) -> tuple[Angle, Angle]:
-        """Canonical ordering key: start then end of the short arc."""
-        s, e = self.arc()
-        return (s, e)
-
     def __str__(self) -> str:
         s, e = self.arc()
         return f"({s}, {e})"

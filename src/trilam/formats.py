@@ -1,12 +1,12 @@
 """JSON/CSV serialization for chords, comajor records and prelaminations.
 
 All data serializes as exact fraction strings; output ordering is the
-canonical one (block, type with D before B, then the short-arc key), so
-repeated runs are byte-identical.  A prelamination serializes straight
-from its integer grid: the reduced string of x/N is (x/g)/(N/g) for
-g = gcd(x, N), so no `Fraction` is built per chord.  The documents that
-`render --in` reads go the other way, straight onto a grid, by
-`chords_from_json`.
+canonical one (block, type with D before B, then the short-arc key,
+which `prelamination_to_json` applies itself), so repeated runs are
+byte-identical.  A prelamination serializes straight from its integer
+grid: the reduced string of x/N is (x/g)/(N/g) for g = gcd(x, N), so
+no `Fraction` is built per chord.  The documents that `render --in`
+reads go the other way, straight onto a grid, by `chords_from_json`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .angles import angle_str, parse_angle, parse_fraction
 from .chords import Chord
-from .grid import int_dtype, scale_of
+from .grid import int_dtype, scale_of, short_arc_order
 
 if TYPE_CHECKING:
     from .builder import ComajorRecord
@@ -91,11 +91,13 @@ def prelamination_to_json(seed: Chord, depth: int, pairs: np.ndarray, modulus: i
     """The prelamination document {"seed", "depth", "chords"} as `json.dumps(doc, indent=0)`.
 
     `pairs` are the (n, 2) int chords on the grid of `modulus`, such as
-    `Prelamination.pairs`.  Every string in the document is a fraction
-    'p/q', which JSON never escapes, so the text is assembled directly
-    rather than by the much slower indenting encoder; the tests hold it
-    to `json.dumps`.
+    `Prelamination.pairs`, in any order: they are written in short-arc
+    order (`grid.short_arc_order`).  Every string in the document is a
+    fraction 'p/q', which JSON never escapes, so the text is assembled
+    directly rather than by the much slower indenting encoder; the tests
+    hold it to `json.dumps`.
     """
+    pairs = pairs[short_arc_order(pairs, modulus)]
     strs = zip(grid_angle_strs(pairs[:, 0], modulus), grid_angle_strs(pairs[:, 1], modulus))
     items = ",\n".join(_chord_text(a, b) for a, b in strs)
     listed = f"[\n{items}\n]" if items else "[]"

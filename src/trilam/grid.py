@@ -11,8 +11,8 @@ over the open/close events of a family of (lo, hi) chords gives its
 verdict, a crossing witness, parent pointers and the regions of points.
 The quadrilateral of a short chord and its strips (`majors`,
 `strip_parts`) serve both the legality oracle and the pullback
-barriers; the canonical chord order (`short_arc_order`) serves the
-pullback engine and the renderer.
+barriers; the canonical chord order (`short_arc_order`) is applied
+only where chords are written: sorted records, JSON and SVG.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def laminar(pairs: np.ndarray) -> Laminar:
 
 
 def short_arc_order(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Stable order of (lo, hi) chords by `Chord.sort_key`: start, then end of the short arc.
+    """Stable order of (lo, hi) chords by `Chord.arc`: start, then end of the short arc.
 
     A diameter keeps (lo, hi).  `pairs` is an (m, 2) array on the grid
     of modulus n, int64 or, for any n, Python ints of dtype object.

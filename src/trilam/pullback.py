@@ -42,8 +42,9 @@ parents are distinct and a child can repeat only a seed (one of an
 earlier level would have a parent repeating one too): each level's
 child keys are filtered against the seed keys alone and form the next
 frontier.  A chord's depth is the level of its first appearance.  The
-finished family must be laminar (`grid.laminar`) and free of repeats;
-a crossing or a repeat raises InvariantError with its witness.
+finished family must be laminar (`grid.laminar`) and free of repeats
+(a crossing or a repeat raises InvariantError with its witness) and is
+kept in key order: `Prelamination.pairs` is sorted by lo * n + hi.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ import numpy as np
 from .angles import orbit_info
 from .chords import Chord, image
 from .formats import chord_to_json, crossing_to_json
-from .grid import (Pair, antipode, arclen, canon, check_int64, closure, crosses, laminar,
-                   orbit, short_arc_order)
+from .grid import Pair, antipode, arclen, canon, check_int64, closure, crosses, laminar, orbit
 from .legality import LegalityVerdict, is_legal_pair, strips_on_grid
 
 __all__ = [
@@ -158,14 +158,16 @@ class Prelamination:
     seed: Chord
     depth: int
     modulus: int
-    pairs: np.ndarray   # (n, 2) canonical lo < hi numerators, sorted by short-arc key
+    pairs: np.ndarray   # (n, 2) canonical lo < hi numerators, stably sorted by key
     depths: np.ndarray  # (n,) generation level of first appearance
     pruned: bool = False
     keys: np.ndarray = field(init=False, repr=False)  # sorted lo * modulus + hi
 
     def __post_init__(self):
         check_int64(self.modulus)
-        self.keys = np.sort(self.pairs[:, 0] * self.modulus + self.pairs[:, 1])
+        keys = self.pairs[:, 0] * self.modulus + self.pairs[:, 1]
+        order = np.argsort(keys, kind="stable")
+        self.pairs, self.depths, self.keys = self.pairs[order], self.depths[order], keys[order]
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -248,7 +250,7 @@ class Prelamination:
         """
         n, keys = self.modulus, self.keys
         tkeys = np.array([k for k in map(self._key, targets) if k is not None], dtype=np.int64)
-        lo, hi = np.divmod(keys, n)
+        lo, hi = self.pairs.T
         images = _keys(3 * lo % n, 3 * hi % n, n)
         img = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
         out = np.flatnonzero(keys[img] != images)
@@ -258,7 +260,7 @@ class Prelamination:
         img[out] = out
         for _ in range(sum(closure(n)) - 1):
             hit |= hit[img]
-        return hit[np.searchsorted(keys, self.pairs[:, 0] * n + self.pairs[:, 1])]
+        return hit
 
     def to_json(self) -> str:
         from .formats import prelamination_to_json
@@ -340,7 +342,7 @@ def _levels(seeds: np.ndarray, regions: tuple[np.ndarray, np.ndarray], n: int,
 
     `seeds` holds the sorted distinct seed keys, the only keys a child can
     repeat, since its image is its parent (see the module docstring).  The
-    keys are sorted only to give the final sorts nearly sorted input.
+    keys are sorted only to give the family's one sort nearly sorted input.
     """
     levels = [seeds]
     for _ in range(depth):
@@ -368,9 +370,8 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     del levels
     pairs = np.stack(np.divmod(keys, n), axis=1)
     del keys
-    order = short_arc_order(pairs, n)
-    pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs[order], depths=depths[order])
-    del pairs, depths, order  # only the family stays alive through the invariant check
+    pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs, depths=depths)
+    del pairs, depths  # only the family stays alive through the invariant check
     crossing = laminar(pre.pairs).crossing
     if crossing is not None:
         first, second = (Chord.from_grid(p, n) for p in pre.pairs[list(crossing)].tolist())
@@ -397,14 +398,8 @@ def hyperbolic_prune(c: Chord, depth: int) -> Prelamination:
         raise ValueError(f"{c} is not co-periodic (its image is not periodic)")
     pre = build_prelamination(c, depth)
     hit = pre.forward_orbit_hits(short_quad_edges(c))
-    pruned = Prelamination(
-        seed=c,
-        depth=depth,
-        modulus=pre.modulus,
-        pairs=pre.pairs[~hit],
-        depths=pre.depths[~hit],
-        pruned=True,
-    )
+    pruned = Prelamination(seed=c, depth=depth, modulus=pre.modulus, pairs=pre.pairs[~hit],
+                           depths=pre.depths[~hit], pruned=True)
     if not pruned.contains(c):
         raise InvariantError(f"comajor {c} did not survive its own pruning")
     return pruned

@@ -614,17 +614,26 @@ def prelamination_levels(c: Chord, depth: int) -> tuple[np.ndarray, np.ndarray, 
 # -- output --------------------------------------------------------------------
 
 
+def record_order(rec) -> tuple:
+    """The canonical record order: block, type D before B, then `Chord.arc`."""
+    return (rec.block_period, rec.ptype == "B", rec.chord.arc())
+
+
 def records_json(records: list) -> str:
     """The record array, one `record_to_json` dict per record through `json.dumps`."""
     return json.dumps([record_to_json(r) for r in records], indent=0) + "\n"
 
 
 def prelamination_json(seed: Chord, depth: int, chords: list[Chord]) -> str:
-    """The prelamination document, one `chord_to_json` dict per chord through `json.dumps`."""
+    """The prelamination document, one `chord_to_json` dict per chord through `json.dumps`.
+
+    The chords are written in canonical order, sorted by `Chord.arc`,
+    whatever order they come in.
+    """
     doc = {
         "seed": chord_to_json(seed),
         "depth": depth,
-        "chords": [chord_to_json(c) for c in chords],
+        "chords": [chord_to_json(c) for c in sorted(chords, key=Chord.arc)],
     }
     return json.dumps(doc, indent=0) + "\n"
 
@@ -668,14 +677,14 @@ def _geodesic_path(a: float, b: float, cx: float, cy: float, r: float) -> str:
 def render_svg(chords: list[Chord], cfg: RenderConfig = RenderConfig(),
                classes: Optional[list[str]] = None,
                blocks: Optional[list[int]] = None) -> str:
-    """The SVG of chords, ordered by `Chord.sort_key`, floats taken as `float(Fraction)`."""
+    """The SVG of chords, ordered by `Chord.arc`, floats taken as `float(Fraction)`."""
     size = cfg.size_px
     cx = cy = size / 2.0
     r = size / 2.0 - cfg.margin_px
     items = list(zip(chords,
                      classes if classes is not None else [""] * len(chords),
                      blocks if blocks is not None else [0] * len(chords)))
-    items.sort(key=lambda it: it[0].sort_key())
+    items.sort(key=lambda it: it[0].arc())
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',

@@ -98,6 +98,13 @@ def test_run_step_requires_consecutive_blocks():
         run_step(state, 3)
 
 
+def test_run_step_refuses_the_seed_block():
+    # block 1 is drawn by seed_leaves(), whose leaves bound the sectors
+    for block in (0, 1):
+        with pytest.raises(ValueError, match="block 1 is the seed"):
+            run_step(BuildState(completed_block=block - 1), block)
+
+
 def test_build_counts():
     assert len(build(1).leaves) == 4
     assert len(build(2).leaves) == 16
@@ -209,16 +216,34 @@ def test_nesting_audit_lists_match_pinned_digests():
 
 
 def test_state_pairs_match_leaf_chords():
-    # the rows kept on the grid agree with the records after every step,
-    # and with a state rebuilt from the records alone
+    # after every step the rows, the type column and the block column agree
+    # with the records, the leaves of each (block, type) use exactly its
+    # preperiod-1 points, and a state rebuilt from the records alone has
+    # the same rows and records
     state = BuildState(leaves=seed_leaves(), completed_block=1)
     for k in range(1, 7):
         if k > 1:
             run_step(state, k)
-        assert state.pairs.tolist() == [sorted(r.chord.on_grid(state.scale))
-                                        for r in state.leaves]
-        fresh = BuildState(leaves=state.leaves, completed_block=k)
+        leaves = state.leaves
+        assert state.pairs.tolist() == [sorted(r.chord.on_grid(state.scale)) for r in leaves]
+        assert state.ptypes.tolist() == [r.ptype for r in leaves]
+        assert state.blocks.tolist() == [r.block_period for r in leaves]
+        for block in range(1, k + 1):
+            for t in "BD":
+                ends = [v for r in leaves if (r.block_period, r.ptype) == (block, t)
+                        for v in r.chord.endpoints()]
+                assert sorted(ends) == sorted(preperiod1_points(block, t)), (k, block, t)
+        fresh = BuildState(leaves=leaves, completed_block=k)
         assert (fresh.pairs * (state.scale // fresh.scale)).tolist() == state.pairs.tolist()
+        assert fresh.leaves == leaves
+
+
+def test_sorted_leaves_match_record_sort_through_block_8():
+    state = BuildState(leaves=seed_leaves(), completed_block=1)
+    for k in range(1, 9):
+        if k > 1:
+            run_step(state, k)
+        assert state.sorted_leaves() == sorted(state.leaves, key=reference.record_order), k
 
 
 def test_object_grid_from_mid_build_gives_same_output(monkeypatch, build6):

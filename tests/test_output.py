@@ -3,7 +3,7 @@
 `prelamination_to_json` and `render_svg` write a pullback family
 straight from its int pairs and modulus, and `records_to_json` writes
 its text directly; `reference` holds the `Fraction` formulations they
-replaced (a `Fraction` per endpoint, sorted by `Chord.sort_key`, floats
+replaced (a `Fraction` per endpoint, sorted by `Chord.arc`, floats
 from `float(Fraction)`, scalar `math` per chord with an `atan2` sweep
 flag, text by `json.dumps`).  Every document must be byte-identical.
 """

@@ -41,7 +41,7 @@ def pullbacks(parent, barriers):
     pairs = [(on_grid(c.a, n), on_grid(c.b, n)) for c in (parent, *barriers)]
     got = _level_children(np.array(pairs[:1], dtype=np.int64), _barrier_regions(pairs[1:], n),
                           n).tolist()
-    return sorted((grid_chord(p, n) for p in got), key=Chord.sort_key)
+    return sorted((grid_chord(p, n) for p in got), key=Chord.arc)
 
 
 def test_pullbacks_of_invariant_diameter():
@@ -59,7 +59,7 @@ def test_pullbacks_generic_sibling_collection():
     # deep pullback in general position: exactly three disjoint preimages
     got = pullbacks(ch(11, 12, 1, 12), quad_barriers(ch(11, 12, 1, 12)))
     assert got == sorted([ch(11, 36, 13, 36), ch(23, 36, 25, 36), ch(35, 36, 1, 36)],
-                         key=Chord.sort_key)
+                         key=Chord.arc)
     imgs = {image(x) for x in got}
     assert imgs == {ch(11, 12, 1, 12)}
 
@@ -328,6 +328,23 @@ def test_forward_orbit_hits_matches_orbit_walk(seed):
     assert verdicts == {True, False}
 
 
+def test_hand_built_family_is_stored_in_key_order():
+    # rows given in shuffled order come out sorted by lo * n + hi, each
+    # depth still on its own chord, and the orbit hits follow the rows
+    pre = build_prelamination(ch(5, 24, 7, 24), 4)
+    n, rng = pre.modulus, np.random.default_rng(7)
+    depth_of = dict(zip(map(tuple, pre.pairs.tolist()), pre.depths.tolist()))
+    shuffled = rng.permutation(len(pre))
+    hand = Prelamination(seed=pre.seed, depth=pre.depth, modulus=n, pairs=pre.pairs[shuffled],
+                         depths=pre.depths[shuffled])
+    keys = hand.pairs[:, 0] * n + hand.pairs[:, 1]
+    assert (np.diff(keys) > 0).all() and np.array_equal(keys, hand.keys)
+    assert [depth_of[p] for p in map(tuple, hand.pairs.tolist())] == hand.depths.tolist()
+    chords = hand.chords()
+    for ts in _single_and_all([chords[5], chords[-1], *short_quad_edges(pre.seed)]):
+        assert np.array_equal(hand.forward_orbit_hits(ts), reference.forward_orbit_hits(hand, ts))
+
+
 def test_forward_orbit_hits_matches_orbit_walk_off_the_family():
     # on the grid 106, (1, 2) maps to the member (3, 6), whose image
     # (9, 18) is no member; (4, 10) is repeated and (5, 5) degenerate
@@ -350,6 +367,8 @@ def test_level_dedup_matches_dict_reference(seed):
     for depth in range(7):
         pre = build_prelamination(seed, depth)
         pairs, depths, n = reference.prelamination_levels(seed, depth)
+        order = np.argsort(pairs[:, 0] * n + pairs[:, 1])  # the family's key order
+        pairs, depths = pairs[order], depths[order]
         assert pre.modulus == n, depth
         assert np.array_equal(pre.pairs, pairs), depth
         assert np.array_equal(pre.depths, depths), depth

@@ -11,8 +11,9 @@ being repaired, since each contradicts a theorem about the lamination.
 The leaves live on one integer grid held by `BuildState`, a (lo, hi) row
 per leaf beside its type and block; each step grows the scale by one
 lcm.  Grouping, pairing, the crossing check and the nesting audit run on
-these rows through one laminar pass (`grid.laminar`); the `Fraction`
-records are made from the rows only when the leaves are read.
+these rows through one laminar pass (`grid.laminar`), in which grouping
+lays the four sectors beside the leaves as arcs; the `Fraction` records
+are made from the rows only when the leaves are read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .chords import Chord, image
 from .formats import crossing_to_json
-from .grid import Laminar, int_dtype, laminar, scale_of, short_arc_order
+from .grid import Laminar, check_int64, int_dtype, laminar, scale_of, short_arc_order
 from .legality import is_legal_pair
 from .orbits import preperiod1_grid
 
@@ -170,37 +171,32 @@ def _arc_family(pairs: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray, 
 def group_by_component(points: np.ndarray, state: BuildState) -> list[np.ndarray]:
     """Partition candidate points, ints on `state.scale`, by the component of the disk.
 
-    Two points share a group iff no existing leaf separates them; the
-    under-arcs of the leaves are laminar, so a point's component is
-    keyed by the innermost arc containing it (`Laminar.regions`).
-    Within the central component (under no leaf), groups are further
-    split by the four sectors ((3j + 1)/12, (3j + 2)/12) that the step-1
-    leaves leave on the circle.  Points are ordered along their
-    component's boundary arc (wrap-aware); groups are ordered by
-    smallest member.  A point colliding with an existing endpoint
-    signals an enumeration bug.
+    Two points share a group iff no existing leaf separates them.  The
+    central component (under no leaf) is split further by the four
+    sectors ((3j + 1)/12, (3j + 2)/12) that the step-1 leaves leave on
+    the circle; these are laid beside the leaves as four more arcs, and
+    the arcs are laminar, so a point's group is keyed by the innermost
+    arc containing it (`Laminar.regions`), leaf or sector.  A central
+    point under no arc lies in no sector.  Points are ordered along
+    their group's arc (wrap-aware); groups are ordered by smallest
+    member.  A point colliding with an existing endpoint signals an
+    enumeration bug.
     """
     scale, pts = state.scale, points
-    rows, owner, lam = _arc_family(state.pairs, scale)
-    ends = np.sort(state.pairs, axis=None)  # a point past them all wraps to 0
-    taken = np.flatnonzero(ends[np.searchsorted(ends, pts) % len(ends)] == pts)
+    sectors = np.array([[1, 2], [4, 5], [7, 8], [10, 11]], state.pairs.dtype) * (scale // 12)
+    rows, owner, lam = _arc_family(np.concatenate([state.pairs, sectors]), scale)
+    ends = np.sort(np.append(state.pairs, scale))  # scale lies past every point
+    taken = np.flatnonzero(ends[np.searchsorted(ends, pts)] == pts)
     if len(taken):
         raise BuildError(f"candidate point {Fraction(int(pts[taken[0]]), scale)} collides "
                          "with an existing leaf endpoint")
-
-    # bucket: the leaf of the innermost arc, or len(pairs) + sector for a
-    # central point; pos: the offset along the bucket's boundary arc
     row = lam.regions(pts)
-    bucket, pos = owner[row], pts - rows[row, 0]
-    off = (pts[:, None] - np.array([1, 4, 7, 10], dtype=pts.dtype) * (scale // 12)) % scale
-    in_sector = (0 < off) & (off < scale // 12)
-    central = np.flatnonzero(row < 0)
-    homeless = central[~in_sector[central].any(axis=1)]
+    homeless = np.flatnonzero(row < 0)
     if len(homeless):
         raise BuildError(f"central point {Fraction(int(pts[homeless[0]]), scale)} lies in no "
                          "sector")
-    sector = in_sector[central].argmax(axis=1)
-    bucket[central], pos[central] = len(state.pairs) + sector, off[central, sector]
+    # bucket: the leaf or sector of the innermost arc; pos: the offset along that arc
+    bucket, pos = owner[row], pts - rows[row, 0]
 
     order = np.lexsort((pos, bucket))
     starts = np.flatnonzero(np.diff(bucket[order], prepend=-1))
@@ -253,6 +249,7 @@ def build(max_block: int, verify: bool = False) -> BuildState:
     """Seed plus steps 2..max_block; with verify, certify every leaf with the oracle."""
     if max_block < 1:
         raise ValueError("max_block must be >= 1")
+    check_int64(2 * (3**max_block - 1))  # the last block's type-B modulus, refused up front
     state = BuildState(leaves=seed_leaves(), completed_block=1)
     for block in range(2, max_block + 1):
         run_step(state, block)

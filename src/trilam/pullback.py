@@ -160,7 +160,6 @@ class Prelamination:
     modulus: int
     pairs: np.ndarray   # (n, 2) canonical lo < hi numerators, stably sorted by key
     depths: np.ndarray  # (n,) generation level of first appearance
-    pruned: bool = False
     keys: np.ndarray = field(init=False, repr=False)  # sorted lo * modulus + hi
 
     def __post_init__(self):
@@ -399,7 +398,7 @@ def hyperbolic_prune(c: Chord, depth: int) -> Prelamination:
     pre = build_prelamination(c, depth)
     hit = pre.forward_orbit_hits(short_quad_edges(c))
     pruned = Prelamination(seed=c, depth=depth, modulus=pre.modulus, pairs=pre.pairs[~hit],
-                           depths=pre.depths[~hit], pruned=True)
+                           depths=pre.depths[~hit])
     if not pruned.contains(c):
         raise InvariantError(f"comajor {c} did not survive its own pruning")
     return pruned

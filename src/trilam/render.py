@@ -4,8 +4,9 @@ Chords are drawn inside the unit circle either as straight segments or
 as hyperbolic geodesics (circular arcs orthogonal to the unit circle;
 diameters fall back to straight segments).  Coordinates are emitted at
 a fixed 12-decimal precision and elements follow the canonical chord
-order, so renders are byte-deterministic.  This is the only place
-floating point appears; all data paths stay exact.
+order, so renders are byte-deterministic.  `RenderConfig` sets the
+size, style and coloring; the rest of the styling is fixed.  This is
+the only place floating point appears; all data paths stay exact.
 
 The renderer works on the integer grid (`trilam.grid`) in one pass:
 `Chord`s are put on their common scale N once; a pullback family or a
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = ["RenderConfig", "render_svg"]
 # Python floats all at once, and chords sharing an endpoint mostly sit
 # in one slice, so its trig is still taken once
 _SLICE = 1024
+_MARGIN_PX = 10  # between the circle and the edge of the picture
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,13 @@ class RenderConfig:
     size_px: int = 800
     geodesic_style: str = "arc"  # "arc" (hyperbolic geodesics) or "straight"
     color_by: str = "type"       # "type" or "block"
-    background: str = "white"
-    circle_stroke: str = "#888888"
-    circle_stroke_width: float = 1.5
-    chord_stroke_width: float = 1.0
-    margin_px: int = 10
+
+    def __post_init__(self):
+        if self.size_px <= 2 * _MARGIN_PX:
+            raise ValueError(f"size {self.size_px} px leaves no circle inside its margins")
+        if self.geodesic_style not in ("arc", "straight") or self.color_by not in ("type", "block"):
+            raise ValueError("geodesic_style must be 'arc' or 'straight' and color_by 'type' or "
+                             f"'block', got {self.geodesic_style!r} and {self.color_by!r}")
 
 
 _TYPE_COLORS = {"B": "#c02030", "D": "#1040c0", "": "#202020"}
@@ -74,7 +77,7 @@ def _hsv(h: float, s: float, v: float) -> tuple[int, int, int]:
 
 # one %-template per element kind; %.12f formats as f"{x:.12f}" does
 _DOT = '<circle class="%s" cx="%.12f" cy="%.12f" r="1.5" fill="%s"/>'
-_TAIL = '" fill="none" stroke="%s" stroke-width="%s"/>'
+_TAIL = '" fill="none" stroke="%s" stroke-width="1.0"/>'
 _LINE = '<path class="%s" d="M %.12f %.12f L %.12f %.12f' + _TAIL
 _ARC = '<path class="%s" d="M %.12f %.12f A %s %s 0 0 %d %.12f %.12f' + _TAIL
 
@@ -102,7 +105,7 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
     """
     size = cfg.size_px
     cx = cy = size / 2.0
-    r = size / 2.0 - cfg.margin_px
+    r = size / 2.0 - _MARGIN_PX
 
     if modulus is None:
         n = scale_of(v for ch in chords for v in ch.endpoints())
@@ -121,9 +124,9 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="{cfg.background}"/>',
-        '<circle cx="%.12f" cy="%.12f" r="%.12f" fill="none" ' % (cx, cy, r)
-        + f'stroke="{cfg.circle_stroke}" stroke-width="{cfg.circle_stroke_width}"/>',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+        '<circle cx="%.12f" cy="%.12f" r="%.12f" fill="none" stroke="#888888" '
+        'stroke-width="1.5"/>' % (cx, cy, r),
     ]
     for s in range(0, m, _SLICE):
         lines += _elements(pairs[s:s + _SLICE], styled[s:s + _SLICE], n, cx, cy, r, cfg)
@@ -165,8 +168,7 @@ def _elements(pairs: np.ndarray, styled: list[tuple[str, str]], n: int,
         if k == 0:
             fields = (*start, color)
         elif k == 1:
-            fields = (*start, x2[rows].tolist(), y2[rows].tolist(),
-                      color, repeat(cfg.chord_stroke_width))
+            fields = (*start, x2[rows].tolist(), y2[rows].tolist(), color)
         else:
             kk = 1.0 / (1.0 + dot[rows])
             ox = kk * (c1[rows] + c2[rows])
@@ -177,8 +179,7 @@ def _elements(pairs: np.ndarray, styled: list[tuple[str, str]], n: int,
             rr = ["%.12f" % x
                   for x in (np.sqrt(np.maximum(ox * ox + oy * oy - 1.0, 0.0)) * r).tolist()]
             sweep = (2 * (pairs[rows, 1] - pairs[rows, 0]) < n).tolist()
-            fields = (*start, rr, rr, sweep, x2[rows].tolist(), y2[rows].tolist(),
-                      color, repeat(cfg.chord_stroke_width))
+            fields = (*start, rr, rr, sweep, x2[rows].tolist(), y2[rows].tolist(), color)
         for i, t in zip(rows.tolist(), zip(*fields)):
             out[i] = tmpl % t
     return out

@@ -680,7 +680,7 @@ def render_svg(chords: list[Chord], cfg: RenderConfig = RenderConfig(),
     """The SVG of chords, ordered by `Chord.arc`, floats taken as `float(Fraction)`."""
     size = cfg.size_px
     cx = cy = size / 2.0
-    r = size / 2.0 - cfg.margin_px
+    r = size / 2.0 - 10  # a fixed 10 px margin
     items = list(zip(chords,
                      classes if classes is not None else [""] * len(chords),
                      blocks if blocks is not None else [0] * len(chords)))
@@ -688,9 +688,9 @@ def render_svg(chords: list[Chord], cfg: RenderConfig = RenderConfig(),
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="{cfg.background}"/>',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="none" '
-        f'stroke="{cfg.circle_stroke}" stroke-width="{cfg.circle_stroke_width}"/>',
+        'stroke="#888888" stroke-width="1.5"/>',
     ]
     for ch, cls, block in items:
         a = float(ch.a)
@@ -713,6 +713,6 @@ def render_svg(chords: list[Chord], cfg: RenderConfig = RenderConfig(),
         else:
             d = _geodesic_path(a, b, cx, cy, r)
         lines.append(f'<path class="{label}" d="{d}" fill="none" stroke="{color}" '
-                     f'stroke-width="{cfg.chord_stroke_width}"/>')
+                     'stroke-width="1.0"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
-"""The public surface: every exported name exists, and the package imports only exported names."""
+"""The public surface: every exported name exists, the package imports only exported names,
+and the render settings are exactly those the CLI sets."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -27,3 +29,16 @@ def test_package_imports_only_exported_names():
         module = importlib.import_module(f"trilam.{node.module}")
         unlisted = [alias.name for alias in node.names if alias.name not in module.__all__]
         assert not unlisted, f"trilam/__init__ imports {unlisted} not in trilam.{node.module}.__all__"
+
+
+def test_render_config_has_only_the_fields_the_cli_sets():
+    # a styling field that no caller sets belongs in the renderer as a constant
+    from trilam import cli
+    from trilam.render import RenderConfig
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "_render_cfg"]
+    (call,) = [node for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RenderConfig"]
+    assert {kw.arg for kw in call.keywords} == {f.name for f in dataclasses.fields(RenderConfig)}

@@ -62,6 +62,22 @@ def test_group_rejects_endpoint_collision():
         group_by_component(np.array([state.scale // 6]), state)
 
 
+@pytest.mark.parametrize("point", [Fraction(1, 2), Fraction(1, 12)], ids=str)
+def test_group_rejects_central_point_outside_the_sectors(point):
+    # under no leaf, and not strictly inside any sector ((3j + 1)/12, (3j + 2)/12):
+    # 1/2 lies between sectors, 1/12 is a sector's bound
+    state = BuildState(leaves=[ComajorRecord(ch(1, 6, 1, 3), "D", 1)], completed_block=1)
+    with pytest.raises(BuildError, match=f"central point {point} lies in no sector"):
+        group_by_component(np.array([point.numerator * state.scale // point.denominator]), state)
+
+
+def test_step_on_no_leaves_finds_points_outside_the_sectors():
+    # with no leaf to collide with, the first block-2 point, of type B as that
+    # pass runs first, reaches the sector test
+    with pytest.raises(BuildError, match="central point 1/48 lies in no sector"):
+        run_step(BuildState(completed_block=1), 2)
+
+
 def test_pair_consecutively():
     # groups on the grid of 48: (5/24, 7/24), the wrapping (23/24, 1/24),
     # then two chords of one group, each as a (lo, hi) row

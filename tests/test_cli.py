@@ -150,6 +150,28 @@ def test_pullback_modulus_beyond_int64_keys_is_usage_error(capsys):
     assert "would wrap" in capsys.readouterr().err
 
 
+def test_comajors_block_beyond_int64_is_refused_before_step_2(capsys, monkeypatch):
+    # 2 (3^20 - 1) exceeds the largest int64 modulus: block 20's points cannot be
+    # enumerated, so the job is refused before blocks 2..19 are built
+    from trilam import builder
+
+    def never(state, block):
+        raise AssertionError(f"step {block} ran before the refusal")
+
+    monkeypatch.setattr(builder, "run_step", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["comajors", "--max-block", "20"])
+    assert exc.value.code == 2
+    assert "would wrap" in capsys.readouterr().err
+
+
+def test_size_without_room_for_the_circle_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pullback", "1/12", "11/12", "--depth", "1", "--format", "svg", "--size", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", [[], ["--prune"]], ids=["plain", "prune"])
 def test_pullback_invariant_failure_exits_1(capsys, monkeypatch, argv):
     import trilam.cli

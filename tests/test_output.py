@@ -26,7 +26,7 @@ from trilam.render import RenderConfig, render_svg
 
 from conftest import PULLBACK_SEEDS, ch
 
-STYLES = [RenderConfig(), RenderConfig(geodesic_style="straight", size_px=300, margin_px=4)]
+STYLES = [RenderConfig(), RenderConfig(geodesic_style="straight", size_px=300)]
 
 
 @pytest.mark.parametrize("seed", PULLBACK_SEEDS, ids=str)

@@ -72,8 +72,18 @@ def test_degenerate_chord_renders_as_dot():
     assert svg.count("<circle") == 2
 
 
+@pytest.mark.parametrize("kwargs", [{"size_px": 20}, {"size_px": -5},
+                                    {"geodesic_style": "curved"}, {"color_by": "period"}])
+def test_config_refuses_what_it_cannot_draw(kwargs):
+    # a size of at most twice the margin gives a circle of radius <= 0; an
+    # unknown style or coloring would be drawn as the default one
+    RenderConfig(size_px=21)  # the smallest size with a circle
+    with pytest.raises(ValueError):
+        RenderConfig(**kwargs)
+
+
 def test_geodesic_arc_stays_inside_disk():
-    cfg = RenderConfig(size_px=1000, margin_px=0)
+    cfg = RenderConfig(size_px=1000)
     svg = render_svg([ch(1, 6, 1, 3)], cfg)
     (d,) = paths_of(svg)
     m = re.match(
@@ -97,7 +107,7 @@ def test_geodesic_arc_stays_inside_disk():
             chosen = (cxs, cys, a1, delta)
     assert chosen is not None
     cxs, cys, a1, delta = chosen
-    disk_c, disk_r = 500.0, 500.0
+    disk_c, disk_r = 500.0, 490.0  # the circle sits inside a 10 px margin
     for t in (0.25, 0.5, 0.75):
         ang = a1 + t * delta
         px = cxs + rr * math.cos(ang)

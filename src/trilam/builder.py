@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from typing import Optional, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .chords import Chord, image
 from .formats import crossing_to_json
-from .grid import Laminar, check_int64, int_dtype, laminar, scale_of, short_arc_order
+from .grid import MAX_INT64_MODULUS, Laminar, int_dtype, laminar, scale_of, short_arc_order
 from .legality import is_legal_pair
 from .orbits import preperiod1_grid
 
@@ -249,7 +250,10 @@ def build(max_block: int, verify: bool = False) -> BuildState:
     """Seed plus steps 2..max_block; with verify, certify every leaf with the oracle."""
     if max_block < 1:
         raise ValueError("max_block must be >= 1")
-    check_int64(2 * (3**max_block - 1))  # the last block's type-B modulus, refused up front
+    if 2 * (3**max_block - 1) > MAX_INT64_MODULUS:  # the last block's type-B modulus
+        top = next(k for k in count(1) if 2 * (3**(k + 1) - 1) > MAX_INT64_MODULUS)
+        raise ValueError(f"block {max_block} needs modulus {2 * (3**max_block - 1)}, where int64 "
+                         f"chord keys would wrap; the largest block is {top}")
     state = BuildState(leaves=seed_leaves(), completed_block=1)
     for block in range(2, max_block + 1):
         run_step(state, block)

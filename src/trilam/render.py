@@ -20,12 +20,19 @@ exactly these: the correctly rounded turns `x / N` of Python ints
 (x / N)` once per distinct angle of each slice of 1,024 chords; and
 float64 array arithmetic for points, centers and radii in the operation
 order of the scalar formula (numpy's + - * / and sqrt round as
-CPython's do and fuse no multiply-adds).
+CPython's do and fuse no multiply-adds).  A slice's text is one byte
+matrix of its elements' template pieces and NUL-padded fields, NULs
+dropped.  A coordinate v is written as `'%.12f' % v` exactly: below
+2^52 / 10^12, Dekker's two-product gives the error of v * 1e12 and so
+v * 10^12 rounded half to even, gathered four digits at a time; any
+other value (-0.0, huge radii, sizes past ~4,500 px) goes through `%`.
 """
 
 from __future__ import annotations
 
+import colorsys
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -63,23 +70,15 @@ _TYPE_COLORS = {"B": "#c02030", "D": "#1040c0", "": "#202020"}
 def _block_color(block: int) -> str:
     # deterministic palette: rotate hue with the golden ratio
     hue = (0.61803398875 * (block - 1)) % 1.0
-    r, g, b = _hsv(hue, 0.75, 0.78)
+    r, g, b = (int(round(255 * x)) for x in colorsys.hsv_to_rgb(hue, 0.75, 0.78))
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _hsv(h: float, s: float, v: float) -> tuple[int, int, int]:
-    i = int(h * 6.0) % 6
-    f = h * 6.0 - int(h * 6.0)
-    p, q, t = v * (1 - s), v * (1 - s * f), v * (1 - s * (1 - f))
-    rgb = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
-    return tuple(int(round(255 * x)) for x in rgb)  # type: ignore[return-value]
-
-
-# one %-template per element kind; %.12f formats as f"{x:.12f}" does
+# one %-template per element kind, the one definition of its text
 _DOT = '<circle class="%s" cx="%.12f" cy="%.12f" r="1.5" fill="%s"/>'
 _TAIL = '" fill="none" stroke="%s" stroke-width="1.0"/>'
 _LINE = '<path class="%s" d="M %.12f %.12f L %.12f %.12f' + _TAIL
-_ARC = '<path class="%s" d="M %.12f %.12f A %s %s 0 0 %d %.12f %.12f' + _TAIL
+_ARC = '<path class="%s" d="M %.12f %.12f A %.12f %.12f 0 0 %d %.12f %.12f' + _TAIL
 
 
 def _style(cls: str, block: int, cfg: RenderConfig) -> tuple[str, str]:
@@ -116,35 +115,33 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
     m = len(pairs)
     order = short_arc_order(pairs, n)
     pairs = pairs[order]
-    keys = list(zip(classes if classes is not None else [""] * m,
-                    blocks if blocks is not None else [0] * m))
-    styles = {key: _style(*key, cfg) for key in set(keys)}
-    styled = [styles[keys[i]] for i in order.tolist()]
-
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        '<circle cx="%.12f" cy="%.12f" r="%.12f" fill="none" stroke="#888888" '
-        'stroke-width="1.5"/>' % (cx, cy, r),
-    ]
-    for s in range(0, m, _SLICE):
-        lines += _elements(pairs[s:s + _SLICE], styled[s:s + _SLICE], n, cx, cy, r, cfg)
-    lines.append("</svg>\n")
-    return "\n".join(lines)
+    # one style per distinct (class, block), gathered by id: no tuple per chord
+    (cu, ci), (bu, bi) = (np.unique(np.asarray(v if v is not None else [d]), return_inverse=True)
+                          for v, d in ((classes, ""), (blocks, 0)))
+    keys, sid = np.unique(np.broadcast_to(ci * len(bu) + bi, m), return_inverse=True)
+    keys = zip(cu[keys // len(bu)].tolist(), bu[keys % len(bu)].tolist())
+    styles = np.array([[t.encode() for t in _style(*key, cfg)] for key in keys], "S").reshape(-1, 2)
+    text = bytearray(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+                     f'viewBox="0 0 {size} {size}">\n<rect width="{size}" height="{size}" '
+                     'fill="white"/>\n<circle cx="%.12f" cy="%.12f" r="%.12f" fill="none" '
+                     'stroke="#888888" stroke-width="1.5"/>\n' % (cx, cy, r), "ascii")
+    for s in range(0, m, _SLICE):  # one growing buffer: no slice text outlives its slice
+        text += _elements(pairs[s:s + _SLICE], styles[sid[order[s:s + _SLICE]]], n, cx, cy, r, cfg)
+    text += b"</svg>\n"
+    return text.decode()
 
 
-def _elements(pairs: np.ndarray, styled: list[tuple[str, str]], n: int,
-              cx: float, cy: float, r: float, cfg: RenderConfig) -> list[str]:
-    """The SVG elements of canonically ordered chords, in order.
+def _elements(pairs: np.ndarray, styles: np.ndarray, n: int,
+              cx: float, cy: float, r: float, cfg: RenderConfig) -> bytes:
+    """The SVG elements of canonically ordered chords in UTF-8, in order, a line each.
 
-    A degenerate chord is a dot; a straight chord, or a diameter
-    (1 + p1.p2 < 1e-9 for the unit-disk endpoints p1, p2), a segment.
-    Any other geodesic is an arc of the circle orthogonal to the unit
-    circle through p1 and p2: center o = k (p1 + p2) with
-    k = 1 / (1 + p1.p2), radius sqrt(|o|^2 - 1).  It runs from lo to hi
-    inside the disk, clockwise on screen (SVG sweep 1) iff the arc from
-    lo to hi is the short one, 2 (hi - lo) < n.
+    `styles` holds each chord's (label, color) bytes.  A degenerate chord
+    is a dot; a straight chord, or a diameter (1 + p1.p2 < 1e-9 for the
+    unit-disk endpoints p1, p2), a segment.  Any other geodesic is an arc
+    of the circle orthogonal to the unit circle through p1 and p2: center
+    o = k (p1 + p2) with k = 1 / (1 + p1.p2), radius sqrt(|o|^2 - 1).  It
+    runs from lo to hi inside the disk, clockwise on screen (SVG sweep 1)
+    iff the arc from lo to hi is the short one, 2 (hi - lo) < n.
     """
     ends, inv = np.unique(pairs.ravel(), return_inverse=True)
     tau = 2.0 * math.pi
@@ -158,28 +155,67 @@ def _elements(pairs: np.ndarray, styled: list[tuple[str, str]], n: int,
     if cfg.geodesic_style == "arc":
         dot = c1 * c2 + s1 * s2
         kind[(kind == 1) & ~(1.0 + dot < 1e-9)] = 2
-    out: list = [None] * len(pairs)
+    kinds = []
     for k, tmpl in enumerate((_DOT, _LINE, _ARC)):
         rows = np.flatnonzero(kind == k)
         if not len(rows):
             continue
-        label, color = zip(*[styled[i] for i in rows.tolist()])
-        start = (label, x1[rows].tolist(), y1[rows].tolist())
-        if k == 0:
-            fields = (*start, color)
-        elif k == 1:
-            fields = (*start, x2[rows].tolist(), y2[rows].tolist(), color)
-        else:
+        floats, digits = [x1[rows], y1[rows]], []
+        if k == 1:
+            floats += [x2[rows], y2[rows]]
+        elif k == 2:
             kk = 1.0 / (1.0 + dot[rows])
             ox = kk * (c1[rows] + c2[rows])
             oy = kk * (s1[rows] + s2[rows])
             # |o|^2 - 1 = (1 - p1.p2) / (1 + p1.p2) >= 0, but rounding takes it
             # below 0 for some endpoints a few 1e-9 turn apart; such an arc
             # gets radius 0, which SVG draws as the segment
-            rr = ["%.12f" % x
-                  for x in (np.sqrt(np.maximum(ox * ox + oy * oy - 1.0, 0.0)) * r).tolist()]
-            sweep = (2 * (pairs[rows, 1] - pairs[rows, 0]) < n).tolist()
-            fields = (*start, rr, rr, sweep, x2[rows].tolist(), y2[rows].tolist(), color)
-        for i, t in zip(rows.tolist(), zip(*fields)):
-            out[i] = tmpl % t
-    return out
+            rr = np.sqrt(np.maximum(ox * ox + oy * oy - 1.0, 0.0)) * r
+            floats += [rr, rr, x2[rows], y2[rows]]
+            digits = [48 + (2 * (pairs[rows, 1] - pairs[rows, 0]) < n).astype(np.uint8)[:, None]]
+        style = styles[rows].view(np.uint8).reshape(len(rows), 2, -1)
+        fields = {"s": iter(style.transpose(1, 0, 2)), "d": iter(digits),
+                  ".12f": iter(_fixed12(np.stack(floats, 1)).transpose(1, 0, 2))}
+        cols = [np.broadcast_to(np.frombuffer(part.encode(), np.uint8), (len(rows), len(part)))
+                if j % 2 == 0 else next(fields[part])
+                for j, part in enumerate(re.split(r"%(s|d|\.12f)", tmpl + "\n"))]
+        kinds.append((rows, np.concatenate(cols, axis=1)))
+    text = np.zeros((len(pairs), max(mat.shape[1] for _, mat in kinds)), np.uint8)
+    for rows, mat in kinds:
+        text[rows, :mat.shape[1]] = mat
+    # NUL pads every field to its column's width; XML admits no NUL in a document
+    return text[text != 0].tobytes()
+
+
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter: float64 halves of 26 bits multiply exactly
+_HI12, _LO12 = 999999995904.0, 4096.0  # the halves of 1e12
+# 0000..9999 in ASCII, a uint32 each (made in uint16: small temporaries at import)
+_GROUPS = (48 + np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1],
+           np.uint16) % 10).astype(np.uint8).view("<u4").ravel()
+
+
+def _fixed12(x: np.ndarray) -> np.ndarray:
+    """'%.12f' % v of each float64 v of x, as NUL-padded ASCII of shape x.shape + (width,)."""
+    shape, x = x.shape, x.ravel()
+    fast = (x < 2**52 / 10**12) & ~np.signbit(x)  # else -0.0, < 0, large, inf or nan
+    v = np.where(fast, x, 0.0)
+    y, c = v * 1e12, _SPLIT * v
+    hi = c - (c - v)
+    lo = v - hi
+    e = ((hi * _HI12 - y) + hi * _LO12 + lo * _HI12) + lo * _LO12  # Dekker: v * 10**12 == y + e
+    k = y.astype(np.int64)  # floor(y), as y >= 0
+    d = (y - k) - 0.5
+    k += (d > -e) | ((d == -e) & ((k & 1) == 1))  # v * 10**12 rounded half to even
+    # 5 words: whole part without leading zeros, ".", 3 groups of 4 decimals
+    out = np.full((len(x), 5), ord("."), "<u4")
+    for j in (4, 3, 2):
+        out[:, j] = _GROUPS[k % 10**4]
+        k //= 10**4
+    lead = 8 * ((k < 10).astype(np.uint32) + (k < 100) + (k < 1000))
+    out[:, 0] = _GROUPS[k] >> lead << lead
+    out = out.view(np.uint8)
+    if not fast.all():
+        text = np.array(["%.12f" % v for v in x[~fast].tolist()], "S")
+        out = np.pad(out, ((0, 0), (max(20, text.itemsize) - 20, 0)))
+        out[~fast] = text.astype(f"S{out.shape[1]}").view(np.uint8).reshape(len(text), -1)
+    return out.reshape(*shape, -1)

@@ -162,7 +162,9 @@ def test_comajors_block_beyond_int64_is_refused_before_step_2(capsys, monkeypatc
     with pytest.raises(SystemExit) as exc:
         main(["comajors", "--max-block", "20"])
     assert exc.value.code == 2
-    assert "would wrap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # it names the block asked for and the largest block accepted
+    assert "would wrap" in err and "block 20 " in err and "largest block is 19" in err
 
 
 def test_size_without_room_for_the_circle_is_usage_error(capsys):

@@ -8,7 +8,7 @@ import pytest
 import reference
 from trilam.builder import build
 from trilam.chords import Chord
-from trilam.render import RenderConfig, render_svg
+from trilam.render import RenderConfig, _fixed12, render_svg
 
 from conftest import ch
 
@@ -131,3 +131,57 @@ def test_chord_below_float_resolution_renders_with_radius_zero():
         reference.render_svg([Chord(Fraction(lo, n), Fraction(lo + 1, n))])
     (d,) = paths_of(render_svg(np.array([[lo, lo + 1]]), modulus=n))
     assert " A 0.000000000000 0.000000000000 0 0 1 " in d
+
+
+def _fixed12_lines(x):
+    mat = _fixed12(x)
+    mat = np.concatenate([mat, np.full((len(x), 1), ord("\n"), np.uint8)], axis=1)
+    return mat[mat != 0].tobytes().decode().splitlines()
+
+
+def test_fixed12_matches_percent_format():
+    # the exact vectorised '%.12f' against Python's: log-uniform doubles down
+    # to subnormals, exact ties at the 13th decimal (multiples of 2^-13),
+    # both neighbours of each midpoint (K + 0.5) / 10^12, and the values
+    # at and past the edges of the fast range
+    rng = np.random.default_rng(13)
+    k = rng.integers(0, 4 * 10**15, 10**5)
+    mid = (k + 0.5) / 10**12
+    edge = 2**52 / 10**12
+    x = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-320), math.log(4.5e3), 10**6)),
+        np.arange(2**13 * 4) / 2**13 + 1234.0,
+        np.nextafter(mid, 0.0), mid, np.nextafter(mid, np.inf),
+        [0.0, -0.0, 5e-324, edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf),
+         1e9, 1e300, np.inf, -np.inf, np.nan, -1.5],
+    ])
+    got, want = _fixed12_lines(x), ["%.12f" % v for v in x.tolist()]
+    assert got == want, [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:10]
+
+
+def _mixed_slice():
+    # a dot, a diameter drawn as a segment, ordinary arcs and a near-diameter
+    # arc whose radius (about 12,400 px at 800 px) leaves the fast range
+    return [Chord(Fraction(1, 7), Fraction(1, 7)), ch(1, 4, 3, 4), ch(1, 6, 1, 3),
+            Chord(Fraction(0), Fraction(51, 100)), ch(5, 12, 7, 12), ch(11, 12, 1, 12)]
+
+
+@pytest.mark.parametrize("cfg", [
+    RenderConfig(size_px=10000),  # coordinates on both sides of the fast range
+    RenderConfig(color_by="block"),
+    RenderConfig(color_by="block", geodesic_style="straight", size_px=4600),
+])
+def test_render_matches_reference_at_fallback_edges(cfg):
+    # all in one slice of the renderer, styled by type or by block
+    recs = build(4).sorted_leaves()
+    chords = [r.chord for r in recs] + _mixed_slice()
+    kw = {"classes": [r.ptype for r in recs] + ["B", "D", "", "x", "B", "D"],
+          "blocks": [r.block_period for r in recs] + [0, 1, 2, 3, 4, 0]}
+    assert render_svg(chords, cfg, **kw) == reference.render_svg(chords, cfg, **kw)
+
+
+def test_near_diameter_radius_leaves_fast_range():
+    svg = render_svg(_mixed_slice())
+    radii = [float(m) for m in re.findall(r" A (\S+) ", svg)]
+    assert max(radii) > 2**52 / 10**12
+    assert svg == reference.render_svg(_mixed_slice())

@@ -11,7 +11,7 @@ being repaired, since each contradicts a theorem about the lamination.
 The leaves live on one integer grid held by `BuildState`, a (lo, hi) row
 per leaf beside its type and block; each step grows the scale by one
 lcm.  Grouping, pairing, the crossing check and the nesting audit run on
-these rows through one laminar pass (`grid.laminar`), in which grouping
+these rows through one laminar pass (`grid.Laminar`), in which grouping
 lays the four sectors beside the leaves as arcs; the `Fraction` records
 are made from the rows only when the leaves are read.
 """
@@ -28,7 +28,7 @@ import numpy as np
 
 from .chords import Chord, image
 from .formats import crossing_to_json
-from .grid import MAX_INT64_MODULUS, Laminar, int_dtype, laminar, scale_of, short_arc_order
+from .grid import MAX_INT64_MODULUS, Laminar, int_dtype, scale_of, short_arc_order
 from .legality import is_legal_pair
 from .orbits import preperiod1_grid
 
@@ -56,12 +56,11 @@ class BuildError(RuntimeError):
 
 
 class VerificationError(RuntimeError):
-    """A produced leaf failed the independent legality oracle."""
+    """A produced leaf failed the independent legality oracle; `witness` is the verdict's JSON."""
 
     def __init__(self, record: "ComajorRecord", verdict):
-        self.record = record
-        self.verdict = verdict
-        super().__init__(f"leaf {record.chord} failed certification: {verdict.to_json()}")
+        super().__init__(f"leaf {record.chord} failed certification")
+        self.witness = verdict.to_json()["witness"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,20 +116,9 @@ class BuildState:
 
 @dataclass
 class NestingReport:
-    checked_blocks: int
     cross_type: list[tuple[ComajorRecord, ComajorRecord]]  # (inner, outer) pairs
     separated_same_type: list[tuple[ComajorRecord, ComajorRecord, ComajorRecord]]
     # (inner, outer, smaller-block separator) triples
-
-    def __str__(self) -> str:
-        lines = [f"nesting audit over blocks 1..{self.checked_blocks}: "
-                 f"{len(self.cross_type)} cross-type same-block nesting(s), "
-                 f"{len(self.separated_same_type)} same-type nesting(s) split by a smaller block"]
-        for inner, outer in self.cross_type[:12]:
-            lines.append(f"  {inner.ptype} {inner.chord} under {outer.ptype} {outer.chord}")
-        if len(self.cross_type) > 12:
-            lines.append(f"  ... {len(self.cross_type) - 12} more")
-        return "\n".join(lines)
 
 
 # Step-1 leaves; the four sectors between them bound all later central candidates.
@@ -162,7 +150,7 @@ def _arc_family(pairs: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray, 
     seam = np.flatnonzero(rows[:, 1] >= scale)
     rows = np.concatenate([rows, rows[seam] - scale])
     owner = np.concatenate([np.arange(len(pairs)), seam])
-    lam = laminar(rows)
+    lam = Laminar(rows)
     if lam.crossing is not None:
         first, second = (Chord.from_grid(pairs[owner[r]].tolist(), scale) for r in lam.crossing)
         raise BuildError(f"leaf {first} crosses leaf {second}", crossing_to_json(first, second))
@@ -200,9 +188,10 @@ def group_by_component(points: np.ndarray, state: BuildState) -> list[np.ndarray
     bucket, pos = owner[row], pts - rows[row, 0]
 
     order = np.lexsort((pos, bucket))
+    pts = pts[order]
     starts = np.flatnonzero(np.diff(bucket[order], prepend=-1))
-    groups = np.split(pts[order], starts[1:])
-    return [groups[k] for k in np.argsort(np.minimum.reduceat(pts[order], starts)).tolist()]
+    first, stop = starts.tolist(), [*starts[1:].tolist(), len(pts)]
+    return [pts[first[k]:stop[k]] for k in np.argsort(np.minimum.reduceat(pts, starts)).tolist()]
 
 
 def pair_consecutively(groups: list[np.ndarray], scale: int) -> np.ndarray:
@@ -313,5 +302,4 @@ def nesting_audit(state: BuildState) -> NestingReport:
                              f"{leaves[o].chord}")
         else:
             separated.append((leaves[i], leaves[o], leaves[s]))
-    return NestingReport(checked_blocks=state.completed_block, cross_type=cross,
-                         separated_same_type=separated)
+    return NestingReport(cross_type=cross, separated_same_type=separated)

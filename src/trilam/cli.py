@@ -5,8 +5,10 @@ Subcommands: comajors (run the block-period construction), check
 pullback family of a legal pair), render (chords JSON to SVG).
 
 Exit codes: 0 success, 1 verification or legality failure, 2 usage or
-file error.  A failed construction or invariant prints its witness, when
-it has one, on stderr as one JSON line after the message.
+file error.  A failed contract (construction, certification, seed
+legality, pullback invariant) prints its message on stderr, then its
+witness, when it has one, as one JSON line; `check` prints its verdict
+and witness on stdout.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def _write(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _fail(what: str, exc: BuildError | InvariantError) -> int:
+def _fail(what: str,
+          exc: BuildError | VerificationError | IllegalSeedError | InvariantError) -> int:
     """Report a failed contract on stderr, then its witness, if any, as one JSON line; exit 1."""
     print(f"{what}: {exc}", file=sys.stderr)
     if exc.witness is not None:
@@ -77,8 +80,7 @@ def cmd_comajors(args) -> int:
     try:
         state = build(args.max_block, verify=args.verify)
     except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
+        return _fail("verification failure", exc)
     except BuildError as exc:
         return _fail("build failure", exc)
     _emit_records(state, args)
@@ -131,8 +133,7 @@ def cmd_pullback(args) -> int:
         else:
             pre = build_prelamination(c, args.depth)
     except IllegalSeedError as exc:
-        print(f"illegal seed: {exc}", file=sys.stderr)
-        return 1
+        return _fail("illegal seed", exc)
     except InvariantError as exc:
         return _fail("invariant failure", exc)
     if args.format == "svg":
@@ -143,26 +144,13 @@ def cmd_pullback(args) -> int:
     return 0
 
 
-def _record_field(item, key: str, kind: type):
-    value = item.get(key) if isinstance(item, dict) else None
-    if not isinstance(value, kind):
-        raise ValueError(f"record {item!r} needs {kind.__name__} {key!r}")
-    return value
-
-
 def cmd_render(args) -> int:
     if args.infile is None or args.infile == "-":
         text = sys.stdin.read()
     else:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
-    doc = json.loads(text)
-    classes = None
-    blocks = None
-    if isinstance(doc, list) and doc and isinstance(doc[0], dict) and "type" in doc[0]:
-        classes = [_record_field(item, "type", str) for item in doc]
-        blocks = [_record_field(item, "block", int) for item in doc]
-    pairs, n = chords_from_json(doc)
+    pairs, n, classes, blocks = chords_from_json(json.loads(text))
     svg = render_svg(pairs, _render_cfg(args), classes=classes, blocks=blocks, modulus=n)
     _write(svg, args.out)
     return 0

@@ -5,18 +5,19 @@ canonical one (block, type with D before B, then the short-arc key,
 which `prelamination_to_json` applies itself), so repeated runs are
 byte-identical.  A prelamination serializes straight from its integer
 grid: the reduced string of x/N is (x/g)/(N/g) for g = gcd(x, N), so
-no `Fraction` is built per chord.  The documents that `render --in`
-reads go the other way, straight onto a grid, by `chords_from_json`.
+no `Fraction` is built per chord.  Documents are read the other way,
+straight onto a grid, by one reader, `chords_from_json`: `render --in`
+calls it, and `records_from_json` makes its records from its rows.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
-from .angles import angle_str, parse_angle, parse_fraction
+from .angles import angle_str, parse_fraction
 from .chords import Chord
 from .grid import int_dtype, scale_of, short_arc_order
 
@@ -24,8 +25,8 @@ if TYPE_CHECKING:
     from .builder import ComajorRecord
 
 __all__ = [
-    "CSV_HEADER", "chord_to_json", "crossing_to_json", "record_to_json", "record_from_json",
-    "records_to_json", "records_from_json", "records_to_csv", "grid_angle_strs",
+    "CSV_HEADER", "chord_to_json", "crossing_to_json", "record_to_json", "records_to_json",
+    "records_from_json", "records_to_csv", "grid_angle_strs",
     "prelamination_to_json", "chords_from_json",
 ]
 
@@ -50,13 +51,6 @@ def record_to_json(rec: "ComajorRecord") -> dict:
     }
 
 
-def record_from_json(doc: dict) -> "ComajorRecord":
-    from .builder import ComajorRecord
-
-    return ComajorRecord(Chord(parse_angle(doc["a"]), parse_angle(doc["b"])), doc["type"],
-                         doc["block"])
-
-
 def records_to_json(records: Iterable["ComajorRecord"]) -> str:
     """The record array as `json.dumps([record_to_json(r), ...], indent=0)`.
 
@@ -71,7 +65,15 @@ def records_to_json(records: Iterable["ComajorRecord"]) -> str:
 
 
 def records_from_json(text: str) -> list["ComajorRecord"]:
-    return [record_from_json(doc) for doc in json.loads(text)]
+    """The records of a record array, read as `render --in` reads it (`chords_from_json`)."""
+    from .builder import ComajorRecord
+
+    doc = json.loads(text)
+    pairs, n, types, blocks = chords_from_json(doc)
+    if types is None and doc != []:
+        raise ValueError("not a record array: its first item needs str 'type'")
+    return [ComajorRecord(Chord.from_grid(p, n), t, b)
+            for p, t, b in zip(pairs.tolist(), types or (), blocks or ())]
 
 
 def records_to_csv(records: Iterable["ComajorRecord"]) -> str:
@@ -109,15 +111,21 @@ def _chord_text(a: str, b: str) -> str:
     return f'{{\n"a": "{a}",\n"b": "{b}"\n}}'
 
 
-def chords_from_json(doc) -> tuple[np.ndarray, int]:
+def chords_from_json(doc) -> tuple[np.ndarray, int, Optional[list[str]], Optional[list[int]]]:
     """Chords of a parsed record array, prelamination document or bare chord list, on a grid.
 
-    Returns the (m, 2) pairs lo <= hi and their modulus n, the lcm of
-    the denominators as written, for `render_svg(pairs, modulus=n)`.
-    The pairs are int64 while they fit it (`grid.int_dtype`) and Python
-    ints of dtype object beyond.
+    Returns the (m, 2) pairs lo <= hi, their modulus n, the lcm of the
+    denominators as written, for `render_svg(pairs, modulus=n)`, and
+    the types and blocks of a record array (its first item has a
+    "type"), every item of which must carry both; other documents give
+    None, None.  The pairs are int64 while they fit it
+    (`grid.int_dtype`) and Python ints of dtype object beyond.
     """
-    if isinstance(doc, dict) and "chords" in doc:
+    types = blocks = None
+    if isinstance(doc, list) and doc and isinstance(doc[0], dict) and "type" in doc[0]:
+        types = [_record_field(item, "type", str) for item in doc]
+        blocks = [_record_field(item, "block", int) for item in doc]
+    elif isinstance(doc, dict) and "chords" in doc:
         doc = doc["chords"]
     if not isinstance(doc, list):
         raise ValueError(f"expected a list of chords, got {doc!r}")
@@ -127,7 +135,14 @@ def chords_from_json(doc) -> tuple[np.ndarray, int]:
     flat = [p * scale[q] for ab in ends for p, q in ab]
     pairs = np.array(flat, dtype=int_dtype(n)).reshape(-1, 2)
     pairs.sort(axis=1)
-    return pairs, n
+    return pairs, n, types, blocks
+
+
+def _record_field(item, key: str, kind: type):
+    value = item.get(key) if isinstance(item, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"record {item!r} needs {kind.__name__} {key!r}")
+    return value
 
 
 def _fraction_ends(doc: dict) -> tuple[tuple[int, int], tuple[int, int]]:

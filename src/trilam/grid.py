@@ -6,7 +6,7 @@ enter through `scale_of`/`on_grid` and leave as `Fraction(x, N)`; the
 hot paths of orbits, builder, legality and pullback run in between.
 The common scale (`scale_of`), int64 or Python ints (`int_dtype`),
 crossing (`crosses`) and orbit stepping (`orbit`) are each decided here
-once.  `laminar` is the one laminarity primitive: a vectorised pass
+once.  `Laminar` is the one laminarity primitive: a vectorised pass
 over the open/close events of a family of (lo, hi) chords gives its
 verdict, a crossing witness, parent pointers and the regions of points.
 The quadrilateral of a short chord and its strips (`majors`,
@@ -25,7 +25,7 @@ import numpy as np
 
 __all__ = [
     "Pair", "Strips", "MAX_INT64_MODULUS", "check_int64", "int_dtype", "scale_of", "on_grid",
-    "arclen", "crosses", "Laminar", "laminar", "short_arc_order", "closure", "orbit", "canon",
+    "arclen", "crosses", "Laminar", "short_arc_order", "closure", "orbit", "canon",
     "antipode", "majors", "boundary_arcs", "strip_parts",
 ]
 
@@ -146,11 +146,6 @@ class Laminar:
         """Per point x, the row of the innermost chord with lo < x < hi, or -1."""
         rank = np.searchsorted(self._lo, points)
         return self._innermost(rank, rank - np.searchsorted(self._hi, points, side="right"))
-
-
-def laminar(pairs: np.ndarray) -> Laminar:
-    """One vectorised pass over the open/close events of a chord family: see `Laminar`."""
-    return Laminar(pairs)
 
 
 def short_arc_order(pairs: np.ndarray, n: int) -> np.ndarray:

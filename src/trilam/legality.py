@@ -157,7 +157,7 @@ def is_legal_pair(c: Chord) -> LegalityVerdict:
     # (a) no two iterated forward images of c and -c cross; the laminar
     # pass decides, the ordered scan finds the first witness
     ends = np.fromiter(chain.from_iterable(family), grid.int_dtype(n), 2 * len(family))
-    if grid.laminar(ends.reshape(-1, 2)).crossing is not None:
+    if grid.Laminar(ends.reshape(-1, 2)).crossing is not None:
         k, j = next((k, j) for k in range(len(family)) for j in range(k + 1, len(family))
                     if grid.crosses(family[k], family[j], n))
         return LegalityVerdict(

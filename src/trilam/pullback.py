@@ -42,7 +42,7 @@ parents are distinct and a child can repeat only a seed (one of an
 earlier level would have a parent repeating one too): each level's
 child keys are filtered against the seed keys alone and form the next
 frontier.  A chord's depth is the level of its first appearance.  The
-finished family must be laminar (`grid.laminar`) and free of repeats
+finished family must be laminar (`grid.Laminar`) and free of repeats
 (a crossing or a repeat raises InvariantError with its witness) and is
 kept in key order: `Prelamination.pairs` is sorted by lo * n + hi.
 """
@@ -57,7 +57,7 @@ import numpy as np
 from .angles import orbit_info
 from .chords import Chord, image
 from .formats import chord_to_json, crossing_to_json
-from .grid import Pair, antipode, arclen, canon, check_int64, closure, crosses, laminar, orbit
+from .grid import Laminar, Pair, antipode, arclen, canon, check_int64, closure, crosses, orbit
 from .legality import LegalityVerdict, is_legal_pair, strips_on_grid
 
 __all__ = [
@@ -71,11 +71,12 @@ __all__ = [
 
 
 class IllegalSeedError(ValueError):
-    """The seed pair failed the legality oracle."""
+    """The seed pair failed the legality oracle; `witness` is the verdict's JSON."""
 
     def __init__(self, c: Chord, verdict: LegalityVerdict):
+        super().__init__(f"seed {c} is not a legal pair")
         self.verdict = verdict
-        super().__init__(f"seed {c} is not a legal pair: {verdict.to_json()}")
+        self.witness = verdict.to_json()["witness"]
 
 
 class InvariantError(RuntimeError):
@@ -192,7 +193,7 @@ class Prelamination:
     # -- structural invariants ------------------------------------------------
 
     def noncrossing(self) -> bool:
-        return laminar(self.pairs).crossing is None
+        return Laminar(self.pairs).crossing is None
 
     def antipode_closed(self) -> bool:
         n = self.modulus
@@ -260,11 +261,6 @@ class Prelamination:
         for _ in range(sum(closure(n)) - 1):
             hit |= hit[img]
         return hit
-
-    def to_json(self) -> str:
-        from .formats import prelamination_to_json
-
-        return prelamination_to_json(self.seed, self.depth, self.pairs, self.modulus)
 
 
 def _keys(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
@@ -371,7 +367,7 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     del keys
     pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs, depths=depths)
     del pairs, depths  # only the family stays alive through the invariant check
-    crossing = laminar(pre.pairs).crossing
+    crossing = Laminar(pre.pairs).crossing
     if crossing is not None:
         first, second = (Chord.from_grid(p, n) for p in pre.pairs[list(crossing)].tolist())
         raise InvariantError(f"pullback family of {c} produced a crossing: "

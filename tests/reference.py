@@ -14,7 +14,7 @@ for the verdict and `group_by_component` for point components;
 `level_children` tests every pullback candidate against every barrier.
 The package computes all of them on the integer grid (`trilam.grid`),
 with sorted int64 keys or with the vectorised laminar pass
-(`grid.laminar`); the differential tests compare the two.  Nothing here
+(`grid.Laminar`); the differential tests compare the two.  Nothing here
 is used by `src/`.
 """
 

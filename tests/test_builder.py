@@ -206,7 +206,7 @@ def test_group_by_component_matches_sweep_oracle_through_block_8(monkeypatch):
 
 
 # sha256 of the nesting_audit lists of build(k), recorded before the audit
-# ran on `grid.laminar` parents
+# ran on `grid.Laminar` parents
 _AUDIT_DIGESTS = {
     1: "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
     2: "bdb175136ca0d38c1ef7837f56b850c9ccd5a15e037bafa47f35f73b4b4673ad",

@@ -167,7 +167,7 @@ def test_quad(c, verts):
 def test_separates(c, x, y, expected):
     # c separates x from y iff they lie in different regions of the family {c}
     n = grid.scale_of([*c.endpoints(), x, y])
-    regions = grid.laminar(np.array([[grid.on_grid(c.a, n), grid.on_grid(c.b, n)]])).regions(
+    regions = grid.Laminar(np.array([[grid.on_grid(c.a, n), grid.on_grid(c.b, n)]])).regions(
         np.array([grid.on_grid(x, n), grid.on_grid(y, n)]))
     assert bool(regions[0] != regions[1]) is expected
 

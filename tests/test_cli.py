@@ -1,11 +1,15 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from trilam.angles import parse_angle
+from trilam.builder import ComajorRecord
+from trilam.chords import Chord
 from trilam.cli import main
-from trilam.formats import chords_from_json
+from trilam.formats import chords_from_json, records_from_json
+from trilam.legality import is_legal_pair
 
 from conftest import CROSSING_LEAVES, witness_crosses
 
@@ -100,19 +104,83 @@ def test_pullback_prune_excludes_short_edges(capsys):
     assert ("1/4", "5/12") not in chords and ("7/12", "3/4") not in chords
 
 
+ILLEGAL = Chord(Fraction(1, 12), Fraction(1, 6))
+
+
 def test_pullback_illegal_seed_fails(capsys):
-    code, _, err = run(capsys, "pullback", "1/12", "1/6", "--depth", "1")
+    code, out, err = run(capsys, "pullback", "1/12", "1/6", "--depth", "1")
     assert code == 1
-    assert "illegal seed" in err
+    assert out == ""
+    message, witness = err.splitlines()
+    assert message == "illegal seed: seed (1/12, 1/6) is not a legal pair"
+    assert json.loads(witness) == is_legal_pair(ILLEGAL).to_json()["witness"]
+
+
+def test_comajors_verification_failure_prints_json_witness(capsys, monkeypatch):
+    from trilam import builder
+
+    real, verdict = builder.is_legal_pair, is_legal_pair(ILLEGAL)
+    leaf = Chord(Fraction(5, 12), Fraction(7, 12))
+    monkeypatch.setattr(builder, "is_legal_pair", lambda c: verdict if c == leaf else real(c))
+    code, out, err = run(capsys, "comajors", "--max-block", "2", "--verify")
+    assert code == 1
+    assert out == ""
+    message, witness = err.splitlines()
+    assert message == "verification failure: leaf (5/12, 7/12) failed certification"
+    assert json.loads(witness) == verdict.to_json()["witness"]
 
 
 def test_render_from_records(tmp_path, capsys):
-    code, out, _ = run(capsys, "comajors", "--max-block", "1", "--format", "json")
+    # the records written as JSON render to the bytes that comajors writes as SVG
+    code, out, _ = run(capsys, "comajors", "--max-block", "5", "--format", "json")
     src = tmp_path / "leaves.json"
     src.write_text(out)
-    code, svg, _ = run(capsys, "render", "--in", str(src), "--style", "straight")
-    assert code == 0
-    assert svg.count("<path ") == 4
+    for style, digest in [([], "12d381be"),
+                          (["--color-by", "block", "--style", "straight"], "4a0adf28")]:
+        code, svg, _ = run(capsys, "comajors", "--max-block", "5", "--format", "svg", *style)
+        assert code == 0
+        assert hashlib.sha256(svg.encode()).hexdigest()[:8] == digest
+        code, rendered, _ = run(capsys, "render", "--in", str(src), *style)
+        assert code == 0
+        assert rendered == svg
+
+
+_CHORD = {"a": "1/6", "b": "1/3"}
+_RECORD = {**_CHORD, "type": "D", "block": 1}
+_PRELAMINATION = {"seed": {"a": "1/2", "b": "1/2"}, "depth": 0, "chords": [_CHORD]}
+
+
+def test_chords_from_json_reads_record_fields_of_record_arrays_only():
+    pairs, n, types, blocks = chords_from_json([_RECORD, {**_RECORD, "type": "B", "block": 2}])
+    assert n == 6 and pairs.tolist() == [[1, 2], [1, 2]]
+    assert (types, blocks) == (["D", "B"], [1, 2])
+    # a prelamination document or a list whose first item is a bare chord has no record fields
+    for doc in (_PRELAMINATION, [_CHORD], [_CHORD, _RECORD]):
+        assert chords_from_json(doc)[1:] == (6, None, None)
+
+
+def test_records_from_json_round_trips_a_record_array():
+    assert records_from_json(json.dumps([_RECORD])) == [
+        ComajorRecord(Chord(Fraction(1, 6), Fraction(1, 3)), "D", 1)]
+    assert records_from_json("[]\n") == []
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([{**_RECORD, "block": "x"}], "record {'a': '1/6', 'b': '1/3', 'type': 'D', 'block': 'x'} "
+                                  "needs int 'block'"),
+    ([_CHORD], "not a record array: its first item needs str 'type'"),
+    (_PRELAMINATION, "not a record array: its first item needs str 'type'"),
+], ids=["block-not-an-int", "bare-chord-list", "prelamination"])
+def test_records_from_json_rejects_what_is_no_record_array(tmp_path, capsys, doc, message):
+    with pytest.raises(ValueError) as err:
+        records_from_json(json.dumps(doc))
+    assert str(err.value) == message
+    if "needs int" in message:  # render --in refuses the same record with the same message
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit):
+            main(["render", "--in", str(src)])
+        assert capsys.readouterr().err == f"trilam: error: {message}\n"
 
 
 def test_malformed_fraction_is_usage_error(capsys):
@@ -268,5 +336,5 @@ def test_angle_readers_agree(tmp_path, capsys, text, angle):
         assert "malformed fraction" in capsys.readouterr().err
         return
     assert parse_angle(text) == angle
-    pairs, n = chords_from_json(doc)
+    pairs, n, _, _ = chords_from_json(doc)
     assert {Fraction(int(x), n) for x in pairs[0]} == {angle, Fraction(1, 5)}

@@ -115,7 +115,7 @@ def _as_rows(pairs, shift):
 
 
 def test_sweep_matches_pairwise_crosses():
-    """The reference stack sweep and `grid.laminar` agree with the pairwise open-arc test."""
+    """The reference stack sweep and `grid.Laminar` agree with the pairwise open-arc test."""
     rng = random.Random(7)
     outcomes = set()
     for n, pairs in _families(rng):
@@ -125,7 +125,7 @@ def test_sweep_matches_pairwise_crosses():
         assert (reference.crossing_pair(pairs) is not None) == pairwise, pairs
         for shift in (0, n * 2**64):
             rows = _as_rows(pairs, shift)
-            found = grid.laminar(rows).crossing
+            found = grid.Laminar(rows).crossing
             assert (found is not None) == pairwise, (pairs, shift)
             if found is not None:
                 i, j = found
@@ -156,7 +156,7 @@ def test_laminar_parents_and_regions_match_brute_force():
             for i, (lo, hi) in enumerate(pairs)]
         regions = [_innermost(pairs, lambda j, a, b: a < x < b) for x in range(-1, n + 1)]
         for shift in (0, n * 2**64):
-            lam = grid.laminar(_as_rows(pairs, shift))
+            lam = grid.Laminar(_as_rows(pairs, shift))
             if lam.crossing is not None:
                 with pytest.raises(ValueError, match="not laminar"):
                     lam.parents()

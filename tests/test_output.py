@@ -35,7 +35,7 @@ def test_prelamination_output_matches_fraction_reference(seed):
         pre = build_prelamination(seed, depth)
         chords = pre.chords()
         want = reference.prelamination_json(seed, depth, chords)
-        assert pre.to_json() == want
+        assert prelamination_to_json(seed, depth, pre.pairs, pre.modulus) == want
         for cfg in STYLES:
             want = reference.render_svg(chords, cfg)
             assert render_svg(pre.pairs, cfg, modulus=pre.modulus) == want

@@ -8,6 +8,7 @@ import pytest
 from trilam.angles import parse_angle
 from trilam.builder import build
 from trilam.chords import Chord, image, length
+from trilam.formats import prelamination_to_json
 from trilam.grid import MAX_INT64_MODULUS, closure, on_grid, scale_of
 from trilam.pullback import (
     IllegalSeedError,
@@ -398,7 +399,8 @@ _PINNED_JSON = [
 @pytest.mark.parametrize("seed,depth,digest", _PINNED_JSON,
                          ids=[f"{c}-depth{d}" for c, d, _ in _PINNED_JSON])
 def test_pullback_json_matches_pinned_digest(seed, depth, digest):
-    text = build_prelamination(seed, depth).to_json()
+    pre = build_prelamination(seed, depth)
+    text = prelamination_to_json(seed, depth, pre.pairs, pre.modulus)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

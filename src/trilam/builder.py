@@ -12,8 +12,8 @@ The leaves live on one integer grid held by `BuildState`, a (lo, hi) row
 per leaf beside its type and block; each step grows the scale by one
 lcm.  Grouping, pairing, the crossing check and the nesting audit run on
 these rows through one laminar pass (`grid.Laminar`), in which grouping
-lays the four sectors beside the leaves as arcs; the `Fraction` records
-are made from the rows only when the leaves are read.
+lays the four sectors beside the leaves as arcs; output is written from
+the rows, and `Fraction` records are made only when leaves are read.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .chords import Chord, image
 from .formats import crossing_to_json
-from .grid import MAX_INT64_MODULUS, Laminar, int_dtype, scale_of, short_arc_order
+from .grid import MAX_INT64_MODULUS, Laminar, int_dtype, rows_of, short_arc_order
 from .legality import is_legal_pair
 from .orbits import preperiod1_grid
 
@@ -87,9 +87,8 @@ class BuildState:
 
     def __init__(self, leaves: Sequence[ComajorRecord] = (), completed_block: int = 0):
         self.completed_block = completed_block
-        self.scale = scale_of((v for rec in leaves for v in rec.chord.endpoints()), 12)
-        rows = [rec.chord.on_grid(self.scale) for rec in leaves]
-        self.pairs = np.array(rows, dtype=int_dtype(3 * self.scale)).reshape(-1, 2)
+        ends = (v.as_integer_ratio() for rec in leaves for v in rec.chord.endpoints())
+        self.pairs, self.scale = rows_of(ends, 12, reach=3)
         self.ptypes = np.array([rec.ptype for rec in leaves], dtype="U1")
         self.blocks = np.array([rec.block_period for rec in leaves], dtype=np.int64)
 
@@ -108,10 +107,14 @@ class BuildState:
 
     leaves = property(_records, doc="The records of the leaves in leaf order, made on each read.")
 
-    def sorted_leaves(self) -> list[ComajorRecord]:
-        """The records in canonical order: block, type D before B, then the short-arc key."""
+    def order(self) -> np.ndarray:
+        """The leaves' rows in canonical order: block, type D before B, then the short-arc key."""
         order = short_arc_order(self.pairs, self.scale)
-        return self._records(order[np.lexsort((self.ptypes[order] == "B", self.blocks[order]))])
+        return order[np.lexsort((self.ptypes[order] == "B", self.blocks[order]))]
+
+    def sorted_leaves(self) -> list[ComajorRecord]:
+        """The records in canonical order (`order`)."""
+        return self._records(self.order())
 
 
 @dataclass

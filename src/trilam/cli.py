@@ -21,12 +21,7 @@ from typing import Optional, Sequence
 from .angles import angle_str, orbit_info, parse_angle, tripling
 from .builder import BuildError, BuildState, VerificationError, build
 from .chords import Chord, image
-from .formats import (
-    chords_from_json,
-    prelamination_to_json,
-    records_to_csv,
-    records_to_json,
-)
+from .formats import chords_from_json, prelamination_to_json, rows_to_csv, rows_to_json
 from .legality import is_legal_pair
 from .orbits import classify_periodic
 from .pullback import IllegalSeedError, InvariantError, build_prelamination, hyperbolic_prune
@@ -51,29 +46,21 @@ def _fail(what: str,
 
 
 def _render_cfg(args) -> RenderConfig:
-    return RenderConfig(
-        size_px=args.size,
-        geodesic_style=args.style,
-        color_by=args.color_by,
-    )
+    return RenderConfig(size_px=args.size, geodesic_style=args.style, color_by=args.color_by)
 
 
 def _emit_records(state: BuildState, args) -> None:
-    records = state.sorted_leaves()
+    order = state.order()
     if args.type != "both":
-        records = [r for r in records if r.ptype == args.type]
-    if args.format == "json":
-        _write(records_to_json(records), args.out)
-    elif args.format == "csv":
-        _write(records_to_csv(records), args.out)
-    else:
-        svg = render_svg(
-            [r.chord for r in records],
-            _render_cfg(args),
-            classes=[r.ptype for r in records],
-            blocks=[r.block_period for r in records],
-        )
+        order = order[state.ptypes[order] == args.type]
+    pairs, types, blocks = state.pairs[order], state.ptypes[order], state.blocks[order]
+    if args.format == "svg":
+        svg = render_svg(pairs, _render_cfg(args), classes=types, blocks=blocks,
+                         modulus=state.scale)
         _write(svg, args.out)
+    else:
+        write = rows_to_json if args.format == "json" else rows_to_csv
+        _write(write(pairs, state.scale, types.tolist(), blocks.tolist()), args.out)
 
 
 def cmd_comajors(args) -> int:
@@ -128,10 +115,7 @@ def cmd_orbit(args) -> int:
 def cmd_pullback(args) -> int:
     c = Chord(parse_angle(args.a), parse_angle(args.b))
     try:
-        if args.prune:
-            pre = hyperbolic_prune(c, args.depth)
-        else:
-            pre = build_prelamination(c, args.depth)
+        pre = (hyperbolic_prune if args.prune else build_prelamination)(c, args.depth)
     except IllegalSeedError as exc:
         return _fail("illegal seed", exc)
     except InvariantError as exc:

@@ -1,36 +1,41 @@
 """JSON/CSV serialization for chords, comajor records and prelaminations.
 
-All data serializes as exact fraction strings; output ordering is the
-canonical one (block, type with D before B, then the short-arc key,
-which `prelamination_to_json` applies itself), so repeated runs are
-byte-identical.  A prelamination serializes straight from its integer
-grid: the reduced string of x/N is (x/g)/(N/g) for g = gcd(x, N), so
-no `Fraction` is built per chord.  Documents are read the other way,
-straight onto a grid, by one reader, `chords_from_json`: `render --in`
-calls it, and `records_from_json` makes its records from its rows.
+Every chord document is written from grid rows, (lo, hi) ints on a
+modulus n, through one string path, `grid_angle_strs`: x/n is written
+(x/g)/(n/g) for g = gcd(x, n), so no `Fraction` is built per chord.
+Writers keep the order given, but `prelamination_to_json` applies the
+short-arc key itself; `comajors` passes rows in `BuildState.order`, and
+`records_to_json`/`records_to_csv` put records on a grid first
+(`grid.rows_of`).  Documents are read back onto a grid by one reader,
+`chords_from_json`, for `render --in` and `records_from_json`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable, Optional
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .angles import angle_str, parse_fraction
 from .chords import Chord
-from .grid import int_dtype, scale_of, short_arc_order
+from .grid import rows_of, short_arc_order
 
 if TYPE_CHECKING:
     from .builder import ComajorRecord
 
 __all__ = [
-    "CSV_HEADER", "chord_to_json", "crossing_to_json", "record_to_json", "records_to_json",
-    "records_from_json", "records_to_csv", "grid_angle_strs",
-    "prelamination_to_json", "chords_from_json",
+    "CSV_HEADER", "chord_to_json", "crossing_to_json", "records_to_json", "records_from_json",
+    "records_to_csv", "rows_to_json", "rows_to_csv", "grid_angle_strs", "prelamination_to_json",
+    "chords_from_json",
 ]
 
 CSV_HEADER = "a,b,type,block"
+_SLICE = 4096  # rows written by one `%`
+# the text of `json.dumps(doc, indent=0)`: JSON escapes no 'p/q', 'B' or 'D'
+_JSON_CHORD = '{\n"a": "%s",\n"b": "%s"\n}'
+_JSON_RECORD = '{\n"a": "%s",\n"b": "%s",\n"type": "%s",\n"block": %d\n}'
 
 
 def chord_to_json(ch: Chord) -> dict:
@@ -42,45 +47,55 @@ def crossing_to_json(first: Chord, second: Chord) -> dict:
     return {"kind": "crossing", "first": chord_to_json(first), "second": chord_to_json(second)}
 
 
-def record_to_json(rec: "ComajorRecord") -> dict:
-    return {
-        "a": angle_str(rec.chord.a),
-        "b": angle_str(rec.chord.b),
-        "type": rec.ptype,
-        "block": rec.block_period,
-    }
-
-
 def records_to_json(records: Iterable["ComajorRecord"]) -> str:
-    """The record array as `json.dumps([record_to_json(r), ...], indent=0)`.
+    """The records as `rows_to_json` writes their rows, in the given order."""
+    return rows_to_json(*_record_rows(records))
 
-    Its strings are fractions 'p/q' and the types 'B' and 'D', which JSON
-    never escapes, so the text is assembled directly, as in
-    `prelamination_to_json`; the tests hold it to `json.dumps`.
-    """
-    items = ",\n".join(
-        f'{{\n"a": "{angle_str(r.chord.a)}",\n"b": "{angle_str(r.chord.b)}",\n'
-        f'"type": "{r.ptype}",\n"block": {r.block_period}\n}}' for r in records)
+
+def records_to_csv(records: Iterable["ComajorRecord"]) -> str:
+    """The records as `rows_to_csv` writes their rows, in the given order."""
+    return rows_to_csv(*_record_rows(records))
+
+
+def _record_rows(records: Iterable["ComajorRecord"]) -> tuple[np.ndarray, int, list, list]:
+    records = list(records)
+    ends = (v.as_integer_ratio() for r in records for v in r.chord.endpoints())
+    return *rows_of(ends), [r.ptype for r in records], [r.block_period for r in records]
+
+
+def rows_to_json(pairs: np.ndarray, n: int, types: Sequence[str], blocks: Sequence[int]) -> str:
+    """The record array {"a", "b", "type", "block"} of (lo, hi) rows on n, in row order."""
+    items = ",\n".join(_texts(_JSON_RECORD, ",\n", pairs, n, types, blocks))
     return f"[\n{items}\n]\n" if items else "[]\n"
 
 
+def rows_to_csv(pairs: np.ndarray, n: int, types: Sequence[str], blocks: Sequence[int]) -> str:
+    """The CSV table a,b,type,block of (lo, hi) rows on the grid of n, in row order."""
+    return "".join([CSV_HEADER + "\n", *_texts("%s,%s,%s,%d\n", "", pairs, n, types, blocks)])
+
+
+def _texts(template: str, sep: str, pairs: np.ndarray, n: int, *cols: list) -> Iterator[str]:
+    """Per slice of rows, `template % (a, b, *col values)` of each (lo, hi) row, a and b its
+    angle strings on n, joined by sep: one `%` a slice, no string or tuple kept per row."""
+    for s in range(0, len(pairs), _SLICE):
+        strs = (grid_angle_strs(pairs[s:s + _SLICE, j], n) for j in (0, 1))
+        fields = chain.from_iterable(zip(*strs, *(col[s:s + _SLICE] for col in cols)))
+        yield sep.join([template] * min(_SLICE, len(pairs) - s)) % tuple(fields)
+
+
 def records_from_json(text: str) -> list["ComajorRecord"]:
-    """The records of a record array, read as `render --in` reads it (`chords_from_json`)."""
+    """The records of a record array, read as `render --in` reads it, of types 'B' and 'D'."""
     from .builder import ComajorRecord
 
     doc = json.loads(text)
     pairs, n, types, blocks = chords_from_json(doc)
     if types is None and doc != []:
         raise ValueError("not a record array: its first item needs str 'type'")
+    bad = sorted(set(types or ()) - {"B", "D"})
+    if bad:
+        raise ValueError(f"record types must be 'B' or 'D', got {bad}")
     return [ComajorRecord(Chord.from_grid(p, n), t, b)
             for p, t, b in zip(pairs.tolist(), types or (), blocks or ())]
-
-
-def records_to_csv(records: Iterable["ComajorRecord"]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(f"{angle_str(r.chord.a)},{angle_str(r.chord.b)},{r.ptype},{r.block_period}")
-    return "\n".join(lines) + "\n"
 
 
 def grid_angle_strs(col: np.ndarray, n: int) -> list[str]:
@@ -94,32 +109,22 @@ def prelamination_to_json(seed: Chord, depth: int, pairs: np.ndarray, modulus: i
 
     `pairs` are the (n, 2) int chords on the grid of `modulus`, such as
     `Prelamination.pairs`, in any order: they are written in short-arc
-    order (`grid.short_arc_order`).  Every string in the document is a
-    fraction 'p/q', which JSON never escapes, so the text is assembled
-    directly rather than by the much slower indenting encoder; the tests
-    hold it to `json.dumps`.
+    order (`grid.short_arc_order`).
     """
-    pairs = pairs[short_arc_order(pairs, modulus)]
-    strs = zip(grid_angle_strs(pairs[:, 0], modulus), grid_angle_strs(pairs[:, 1], modulus))
-    items = ",\n".join(_chord_text(a, b) for a, b in strs)
+    items = ",\n".join(_texts(_JSON_CHORD, ",\n", pairs[short_arc_order(pairs, modulus)], modulus))
     listed = f"[\n{items}\n]" if items else "[]"
-    seed_text = _chord_text(angle_str(seed.a), angle_str(seed.b))
+    (seed_text,) = _texts(_JSON_CHORD, "", *rows_of(v.as_integer_ratio() for v in seed.endpoints()))
     return f'{{\n"seed": {seed_text},\n"depth": {depth},\n"chords": {listed}\n}}\n'
-
-
-def _chord_text(a: str, b: str) -> str:
-    return f'{{\n"a": "{a}",\n"b": "{b}"\n}}'
 
 
 def chords_from_json(doc) -> tuple[np.ndarray, int, Optional[list[str]], Optional[list[int]]]:
     """Chords of a parsed record array, prelamination document or bare chord list, on a grid.
 
-    Returns the (m, 2) pairs lo <= hi, their modulus n, the lcm of the
-    denominators as written, for `render_svg(pairs, modulus=n)`, and
-    the types and blocks of a record array (its first item has a
-    "type"), every item of which must carry both; other documents give
-    None, None.  The pairs are int64 while they fit it
-    (`grid.int_dtype`) and Python ints of dtype object beyond.
+    Returns the (m, 2) pairs lo <= hi on the lcm n of the denominators as
+    written (`grid.rows_of`), for `render_svg(pairs, modulus=n)`, and the
+    types and blocks of a record array (its first item has a "type"),
+    every item of which must carry a str type and an int block >= 1;
+    other documents give None, None.
     """
     types = blocks = None
     if isinstance(doc, list) and doc and isinstance(doc[0], dict) and "type" in doc[0]:
@@ -129,19 +134,17 @@ def chords_from_json(doc) -> tuple[np.ndarray, int, Optional[list[str]], Optiona
         doc = doc["chords"]
     if not isinstance(doc, list):
         raise ValueError(f"expected a list of chords, got {doc!r}")
-    ends = [_fraction_ends(item) for item in doc]
-    n = scale_of((), *{q for ab in ends for _, q in ab})
-    scale = {q: n // q for ab in ends for _, q in ab}
-    flat = [p * scale[q] for ab in ends for p, q in ab]
-    pairs = np.array(flat, dtype=int_dtype(n)).reshape(-1, 2)
+    pairs, n = rows_of(end for item in doc for end in _fraction_ends(item))
     pairs.sort(axis=1)
     return pairs, n, types, blocks
 
 
 def _record_field(item, key: str, kind: type):
     value = item.get(key) if isinstance(item, dict) else None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):  # JSON true is no int block
         raise ValueError(f"record {item!r} needs {kind.__name__} {key!r}")
+    if kind is int and value < 1:
+        raise ValueError(f"record {item!r} needs {key!r} >= 1")
     return value
 
 

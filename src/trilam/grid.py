@@ -2,30 +2,31 @@
 
 On the grid of modulus N the angle x/N is the int x in [0, N); tripling
 is x -> 3x mod N and the half-turn x -> x + N/2.  `Fraction` angles
-enter through `scale_of`/`on_grid` and leave as `Fraction(x, N)`; the
-hot paths of orbits, builder, legality and pullback run in between.
-The common scale (`scale_of`), int64 or Python ints (`int_dtype`),
-crossing (`crosses`) and orbit stepping (`orbit`) are each decided here
-once.  `Laminar` is the one laminarity primitive: a vectorised pass
-over the open/close events of a family of (lo, hi) chords gives its
-verdict, a crossing witness, parent pointers and the regions of points.
-The quadrilateral of a short chord and its strips (`majors`,
-`strip_parts`) serve both the legality oracle and the pullback
-barriers; the canonical chord order (`short_arc_order`) is applied
-only where chords are written: sorted records, JSON and SVG.
+enter through `on_grid`, families at once through `rows_of`, and leave
+as `Fraction(x, N)`; the hot paths of orbits, builder, legality and
+pullback run in between.  The common scale (`scale_of`), int64 or
+Python ints (`int_dtype`), crossing (`crosses`) and orbit stepping
+(`orbit`) are each decided here once.  `Laminar` is the one laminarity
+primitive: a vectorised pass over the open/close events of a family of
+(lo, hi) chords gives its verdict, a crossing witness, parent pointers
+and the regions of points.  The quadrilateral of a short chord and its
+strips (`majors`, `strip_parts`) serve both the legality oracle and the
+pullback barriers; the canonical chord order (`short_arc_order`) is
+applied only where chords are written: JSON, CSV and SVG.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Optional
 
 import numpy as np
 
 __all__ = [
-    "Pair", "Strips", "MAX_INT64_MODULUS", "check_int64", "int_dtype", "scale_of", "on_grid",
-    "arclen", "crosses", "Laminar", "short_arc_order", "closure", "orbit", "canon",
+    "Pair", "Strips", "MAX_INT64_MODULUS", "check_int64", "int_dtype", "scale_of", "rows_of",
+    "on_grid", "arclen", "crosses", "Laminar", "short_arc_order", "closure", "orbit", "canon",
     "antipode", "majors", "boundary_arcs", "strip_parts",
 ]
 
@@ -53,6 +54,18 @@ def int_dtype(largest: int) -> type:
 def scale_of(angles: Iterable[Fraction], *moduli: int) -> int:
     """Least common multiple of the angles' denominators and the extra moduli."""
     return lcm(*{a.denominator for a in angles}, *moduli)
+
+
+def rows_of(ends: Iterable[Pair], *moduli: int, reach: int = 1) -> tuple[np.ndarray, int]:
+    """(pairs, n): chords as (m, 2) rows on the lcm n of their denominators and the moduli.
+
+    `ends` holds each angle p/q, 0 <= p < q, as (p, q), two per chord; the
+    rows are `int_dtype(reach * n)`, the caller's bound on its values.
+    """
+    ends = list(ends)
+    n = scale_of((), *{q for _, q in ends}, *moduli)
+    flat = np.fromiter(chain.from_iterable(ends), int_dtype(reach * n), 2 * len(ends))
+    return (flat[0::2] * (n // flat[1::2])).reshape(-1, 2), n
 
 
 def on_grid(x: Fraction, n: int) -> int:

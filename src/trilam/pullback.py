@@ -172,10 +172,6 @@ class Prelamination:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def chords(self) -> list[Chord]:
-        n = self.modulus
-        return [Chord.from_grid(p, n) for p in self.pairs.tolist()]
-
     def _key(self, ch: Chord) -> Optional[int]:
         """lo * modulus + hi of ch, or None when ch is off this family's grid."""
         lo, hi = ch.a * self.modulus, ch.b * self.modulus

@@ -9,23 +9,24 @@ size, style and coloring; the rest of the styling is fixed.  This is
 the only place floating point appears; all data paths stay exact.
 
 The renderer works on the integer grid (`trilam.grid`) in one pass:
-`Chord`s are put on their common scale N once; a pullback family or a
-`render --in` document passes its int pairs and modulus.  The ints are
-int64 while 2N fits it (`grid.int_dtype`) and Python ints beyond, so
-they are exact at any scale; they give the canonical order
-(`grid.short_arc_order`) and each arc's sweep flag.  The floats are
-exactly these: the correctly rounded turns `x / N` of Python ints
-(numpy would round an int64 x past 2^53 first), equal to
-`float(Fraction(x, N))`; `math.cos` and `math.sin` of `2.0 * math.pi *
-(x / N)` once per distinct angle of each slice of 1,024 chords; and
-float64 array arithmetic for points, centers and radii in the operation
-order of the scalar formula (numpy's + - * / and sqrt round as
-CPython's do and fuse no multiply-adds).  A slice's text is one byte
-matrix of its elements' template pieces and NUL-padded fields, NULs
-dropped.  A coordinate v is written as `'%.12f' % v` exactly: below
-2^52 / 10^12, Dekker's two-product gives the error of v * 1e12 and so
-v * 10^12 rounded half to even, gathered four digits at a time; any
-other value (-0.0, huge radii, sizes past ~4,500 px) goes through `%`.
+`Chord`s are put on their common scale N once (`grid.rows_of`); the
+leaves, a pullback family or a `render --in` document pass their int
+pairs and modulus.  The ints are int64 while 2N fits it
+(`grid.int_dtype`) and Python ints beyond, so they are exact at any
+scale; they give the canonical order (`grid.short_arc_order`) and each
+arc's sweep flag.  The floats are exactly these: the correctly rounded
+turns `x / N` of Python ints (numpy would round an int64 x past 2^53
+first), equal to `float(Fraction(x, N))`; `math.cos` and `math.sin` of
+`2.0 * math.pi * (x / N)` once per distinct angle of each slice of
+1,024 chords; and float64 array arithmetic for points, centers and
+radii in the operation order of the scalar formula (numpy's + - * / and
+sqrt round as CPython's do and fuse no multiply-adds).  A slice's text
+is one byte matrix of its elements' template pieces and NUL-padded
+fields, NULs dropped.  A coordinate v is written as `'%.12f' % v`
+exactly: below 2^52 / 10^12, Dekker's two-product gives the error of
+v * 1e12 and so v * 10^12 rounded half to even, gathered four digits at
+a time; any other value (-0.0, huge radii, sizes past ~4,500 px) goes
+through `%`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .chords import Chord
-from .grid import int_dtype, on_grid, scale_of, short_arc_order
+from .grid import int_dtype, rows_of, short_arc_order
 
 __all__ = ["RenderConfig", "render_svg"]
 
@@ -96,7 +97,7 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
 
     `chords` are `Chord`s or, when `modulus` is given, an (n, 2) array
     of int pairs lo <= hi on the grid of that modulus, such as
-    `Prelamination.pairs` or the pairs of `formats.chords_from_json`;
+    `BuildState.pairs`, `Prelamination.pairs` or `formats.chords_from_json`'s;
     once 2 * modulus leaves int64 they are taken as Python ints.  `classes`
     (e.g. the leaf types) and `blocks` attach style classes and colors
     per chord; both default to a single neutral style.  One element is
@@ -107,8 +108,8 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
     r = size / 2.0 - _MARGIN_PX
 
     if modulus is None:
-        n = scale_of(v for ch in chords for v in ch.endpoints())
-        chords = [on_grid(v, n) for ch in chords for v in ch.endpoints()]
+        chords, n = rows_of((v.as_integer_ratio() for ch in chords for v in ch.endpoints()),
+                            reach=2)
     else:
         n = int(modulus)
     pairs = np.asarray(chords, dtype=int_dtype(2 * n)).reshape(-1, 2)

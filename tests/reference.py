@@ -4,8 +4,8 @@ These are the straightforward `fractions.Fraction` formulations of the
 legality oracle and its short strips, of the preperiod-1 point
 enumeration, of chord crossing by open arcs, of length classes, sibling
 pairs, major pairs and chord orbits (`image` applied until a chord
-repeats), of the pullback seed system and of the SVG and JSON emission
-of chord families, and the per-chord dict dedup of pullback levels,
+repeats), of the pullback seed system and of the SVG, JSON and CSV
+emission of chord families, and the per-chord dict dedup of pullback levels,
 the per-chord sibling-collection check and the per-chord orbit walk of
 forward orbit hits.  The SVG oracle draws one chord
 at a time with scalar `math` (four trig calls per chord and an `atan2`
@@ -20,7 +20,9 @@ is used by `src/`.
 
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -29,10 +31,10 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from trilam.angles import HALF, Angle, antipode, tripling
+from trilam.angles import HALF, Angle, angle_str, antipode, tripling
 from trilam.chords import Chord, SIXTH, chord_antipode, image, length
 from trilam.builder import _SEED_DATA, BuildError
-from trilam.formats import chord_to_json, record_to_json
+from trilam.formats import chord_to_json
 from trilam.grid import crosses, on_grid, orbit, scale_of, short_arc_order
 from trilam.legality import LegalityVerdict, LegalityWitness
 from trilam.pullback import _MATCHINGS, _MATCH_MASKS, IllegalSeedError, _select_pullbacks
@@ -619,9 +621,29 @@ def record_order(rec) -> tuple:
     return (rec.block_period, rec.ptype == "B", rec.chord.arc())
 
 
+def record_to_json(rec) -> dict:
+    """The dict of one record: its endpoints as `angle_str` strings, its type and block."""
+    return {"a": angle_str(rec.chord.a), "b": angle_str(rec.chord.b), "type": rec.ptype,
+            "block": rec.block_period}
+
+
 def records_json(records: list) -> str:
     """The record array, one `record_to_json` dict per record through `json.dumps`."""
     return json.dumps([record_to_json(r) for r in records], indent=0) + "\n"
+
+
+def records_csv(records: list) -> str:
+    """The CSV table, one `record_to_json` dict per record through `csv.DictWriter`."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, ["a", "b", "type", "block"], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(record_to_json(r) for r in records)
+    return out.getvalue()
+
+
+def prelamination_chords(pre) -> list[Chord]:
+    """The chords of a prelamination, one `Chord.from_grid` per row, in key order."""
+    return [Chord.from_grid(p, pre.modulus) for p in pre.pairs.tolist()]
 
 
 def prelamination_json(seed: Chord, depth: int, chords: list[Chord]) -> str:

@@ -145,6 +145,48 @@ def test_render_from_records(tmp_path, capsys):
         assert rendered == svg
 
 
+# sha256 of `comajors --max-block 8 --format F --type T`, recorded before the
+# writers moved from records to the builder's rows
+_BLOCK8_DIGESTS = {
+    ("json", "both"): "c96911878422f6146f341a573518a2235478e39dc584783918690c0e4605b72a",
+    ("csv", "both"): "a876be7617ececf19852c35cd64b01a1aaa7dd1ba434c555a074831531f62ba0",
+    ("svg", "both"): "147869b865fd5f5bf61aa49c41a4502682d8b269d10788c75cacd85317512e90",
+    ("json", "B"): "3d1b634034e8fb77e08b6f9477dba21c607a5e6824ad2c6712b190fbdbafe464",
+    ("csv", "B"): "8cba52a4ad7d201385f6b9eb652e9deb44e587346b280002f2f38c9e492fb59f",
+    ("svg", "B"): "50d74c45bab92c718371253d8f5de1c599d48000f2802dea82f0de0923b02496",
+    ("json", "D"): "faed18abe4bdf4f162fe0f3239b7ef63dc3defcfe0fd84445e5455c3971e7ed5",
+    ("csv", "D"): "741cd22ad9c28909e280300bf20240efcc96082668f5c7edfd5ec13191330725",
+    ("svg", "D"): "285cd3a6716ac6b5858160b1d3658c5d565085c2d8c71709c25fa588f9c76564",
+}
+
+
+@pytest.mark.parametrize("fmt,ptype", list(_BLOCK8_DIGESTS), ids="-".join)
+def test_comajors_block8_output_is_pinned(capsys, fmt, ptype):
+    code, out, _ = run(capsys, "comajors", "--max-block", "8", "--format", fmt, "--type", ptype)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _BLOCK8_DIGESTS[fmt, ptype]
+
+
+def test_comajors_block_colored_straight_svg_is_pinned(capsys):
+    code, out, _ = run(capsys, "comajors", "--max-block", "5", "--format", "svg",
+                       "--color-by", "block", "--style", "straight")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4a0adf28e67de28cd6dd06e2db099909cafb177303fade6682b99a87e36f5af9")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+def test_comajors_writes_from_rows_without_a_chord_per_leaf(capsys, monkeypatch, fmt):
+    # comajors writes the builder's grid rows: no leaf becomes a Chord or a record
+    def refuse(cls, p, n):
+        raise AssertionError("comajors made a Chord from a grid row")
+
+    want = run(capsys, "comajors", "--max-block", "6", "--format", fmt)
+    monkeypatch.setattr(Chord, "from_grid", classmethod(refuse))
+    assert run(capsys, "comajors", "--max-block", "6", "--format", fmt) == want
+    assert want[0] == 0 and want[1]
+
+
 _CHORD = {"a": "1/6", "b": "1/3"}
 _RECORD = {**_CHORD, "type": "D", "block": 1}
 _PRELAMINATION = {"seed": {"a": "1/2", "b": "1/2"}, "depth": 0, "chords": [_CHORD]}
@@ -168,18 +210,25 @@ def test_records_from_json_round_trips_a_record_array():
 @pytest.mark.parametrize("doc,message", [
     ([{**_RECORD, "block": "x"}], "record {'a': '1/6', 'b': '1/3', 'type': 'D', 'block': 'x'} "
                                   "needs int 'block'"),
+    ([{**_RECORD, "type": "X", "block": True}],
+     "record {'a': '1/6', 'b': '1/3', 'type': 'X', 'block': True} needs int 'block'"),
+    ([{**_RECORD, "block": 0}], "record {'a': '1/6', 'b': '1/3', 'type': 'D', 'block': 0} "
+                                "needs 'block' >= 1"),
+    ([_RECORD, {**_RECORD, "type": "X"}], "record types must be 'B' or 'D', got ['X']"),
     ([_CHORD], "not a record array: its first item needs str 'type'"),
     (_PRELAMINATION, "not a record array: its first item needs str 'type'"),
-], ids=["block-not-an-int", "bare-chord-list", "prelamination"])
+], ids=["block-not-an-int", "block-a-bool", "block-below-1", "type-not-b-or-d", "bare-chord-list",
+        "prelamination"])
 def test_records_from_json_rejects_what_is_no_record_array(tmp_path, capsys, doc, message):
     with pytest.raises(ValueError) as err:
         records_from_json(json.dumps(doc))
     assert str(err.value) == message
-    if "needs int" in message:  # render --in refuses the same record with the same message
+    if message.startswith("record {"):  # render --in refuses the same record, same message
         src = tmp_path / "bad.json"
         src.write_text(json.dumps(doc))
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["render", "--in", str(src)])
+        assert exc.value.code == 2
         assert capsys.readouterr().err == f"trilam: error: {message}\n"
 
 
@@ -282,11 +331,13 @@ def test_pullback_crossing_prints_witness_and_exits_1(capsys, crossing_pullback,
     ('[{"x": 1}]', "{'x': 1}"),
     ('[{"a": "1/6", "b": "1/3", "type": "D"}]', "int 'block'"),
     ('[{"a": "1/6", "b": "1/3", "type": "D", "block": "x"}]', "int 'block'"),
+    ('[{"a": "1/6", "b": "1/3", "type": "X", "block": true}]', "int 'block'"),
+    ('[{"a": "1/6", "b": "1/3", "type": "D", "block": 0}]', "'block' >= 1"),
     ('{"chords": 5}', "got 5"),
     ('[1, 2]', ": 1"),
     ('[{"a": 5, "b": "1/2"}]', "{'a': 5, 'b': '1/2'}"),
-], ids=["no-endpoints", "no-block", "block-not-an-int", "chords-not-a-list", "items-not-chords",
-        "angle-not-a-string"])
+], ids=["no-endpoints", "no-block", "block-not-an-int", "block-a-bool", "block-below-1",
+        "chords-not-a-list", "items-not-chords", "angle-not-a-string"])
 def test_render_malformed_input_is_usage_error(tmp_path, capsys, text, named):
     src = tmp_path / "bad.json"
     src.write_text(text)

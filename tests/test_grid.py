@@ -231,3 +231,21 @@ def test_on_grid_and_scale_of():
     n = grid.scale_of(angles, 5)
     assert n == 120
     assert [grid.on_grid(a, n) for a in angles] == [20, 45, 0, 0, 45]
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+def test_rows_of_matches_on_grid_and_scale_of(big):
+    # rows_of puts a whole family on its grid as scale_of and on_grid put each
+    # angle, in the dtype int_dtype gives for the stated reach
+    rng = random.Random(5)
+    qs = [3**41, 2**30 * 7, 12] if big else [12, 7, 40, 9]
+    chords = [Chord(Fraction(rng.randrange(q), q), Fraction(rng.randrange(q), q))
+              for q in qs for _ in range(5)]
+    for reach in (1, 3):
+        pairs, n = grid.rows_of((v.as_integer_ratio() for c in chords for v in c.endpoints()),
+                                5, reach=reach)
+        assert n == grid.scale_of((v for c in chords for v in c.endpoints()), 5)
+        assert pairs.dtype == grid.int_dtype(reach * n) == (object if big else np.int64)
+        assert pairs.tolist() == [[grid.on_grid(c.a, n), grid.on_grid(c.b, n)] for c in chords]
+    pairs, n = grid.rows_of([], 12)
+    assert pairs.shape == (0, 2) and n == 12

@@ -1,11 +1,12 @@
 """Grid emission of chord families against the Fraction reference.
 
-`prelamination_to_json` and `render_svg` write a pullback family
-straight from its int pairs and modulus, and `records_to_json` writes
-its text directly; `reference` holds the `Fraction` formulations they
-replaced (a `Fraction` per endpoint, sorted by `Chord.arc`, floats
-from `float(Fraction)`, scalar `math` per chord with an `atan2` sweep
-flag, text by `json.dumps`).  Every document must be byte-identical.
+`prelamination_to_json`, `render_svg` and the record writers
+(`rows_to_json`, `rows_to_csv`) write a family straight from its int
+pairs and modulus, and assemble their text directly; `reference` holds
+the `Fraction` formulations they replaced (a `Fraction` per endpoint,
+sorted by `Chord.arc`, floats from `float(Fraction)`, scalar `math` per
+chord with an `atan2` sweep flag, text by `json.dumps` and
+`csv.DictWriter`).  Every document must be byte-identical.
 """
 
 import json
@@ -19,7 +20,14 @@ import reference
 from trilam.builder import build
 from trilam.chords import Chord
 from trilam.cli import main
-from trilam.formats import grid_angle_strs, prelamination_to_json, records_to_json
+from trilam.formats import (
+    grid_angle_strs,
+    prelamination_to_json,
+    records_to_csv,
+    records_to_json,
+    rows_to_csv,
+    rows_to_json,
+)
 from trilam.grid import int_dtype, on_grid, scale_of
 from trilam.pullback import build_prelamination, hyperbolic_prune
 from trilam.render import RenderConfig, render_svg
@@ -33,7 +41,7 @@ STYLES = [RenderConfig(), RenderConfig(geodesic_style="straight", size_px=300)]
 def test_prelamination_output_matches_fraction_reference(seed):
     for depth in (0, 1, 3, 6):
         pre = build_prelamination(seed, depth)
-        chords = pre.chords()
+        chords = reference.prelamination_chords(pre)
         want = reference.prelamination_json(seed, depth, chords)
         assert prelamination_to_json(seed, depth, pre.pairs, pre.modulus) == want
         for cfg in STYLES:
@@ -44,7 +52,7 @@ def test_prelamination_output_matches_fraction_reference(seed):
 
 def test_cli_pullback_output_matches_fraction_reference(capsys, tmp_path):
     c = ch(11, 12, 1, 12)
-    chords = hyperbolic_prune(c, 4).chords()
+    chords = reference.prelamination_chords(hyperbolic_prune(c, 4))
     base = ["pullback", "11/12", "1/12", "--depth", "4", "--prune"]
     doc = tmp_path / "family.json"
     assert main(base + ["--out", str(doc)]) == 0
@@ -68,6 +76,25 @@ def test_records_document_matches_json_dumps():
     recs = build(3).sorted_leaves()
     for part in (recs, recs[:1], []):
         assert records_to_json(part) == reference.records_json(part)
+        assert records_to_csv(part) == reference.records_csv(part)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+def test_row_writers_match_record_references(dtype):
+    # comajors writes the state's rows in `order`, masked by type; the text is
+    # that of the records sorted in canonical order, on either dtype
+    state = build(4)
+    pairs = state.pairs.astype(dtype)
+    recs = sorted(state.leaves, key=reference.record_order)
+    for ptype in ("B", "D", None):
+        order = state.order()
+        if ptype is not None:
+            order = order[state.ptypes[order] == ptype]
+        part = [r for r in recs if ptype in (None, r.ptype)]
+        cols = (pairs[order], state.scale, state.ptypes[order].tolist(),
+                state.blocks[order].tolist())
+        assert rows_to_json(*cols) == reference.records_json(part)
+        assert rows_to_csv(*cols) == reference.records_csv(part)
 
 
 def test_grid_angle_strings_are_reduced():

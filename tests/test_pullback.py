@@ -108,7 +108,7 @@ def test_short_quad_edges_match_reference_on_build5():
 
 def test_degenerate_half_depth_one():
     pre = build_prelamination(Chord(Fraction(1, 2), Fraction(1, 2)), 1)
-    assert set(pre.chords()) == {
+    assert set(reference.prelamination_chords(pre)) == {
         ch(1, 6, 5, 6), ch(1, 3, 2, 3),
         ch(17, 18, 1, 18), ch(7, 18, 11, 18),
         ch(4, 9, 5, 9), ch(8, 9, 1, 9),
@@ -117,7 +117,7 @@ def test_degenerate_half_depth_one():
 
 def test_nondegenerate_depth_zero_seed_family():
     pre = build_prelamination(ch(1, 6, 1, 3), 0)
-    chords = set(pre.chords())
+    chords = set(reference.prelamination_chords(pre))
     assert {ch(1, 6, 1, 3), ch(2, 3, 5, 6), ch(0, 1, 1, 2)} <= chords
     assert len(chords) == 7  # edges of both quadrilaterals plus the fixed minor
 
@@ -127,7 +127,7 @@ def test_collapsing_quadrilateral_tiebreak():
     # 1/2, so its pullbacks form a collapsing quadrilateral; only the short
     # edges survive, alongside the regular pullback on the far side
     pre = build_prelamination(Chord(Fraction(1, 6), Fraction(1, 6)), 1)
-    chords = set(pre.chords())
+    chords = set(reference.prelamination_chords(pre))
     kept = {ch(1, 6, 5, 18), ch(1, 2, 11, 18), ch(5, 6, 17, 18)}
     dropped = {ch(11, 18, 5, 6), ch(1, 2, 17, 18)}
     assert kept <= chords
@@ -159,7 +159,7 @@ def test_prelamination_invariants_depth_five(seed):
 
 def test_prelamination_round_trip_membership():
     pre = build_prelamination(ch(1, 6, 1, 3), 3)
-    for c in pre.chords()[:20]:
+    for c in reference.prelamination_chords(pre)[:20]:
         assert pre.contains(c)
     assert not pre.contains(ch(1, 7, 2, 7))
 
@@ -204,7 +204,7 @@ def test_closest_to_criticality_law():
     dist = lambda x: abs(Fraction(1, 3) - length(x))
     for seed in seeds:
         pre = build_prelamination(seed, 3)
-        for c in pre.chords():
+        for c in reference.prelamination_chords(pre):
             cls = classify(c)
             if cls not in (LengthClass.MEDIUM, LengthClass.LONG) or length(c) <= Fraction(1, 6):
                 continue
@@ -297,7 +297,8 @@ def test_forward_orbit_hits_matches_chord_orbits():
     pre = build_prelamination(Chord(Fraction(1, 2), Fraction(1, 2)), 3)
     assert sum(closure(pre.modulus)) == 5
     targets = [ch(1, 6, 5, 6), ch(4, 9, 5, 9)]
-    want = [any(t in chord_orbit(c).chords for t in targets) for c in pre.chords()]
+    want = [any(t in chord_orbit(c).chords for t in targets)
+            for c in reference.prelamination_chords(pre)]
     assert pre.forward_orbit_hits(targets).tolist() == want
     assert set(want) == {True, False}
     assert pre.min_length_law()
@@ -318,7 +319,7 @@ def test_forward_orbit_hits_matches_orbit_walk(seed):
         if not seed.degenerate:
             families.append(hyperbolic_prune(seed, depth))
         for pre in families:
-            chords = pre.chords()
+            chords = reference.prelamination_chords(pre)
             targets = [chords[len(chords) // 3], chords[-1], ch(1, 7, 2, 7), Chord(point, point)]
             if not seed.degenerate:
                 targets += short_quad_edges(seed)
@@ -341,7 +342,7 @@ def test_hand_built_family_is_stored_in_key_order():
     keys = hand.pairs[:, 0] * n + hand.pairs[:, 1]
     assert (np.diff(keys) > 0).all() and np.array_equal(keys, hand.keys)
     assert [depth_of[p] for p in map(tuple, hand.pairs.tolist())] == hand.depths.tolist()
-    chords = hand.chords()
+    chords = reference.prelamination_chords(hand)
     for ts in _single_and_all([chords[5], chords[-1], *short_quad_edges(pre.seed)]):
         assert np.array_equal(hand.forward_orbit_hits(ts), reference.forward_orbit_hits(hand, ts))
 
@@ -379,7 +380,7 @@ def test_prelamination_keys_are_the_sorted_chord_keys():
     pre = hyperbolic_prune(ch(11, 12, 1, 12), 3)
     n = pre.modulus
     assert pre.keys.tolist() == sorted(lo * n + hi for lo, hi in pre.pairs.tolist())
-    assert all(pre.contains(c) for c in pre.chords())
+    assert all(pre.contains(c) for c in reference.prelamination_chords(pre))
 
 
 # sha256 of the pullback JSON, recorded before the laminar pass and the

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chords import Chord, image
-from .formats import crossing_to_json
+from .formats import check_types, chord_to_json, crossing_to_json
 from .grid import MAX_INT64_MODULUS, Laminar, int_dtype, rows_of, short_arc_order
 from .legality import is_legal_pair
 from .orbits import preperiod1_grid
@@ -89,8 +89,10 @@ class BuildState:
         self.completed_block = completed_block
         ends = (v.as_integer_ratio() for rec in leaves for v in rec.chord.endpoints())
         self.pairs, self.scale = rows_of(ends, 12, reach=3)
-        self.ptypes = np.array([rec.ptype for rec in leaves], dtype="U1")
+        self.ptypes = np.array(check_types([rec.ptype for rec in leaves]), dtype="U1")
         self.blocks = np.array([rec.block_period for rec in leaves], dtype=np.int64)
+        if (self.blocks < 1).any():
+            raise ValueError(f"record {leaves[np.argmax(self.blocks < 1)]!r} needs 'block' >= 1")
 
     def grow(self, nums: np.ndarray, den: int) -> np.ndarray:
         """Grow the scale to a multiple of den and return the angles nums / den on it."""
@@ -205,14 +207,16 @@ def pair_consecutively(groups: list[np.ndarray], scale: int) -> np.ndarray:
     """
     odd = np.flatnonzero(np.array([len(g) for g in groups]) % 2)
     if len(odd):
-        raise BuildError("component holds an odd number of candidate points: "
-                         f"{[str(Fraction(v, scale)) for v in groups[odd[0]].tolist()]}")
+        points = [str(Fraction(v, scale)) for v in groups[odd[0]].tolist()]
+        raise BuildError(f"component holds an odd number of candidate points: {points}",
+                         {"kind": "odd-component", "points": points})
     pairs = np.sort(np.concatenate(groups).reshape(-1, 2), axis=1)
     d = pairs[:, 1] - pairs[:, 0]
     long = np.flatnonzero(6 * np.minimum(d, scale - d) > scale)
     if len(long):
-        raise BuildError("consecutive pairing produced an over-long chord "
-                         f"{Chord.from_grid(pairs[long[0]].tolist(), scale)}")
+        chord = Chord.from_grid(pairs[long[0]].tolist(), scale)
+        raise BuildError(f"consecutive pairing produced an over-long chord {chord}",
+                         {"kind": "over-long", "chord": chord_to_json(chord)})
     return pairs
 
 

@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 __all__ = [
     "CSV_HEADER", "chord_to_json", "crossing_to_json", "records_to_json", "records_from_json",
     "records_to_csv", "rows_to_json", "rows_to_csv", "grid_angle_strs", "prelamination_to_json",
-    "chords_from_json",
+    "chords_from_json", "check_types",
 ]
 
 CSV_HEADER = "a,b,type,block"
@@ -91,11 +91,17 @@ def records_from_json(text: str) -> list["ComajorRecord"]:
     pairs, n, types, blocks = chords_from_json(doc)
     if types is None and doc != []:
         raise ValueError("not a record array: its first item needs str 'type'")
-    bad = sorted(set(types or ()) - {"B", "D"})
-    if bad:
-        raise ValueError(f"record types must be 'B' or 'D', got {bad}")
+    check_types(types or ())
     return [ComajorRecord(Chord.from_grid(p, n), t, b)
             for p, t, b in zip(pairs.tolist(), types or (), blocks or ())]
+
+
+def check_types(types: Sequence[str]) -> Sequence[str]:
+    """The record types, each 'B' or 'D'; others are refused by name."""
+    bad = sorted(set(types) - {"B", "D"})
+    if bad:
+        raise ValueError(f"record types must be 'B' or 'D', got {bad}")
+    return types
 
 
 def grid_angle_strs(col: np.ndarray, n: int) -> list[str]:
@@ -134,7 +140,20 @@ def chords_from_json(doc) -> tuple[np.ndarray, int, Optional[list[str]], Optiona
         doc = doc["chords"]
     if not isinstance(doc, list):
         raise ValueError(f"expected a list of chords, got {doc!r}")
-    pairs, n = rows_of(end for item in doc for end in _fraction_ends(item))
+    try:  # the angles by columns, two int64 conversions; the per-string path names a bad one
+        text = np.empty(2 * len(doc), dtype=np.dtypes.StringDType(coerce=False))
+        text[:] = [item[k] for item in doc for k in "ab"]  # refuses what is no str
+        num, slash, den = np.strings.partition(text, np.array("/", dtype=text.dtype))
+        del text
+        den[slash == ""] = "1"
+        ends = np.stack([num.astype(np.int64), den.astype(np.int64)], axis=1)
+        del num, slash, den
+        if (ends[:, 1] <= 0).any():
+            raise ValueError("a denominator below 1")
+        ends[:, 0] %= ends[:, 1]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        ends = [end for item in doc for end in _fraction_ends(item)]
+    pairs, n = rows_of(ends)
     pairs.sort(axis=1)
     return pairs, n, types, blocks
 

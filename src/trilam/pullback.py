@@ -29,6 +29,10 @@ deterministically:
 * no surviving matching: all surviving candidates are returned for the
   caller.
 
+A non-critical parent whose survivors are exactly one matching finds it
+by one lookup of its survival mask (`_MATCH_OF`) and gathers its three
+pairs from its preimage points; only other parents build nine candidates.
+
 Depth truncation replaces the closure operation: the artifact produces
 finite prelaminations only.  Every angle generated at depth d is an
 integer multiple of 1/(D * 3^d) for D = lcm(6, denominators of c), the
@@ -97,7 +101,9 @@ _MATCHINGS = (
     (2, 4, 6),
     (1, 3, 8),
 )
-_MATCH_MASKS = tuple(sum(1 << cid for cid in m) for m in _MATCHINGS)
+_MATCH_U, _MATCH_V = np.divmod(np.array(_MATCHINGS), 3)  # the (u_i, v_j) of each pairing
+_MATCH_OF = np.full(512, -1, dtype=np.int8)  # survival mask -> index of its matching, or -1
+_MATCH_OF[[sum(1 << cid for cid in m) for m in _MATCHINGS]] = range(len(_MATCHINGS))
 
 
 def _select_pullbacks(parent: tuple[int, int], survivors: dict[int, tuple[int, int]],
@@ -160,7 +166,7 @@ class Prelamination:
     depth: int
     modulus: int
     pairs: np.ndarray   # (n, 2) canonical lo < hi numerators, stably sorted by key
-    depths: np.ndarray  # (n,) generation level of first appearance
+    depths: np.ndarray  # (n,) int8 generation level of first appearance
     keys: np.ndarray = field(init=False, repr=False)  # sorted lo * modulus + hi
 
     def __post_init__(self):
@@ -214,14 +220,10 @@ class Prelamination:
         keep = (abs(x - y) != third) & (abs(x - y) != 2 * third)  # image not critical
         key, x, y = (inner[:, 0] * n + inner[:, 1])[keep], x[keep], y[keep]
         offs = third * np.arange(3)
-        lo, hi = _candidates(np.minimum(x, y)[:, None] // 3 + offs,
-                             np.maximum(x, y)[:, None] // 3 + offs)
-        keys = lo * n + hi
-        present = np.isin(keys, self.keys)
-        ok = np.zeros(len(key), dtype=bool)
-        for m in map(list, _MATCHINGS):
-            ok |= present[:, m].all(axis=1) & (keys[:, m] == key[:, None]).any(axis=1)
-        return bool(ok.all())
+        keys = _keys((np.minimum(x, y)[:, None] // 3 + offs)[:, _MATCH_U],  # (k, matching, pair)
+                     (np.maximum(x, y)[:, None] // 3 + offs)[:, _MATCH_V], n)
+        ok = np.isin(keys, self.keys).all(axis=2) & (keys == key[:, None, None]).any(axis=2)
+        return bool(ok.any(axis=1).all())
 
     def min_length_law(self) -> bool:
         """No forward image of any chord is shorter than min(its length, the minor's)."""
@@ -264,27 +266,21 @@ def _keys(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(x, y) * n + np.maximum(x, y)
 
 
-def _candidates(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of the nine candidates 3*i + j = (u_i, v_j), per row of preimages us and vs."""
-    x1, x2 = us[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]], vs[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]]
-    return np.minimum(x1, x2), np.maximum(x1, x2)
-
-
 def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(E, table): the sorted distinct barrier endpoints and the survival table of their regions.
+    """(bounds, table): the barrier endpoints E and E + 1, sorted, and the regions' survival table.
 
-    A point x has region code 2 * searchsorted(E, x), plus 1 when x is
-    in E; whether a chord crosses a barrier depends on its endpoints'
-    codes alone.  table[c1, c2] says that a chord with endpoint codes c1
-    and c2 crosses no barrier, by `grid.crosses` at representatives on
-    the grid 2n (the regions before E[0] and after E[-1] are one arc).
+    A point x has region code searchsorted(bounds, x, "right"), which is
+    2 * searchsorted(E, x), plus 1 when x is in E; whether a chord crosses a
+    barrier depends on its endpoints' codes alone.  table[c1, c2] says that
+    a chord with endpoint codes c1 and c2 crosses no barrier, by `grid.crosses`
+    at representatives on the grid 2n (before E[0] and after E[-1] is one arc).
     """
     ends = np.unique(barriers)
     reps = np.full(2 * len(ends) + 1, 2 * ends[-1] + 1)
     reps[1::2], reps[2:-1:2] = 2 * ends, ends[:-1] + ends[1:]
     bars = 2 * np.array(barriers, dtype=np.int64).T
     hit = crosses((reps[:, None, None], reps[None, :, None]), bars, 2 * n)
-    return ends, ~hit.any(axis=2)
+    return np.sort(np.concatenate([ends, ends + 1])), ~hit.any(axis=2)
 
 
 def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray],
@@ -293,37 +289,30 @@ def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray]
 
     `regions` is `_barrier_regions` of the barriers on the grid n.
     """
-    a = frontier[:, 0]
-    b = frontier[:, 1]
+    a, b = frontier.T
     third = n // 3
     offs = np.array([0, third, 2 * third], dtype=np.int64)
-    us = (a[:, None] // 3 + offs) % n
-    vs = (b[:, None] // 3 + offs) % n
-    ends, table = regions
-    cu, cv = (np.searchsorted(ends, x) + np.searchsorted(ends, x, side="right") for x in (us, vs))
-    surv = table[cu[:, :, None], cv[:, None, :]].reshape(-1, 9)  # candidate 3*i + j: (u_i, v_j)
-    lo, hi = _candidates(us, vs)
-    mask = surv.astype(np.int64) @ (1 << np.arange(9, dtype=np.int64))
-
+    us = a[:, None] // 3 + offs  # below n, as a and b are
+    vs = b[:, None] // 3 + offs
+    bounds, table = regions  # candidate 3*i + j is (u_i, v_j)
+    surv = table[np.searchsorted(bounds, us, "right")[:, :, None],
+                 np.searchsorted(bounds, vs, "right")[:, None, :]].reshape(-1, 9)
+    match = _MATCH_OF[surv.astype(np.int64) @ (1 << np.arange(9, dtype=np.int64))]
     span_p = (b - a) % n
-    critical = (span_p == third) | (span_p == 2 * third)
-    fast = ~critical & np.isin(mask, np.array(_MATCH_MASKS, dtype=mask.dtype))
+    match[(span_p == third) | (span_p == 2 * third)] = -1  # critical parents take the slow path
 
-    chunks: list[np.ndarray] = []
-    for m, mbits in zip(_MATCHINGS, _MATCH_MASKS):
-        sel = fast & (mask == mbits)
-        if sel.any():
-            ids = list(m)
-            chunks.append(np.stack([lo[sel][:, ids].ravel(), hi[sel][:, ids].ravel()], axis=1))
+    # fast parents, grouped by matching and ascending within one, gather their three pairs
+    fast = match.argsort(kind="stable")[np.count_nonzero(match < 0):]
+    row, k = 3 * fast[:, None], match[fast]
+    u, v = us.ravel()[row + _MATCH_U[k]], vs.ravel()[row + _MATCH_V[k]]
+    chunks = [np.stack([np.minimum(u, v).ravel(), np.maximum(u, v).ravel()], axis=1)]
 
     slow_pairs: list[tuple[int, int]] = []
-    for pi in np.nonzero(~fast)[0]:
-        surv_map = {cid: (int(lo[pi, cid]), int(hi[pi, cid])) for cid in range(9) if surv[pi, cid]}
+    for pi in np.flatnonzero(match < 0).tolist():
+        surv_map = {cid: canon(int(us[pi, cid // 3]), int(vs[pi, cid % 3]))
+                    for cid in range(9) if surv[pi, cid]}
         slow_pairs.extend(_select_pullbacks((int(a[pi]), int(b[pi])), surv_map, n))
-    if slow_pairs:
-        chunks.append(np.array(slow_pairs, dtype=np.int64).reshape(-1, 2))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
+    chunks.append(np.array(slow_pairs, dtype=np.int64).reshape(-1, 2))
     return np.concatenate(chunks, axis=0)
 
 
@@ -356,7 +345,7 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     regions = _barrier_regions([(x * scale, y * scale) for x, y in barriers], n)
     seeded = np.array(seeds, dtype=np.int64) * scale
     levels = _levels(np.unique(seeded[:, 0] * n + seeded[:, 1]), regions, n, depth)
-    depths = np.repeat(np.arange(len(levels), dtype=np.int64), [len(k) for k in levels])
+    depths = np.repeat(np.arange(len(levels), dtype=np.int8), [len(k) for k in levels])
     keys = np.concatenate(levels)
     del levels
     pairs = np.stack(np.divmod(keys, n), axis=1)

@@ -47,6 +47,25 @@ def crossing_leaf(monkeypatch):
                         lambda points, state: [np.array([state.scale // 4, 3 * state.scale // 8])])
 
 
+# the witnesses of a block-2 group of one point and of the block-2 chord (0, 1/4)
+ODD_COMPONENT = {"kind": "odd-component", "points": ["1/24"]}
+OVER_LONG = {"kind": "over-long", "chord": {"a": "0/1", "b": "1/4"}}
+
+
+@pytest.fixture
+def odd_component(monkeypatch):
+    """The builder finds one block-2 component holding the single point 1/24."""
+    monkeypatch.setattr(builder, "group_by_component",
+                        lambda points, state: [np.array([state.scale // 24])])
+
+
+@pytest.fixture
+def over_long_leaf(monkeypatch):
+    """The builder pairs the block-2 points 0 and 1/4, a chord longer than 1/6."""
+    monkeypatch.setattr(builder, "group_by_component",
+                        lambda points, state: [np.array([0, state.scale // 4])])
+
+
 @pytest.fixture
 def crossing_pullback(monkeypatch):
     """Each pullback level also yields its longest child moved one grid step back: a crossing."""

@@ -12,6 +12,9 @@ at a time with scalar `math` (four trig calls per chord and an `atan2`
 sweep flag).  The laminarity oracles are stack sweeps: `crossing_pair`
 for the verdict and `group_by_component` for point components;
 `level_children` tests every pullback candidate against every barrier.
+`LexsortLaminar` orders the laminar events by lexsorts, as
+`grid.Laminar` once did for every family, and `chords_by_string` reads
+a chord document one angle string at a time.
 The package computes all of them on the integer grid (`trilam.grid`),
 with sorted int64 keys or with the vectorised laminar pass
 (`grid.Laminar`); the differential tests compare the two.  Nothing here
@@ -31,13 +34,13 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from trilam.angles import HALF, Angle, angle_str, antipode, tripling
+from trilam.angles import HALF, Angle, angle_str, antipode, parse_fraction, tripling
 from trilam.chords import Chord, SIXTH, chord_antipode, image, length
 from trilam.builder import _SEED_DATA, BuildError
 from trilam.formats import chord_to_json
-from trilam.grid import crosses, on_grid, orbit, scale_of, short_arc_order
+from trilam.grid import Laminar, crosses, on_grid, orbit, rows_of, scale_of, short_arc_order
 from trilam.legality import LegalityVerdict, LegalityWitness
-from trilam.pullback import _MATCHINGS, _MATCH_MASKS, IllegalSeedError, _select_pullbacks
+from trilam.pullback import _MATCHINGS, IllegalSeedError, _select_pullbacks
 from trilam.render import RenderConfig, _TYPE_COLORS, _block_color
 
 # -- preperiod-1 points ------------------------------------------------------
@@ -243,6 +246,37 @@ def crossing_pair(pairs: Union[Iterable[tuple[int, int]], np.ndarray]):
             return (stack[-1], p)
         stack.append(p)
     return None
+
+
+class LexsortLaminar(Laminar):
+    """`grid.Laminar` with its event orders from two lexsorts, as every family was once ordered.
+
+    Opens by (lo asc, hi desc, row asc), closes by (hi asc, open rank
+    desc), each by `np.lexsort`; depths, verdict and witness as in
+    `grid.Laminar`, whose `parents` and `regions` it inherits.
+    """
+
+    def __init__(self, pairs: np.ndarray):
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        keep = lo < hi
+        self._rows = None if keep.all() else keep.nonzero()[0]
+        if self._rows is not None:
+            lo, hi = lo[self._rows], hi[self._rows]
+        self._size, m = len(pairs), len(lo)
+        rank = np.empty(m, dtype=np.intp)
+        self._opens = np.lexsort((-hi, lo))
+        rank[self._opens] = np.arange(m)
+        closes = np.lexsort((-rank, hi))
+        self._lo, self._hi = lo[self._opens], hi[closes]
+        self._depth = np.arange(1, m + 1) - self._hi.searchsorted(self._lo, "right")
+        rank = rank[closes]  # the open rank of each close
+        bad = (self._depth[rank] != self._lo.searchsorted(self._hi) - np.arange(m)).nonzero()[0]
+        self.crossing = None
+        if len(bad):
+            c = self._opens[rank[bad].min()]
+            hits = crosses((lo[c], hi[c]), (lo, hi), int(self._hi[-1]) - int(self._lo[0]) + 1)
+            self.crossing = tuple(int(i) for i in self._row(np.array([c, hits.argmax()])))
+        self._keys = None
 
 
 def _arc(x: int, y: int, scale: int) -> tuple[int, int]:
@@ -524,6 +558,10 @@ def forward_orbit_hits(pre, targets: list[Chord]) -> np.ndarray:
     return hit
 
 
+# survival masks of the five matchings, bit 3*i + j for the candidate (u_i, v_j)
+_MATCH_MASKS = tuple(sum(1 << cid for cid in m) for m in _MATCHINGS)
+
+
 def level_children(frontier: np.ndarray, barriers: list[tuple[int, int]],
                    n: int) -> np.ndarray:
     """All selected pullback pairs of the frontier chords (with duplicates), barrier by barrier.
@@ -614,6 +652,27 @@ def prelamination_levels(c: Chord, depth: int) -> tuple[np.ndarray, np.ndarray, 
 
 
 # -- output --------------------------------------------------------------------
+
+
+def chords_by_string(doc) -> tuple[np.ndarray, int]:
+    """(pairs, n) of a parsed prelamination document or chord list, one `parse_fraction` per angle.
+
+    The rows lo <= hi are on the lcm n of the denominators as written
+    (`grid.rows_of`); a bad item raises ValueError naming it.
+    """
+    if isinstance(doc, dict) and "chords" in doc:
+        doc = doc["chords"]
+    if not isinstance(doc, list):
+        raise ValueError(f"expected a list of chords, got {doc!r}")
+    ends = []
+    for item in doc:
+        try:
+            ends += [parse_fraction(item["a"]), parse_fraction(item["b"])]
+        except (AttributeError, KeyError, TypeError):
+            raise ValueError(f"not a chord {{\"a\", \"b\"}}: {item!r}") from None
+    pairs, n = rows_of(ends)
+    pairs.sort(axis=1)
+    return pairs, n
 
 
 def record_order(rec) -> tuple:

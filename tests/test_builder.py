@@ -20,7 +20,7 @@ from trilam.builder import (
 from trilam.formats import records_to_csv, records_to_json
 from trilam.orbits import preperiod1_grid, preperiod1_points
 
-from conftest import CROSSING_LEAVES, ch
+from conftest import CROSSING_LEAVES, ODD_COMPONENT, OVER_LONG, ch
 
 
 def fractions(col: np.ndarray, scale: int) -> list[Fraction]:
@@ -279,6 +279,28 @@ def test_crossing_leaf_raises_with_witness(crossing_leaf):
     with pytest.raises(BuildError, match=r"leaf \(1/6, 1/3\) crosses leaf \(1/4, 3/8\)") as err:
         build(2)
     assert err.value.witness == CROSSING_LEAVES
+
+
+@pytest.mark.parametrize("fixture,message,witness", [
+    ("odd_component", r"odd number of candidate points: \['1/24'\]", ODD_COMPONENT),
+    ("over_long_leaf", r"over-long chord \(0, 1/4\)", OVER_LONG),
+], ids=["odd-component", "over-long"])
+def test_pairing_failure_raises_with_witness(request, fixture, message, witness):
+    request.getfixturevalue(fixture)
+    with pytest.raises(BuildError, match=message) as err:
+        build(2)
+    assert err.value.witness == witness
+
+
+@pytest.mark.parametrize("record,message", [
+    (ComajorRecord(ch(1, 6, 1, 3), "DB", 1), r"record types must be 'B' or 'D', got \['DB'\]"),
+    (ComajorRecord(ch(1, 6, 1, 3), "D", 0), r"record ComajorRecord\(.*block_period=0\) needs "
+                                            r"'block' >= 1"),
+], ids=["type-DB", "block-0"])
+def test_build_state_rejects_what_no_record_array_holds(record, message):
+    # "U1" would keep "DB" as "D" without a word; records_from_json refuses both the same way
+    with pytest.raises(ValueError, match=message):
+        BuildState([record], 1)
 
 
 def test_nesting_audit_rejects_crossing_leaves():

@@ -11,7 +11,8 @@ from trilam.cli import main
 from trilam.formats import chords_from_json, records_from_json
 from trilam.legality import is_legal_pair
 
-from conftest import CROSSING_LEAVES, witness_crosses
+import reference
+from conftest import CROSSING_LEAVES, ODD_COMPONENT, OVER_LONG, witness_crosses
 
 
 def run(capsys, *argv):
@@ -316,6 +317,20 @@ def test_comajors_crossing_prints_witness_and_exits_1(capsys, crossing_leaf):
     assert json.loads(witness) == CROSSING_LEAVES
 
 
+@pytest.mark.parametrize("fixture,message,witness", [
+    ("odd_component", "component holds an odd number of candidate points: ['1/24']",
+     ODD_COMPONENT),
+    ("over_long_leaf", "consecutive pairing produced an over-long chord (0, 1/4)", OVER_LONG),
+], ids=["odd-component", "over-long"])
+def test_comajors_pairing_failure_prints_witness_and_exits_1(capsys, request, fixture, message,
+                                                             witness):
+    request.getfixturevalue(fixture)
+    code, out, err = run(capsys, "comajors", "--max-block", "2")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"build failure: {message}", json.dumps(witness)]
+
+
 @pytest.mark.parametrize("argv", [[], ["--prune"]], ids=["plain", "prune"])
 def test_pullback_crossing_prints_witness_and_exits_1(capsys, crossing_pullback, argv):
     code, out, err = run(capsys, "pullback", "11/12", "1/12", "--depth", "2", *argv)
@@ -346,6 +361,59 @@ def test_render_malformed_input_is_usage_error(tmp_path, capsys, text, named):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("trilam: error: ") and named in err
+
+
+def _chords(*angles):
+    return [{"a": a, "b": b} for a, b in zip(angles[0::2], angles[1::2])]
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"seed": {"a": "1/2", "b": "1/2"}, "depth": 0, "chords": _chords("1/6", "1/3", "5/6", "2/3")},
+    _chords("3", "1/5", " 4 / 5 ", "+2/3", "-1/3", "1_0/2_0", "\u0661/\u0663", "\u00a01/2\n"),
+    _chords("2/4", "3/12", "7/7", "9/6", "0/1", "-0/5", "10/12", "2/24"),
+    _chords("9223372036854775807/9223372036854775807", "-9223372036854775808/3"),
+    _chords(f"1/{2**62}", f"1/{3**39}"),  # each fits int64, their lcm does not
+    _chords(f"10/{2**66}", "1/3"),
+    _chords("99999999999999999999/7", "1/3"),
+    _chords("1/2", "1/3", "1/0", "1/2"),
+    _chords("1/2", "1/-2"),
+    _chords("1/2", "1/2/3"),
+    _chords("1/2", ""),
+    _chords("/3", "1/2"),
+    _chords("3/", "1/2"),
+    _chords("a/b", "1/2"),
+    _chords("1.0/2", "1/2"),
+    _chords("12\u0000", "1/2"),
+    _chords("1\u00002", "1/2"),
+    _chords(" ", "1/2"),
+    [{"a": 5, "b": "1/2"}],
+    [{"a": None, "b": "1/2"}],
+    [{"a": ["1/2"], "b": ["1/3"]}],
+    [{"a": "1/2", "b": "1/3"}, {"a": "x", "b": "1/2"}, {"b": "1/2"}],
+    [{"a": "1/2", "b": "1/3"}, {"b": "1/2"}, {"a": "x", "b": "1/2"}],
+    [{"a": "1/2", "b": "1/3"}, "1/2"],
+    [["1/2", "1/3"]],
+    {"chords": {"a": "1/2", "b": "1/3"}},
+], ids=["empty", "prelamination", "int-syntax", "unreduced", "int64-extremes", "lcm-past-int64",
+        "denominator-past-int64", "numerator-past-int64", "zero-denominator",
+        "negative-denominator", "two-slashes", "empty-angle", "no-numerator", "no-denominator",
+        "letters", "decimal", "trailing-nul", "inner-nul", "blank", "int-angle", "null-angle",
+        "list-angles", "malformed-before-missing", "missing-before-malformed", "str-item",
+        "list-item", "chords-not-a-list"])
+def test_chords_from_json_reads_as_the_per_string_reader(doc):
+    # the column reader accepts what the per-string reader accepts, with the
+    # same rows, dtype and grid, and refuses the rest with the same message
+    try:
+        want = reference.chords_by_string(doc)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            chords_from_json(doc)
+        assert str(err.value) == str(exc)
+        return
+    pairs, n, types, blocks = chords_from_json(doc)
+    assert (pairs.dtype, pairs.tolist(), n) == (want[0].dtype, want[0].tolist(), want[1])
+    assert (types, blocks) == (None, None)
 
 
 @pytest.mark.parametrize("argv", [

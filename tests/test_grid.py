@@ -169,6 +169,46 @@ def test_laminar_parents_and_regions_match_brute_force():
     assert checked > 500
 
 
+# the widest span whose keys `Laminar` sorts as int64: span * span < 2**63
+_KEYED_SPAN = 3037000499
+
+
+def _spread(pairs, span, base):
+    """The family stretched onto [base, base + span), plus the chord joining both ends."""
+    top = max(max(p) for p in pairs)
+    out = [(base + x * (span - 1) // top, base + y * (span - 1) // top) for x, y in pairs]
+    return out + [(base, base + span - 1)]
+
+
+@pytest.mark.parametrize("span", [None, _KEYED_SPAN, _KEYED_SPAN + 1, 2**40],
+                         ids=["grid", "widest-keyed", "one-past", "far-past"])
+@pytest.mark.parametrize("base", [0, -(2**40)], ids=["base-0", "negative-lo"])
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+def test_laminar_matches_lexsort_orders(span, base, dtype):
+    # families of 1-300 chords, so both sides of the 128-chord threshold,
+    # with repeats and degenerate rows, laminar and crossing
+    rng = random.Random(17)
+    outcomes = set()
+    for k in range(60):
+        n = rng.choice([48, 600])
+        pairs = _laminar_family(rng, n, rng.randint(1, 300))
+        pairs += [(x, x) for x in rng.sample(range(n), 3)]
+        if k % 3 == 0:  # move one endpoint: often a crossing
+            i = rng.randrange(len(pairs))
+            pairs[i] = tuple(sorted((pairs[i][0], rng.randrange(n))))
+        pairs = _spread(pairs, span, base) if span else [(x + base, y + base) for x, y in pairs]
+        rows = np.array(pairs, dtype=dtype)
+        got, want = grid.Laminar(rows), reference.LexsortLaminar(rows)
+        assert got.crossing == want.crossing, pairs
+        outcomes.add((want.crossing is None, len(pairs) >= 128))
+        if want.crossing is None:
+            assert got.parents().tolist() == want.parents().tolist()
+            points = np.array(sorted({x + d for p in pairs for x in p for d in (-1, 0, 1)}),
+                              dtype=dtype)
+            assert got.regions(points).tolist() == want.regions(points).tolist()
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
 @pytest.mark.parametrize("shift", [0, 48 * 2**64], ids=["int64", "object"])
 def test_crosses_array_form_matches_scalar_form(shift):
     # the family includes degenerate chords and shared endpoints; the

@@ -20,7 +20,7 @@ import numpy as np
 
 from .angles import angle_str, parse_fraction
 from .chords import Chord
-from .grid import rows_of, short_arc_order
+from .grid import rows_of, scale_of, short_arc_order
 
 if TYPE_CHECKING:
     from .builder import ComajorRecord
@@ -140,20 +140,20 @@ def chords_from_json(doc) -> tuple[np.ndarray, int, Optional[list[str]], Optiona
         doc = doc["chords"]
     if not isinstance(doc, list):
         raise ValueError(f"expected a list of chords, got {doc!r}")
-    try:  # the angles by columns, two int64 conversions; the per-string path names a bad one
+    try:  # the angles by columns; the per-string path names a bad item or holds n past int64
         text = np.empty(2 * len(doc), dtype=np.dtypes.StringDType(coerce=False))
         text[:] = [item[k] for item in doc for k in "ab"]  # refuses what is no str
         num, slash, den = np.strings.partition(text, np.array("/", dtype=text.dtype))
         del text
         den[slash == ""] = "1"
-        ends = np.stack([num.astype(np.int64), den.astype(np.int64)], axis=1)
+        p, q = num.astype(np.int64), den.astype(np.int64)
         del num, slash, den
-        if (ends[:, 1] <= 0).any():
+        if (q <= 0).any():
             raise ValueError("a denominator below 1")
-        ends[:, 0] %= ends[:, 1]
+        n = scale_of((), *set(q.tolist()))
+        pairs = (p % q * (n // q)).reshape(-1, 2)  # n // q overflows for n past int64
     except (KeyError, TypeError, ValueError, OverflowError):
-        ends = [end for item in doc for end in _fraction_ends(item)]
-    pairs, n = rows_of(ends)
+        pairs, n = rows_of(end for item in doc for end in _fraction_ends(item))
     pairs.sort(axis=1)
     return pairs, n, types, blocks
 

@@ -56,19 +56,15 @@ def scale_of(angles: Iterable[Fraction], *moduli: int) -> int:
     return lcm(*{a.denominator for a in angles}, *moduli)
 
 
-def rows_of(ends, *moduli: int, reach: int = 1) -> tuple[np.ndarray, int]:
+def rows_of(ends: Iterable[Pair], *moduli: int, reach: int = 1) -> tuple[np.ndarray, int]:
     """(pairs, n): chords as (m, 2) rows on the lcm n of their denominators and the moduli.
 
-    `ends` holds each angle p/q, 0 <= p < q, as (p, q), two per chord, or is a
-    (k, 2) int64 array; the rows are `int_dtype(reach * n)`, the caller's bound.
+    `ends` holds each angle p/q, 0 <= p < q, as (p, q), two per chord; the
+    rows are `int_dtype(reach * n)`, the caller's bound on its values.
     """
-    if isinstance(ends, np.ndarray):
-        n = scale_of((), *set(ends[:, 1].tolist()), *moduli)
-        flat = ends.astype(int_dtype(reach * n), copy=False).ravel()
-    else:
-        ends = list(ends)
-        n = scale_of((), *{q for _, q in ends}, *moduli)
-        flat = np.fromiter(chain.from_iterable(ends), int_dtype(reach * n), 2 * len(ends))
+    ends = list(ends)
+    n = scale_of((), *{q for _, q in ends}, *moduli)
+    flat = np.fromiter(chain.from_iterable(ends), int_dtype(reach * n), 2 * len(ends))
     return (flat[0::2] * (n // flat[1::2])).reshape(-1, 2), n
 
 
@@ -99,16 +95,16 @@ class Laminar:
 
     The array is int64 or holds Python ints of dtype object; degenerate
     chords are dropped.  Two chords cross iff lo1 < lo2 < hi1 < hi2 or
-    the reverse.  Opens are ordered by (lo asc, hi desc, row asc), one
-    stable argsort of (lo - base) * span - (hi - base) for base = min lo
-    and span = max hi - base + 1, and closes by (hi asc, open rank desc),
-    of (hi - base) * m - open rank; closes come first at an equal
-    position.  Below 128 chords, or where `int_dtype` puts those keys past
-    int64, two lexsorts give the orders.  The family is laminar iff every
-    chord's depth at its open equals its depth at its close.  (A chord has
-    as many more chords open at its close as it has right crossers minus
-    left crossers, and the earliest-opening chord of any crossing has
-    only right crossers.)
+    the reverse.  Opens are ordered by (lo asc, hi desc, row asc) and
+    closes by (hi asc, open rank desc), closes first at an equal position:
+    from 128 chords on, each by one stable argsort of an int64 key,
+    (lo - base) * span - (hi - base) and (hi - base) * m - open rank for
+    base = min lo and span = max hi - base + 1; smaller families (the
+    legality oracle's) and keys past int64 (`int_dtype`) take two lexsorts.
+    The family is laminar iff every chord's depth at its open equals its
+    depth at its close.  (A chord has as many more chords open at its close
+    as it has right crossers minus left crossers, and the earliest-opening
+    chord of any crossing has only right crossers.)
     `crossing` is None for a laminar family, else the rows of one
     crossing pair, the earlier-opening chord first.
     """
@@ -123,13 +119,13 @@ class Laminar:
             lo, hi = lo[self._rows], hi[self._rows]
         self._size, m = len(pairs), len(lo)
         rank = np.empty(m, dtype=np.int32 if m < 2**31 else np.intp)
-        base = lo.min() if m >= 128 else None  # below 128 chords two lexsorts cost less
+        base = lo.min() if m >= 128 else None  # below it two lexsorts cost less per call
         span = 0 if base is None else int(hi.max()) - int(base) + 1
         keyed = base is not None and int_dtype(span * max(span, m)) is np.int64  # keys fit
-        self._opens = (np.argsort(span * (lo - base) - (hi - base), kind="stable") if keyed
+        self._opens = ((span * (lo - base) - (hi - base)).argsort(kind="stable") if keyed
                        else np.lexsort((-hi, lo))).astype(rank.dtype)
         rank[self._opens] = np.arange(m, dtype=rank.dtype)
-        closes = (np.argsort(m * (hi - base) - rank, kind="stable") if keyed
+        closes = ((m * (hi - base) - rank).argsort(kind="stable") if keyed
                   else np.lexsort((-rank, hi)))
         self._lo, self._hi, rank = lo[self._opens], hi[closes], rank[closes]  # rank: of each close
         del closes

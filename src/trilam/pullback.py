@@ -16,8 +16,9 @@ Preimage selection.  The six preimage points of a chord alternate
 around the circle, so its preimage chords organize into at most five
 non-crossing perfect matchings (the all-short, all-medium and three
 mixed patterns of the sibling trichotomy).  Barriers generically leave
-exactly one matching alive.  The remaining cases are resolved
-deterministically:
+exactly one matching alive: a non-critical parent finds it by one lookup
+of its survival mask (`_MATCH_OF`) and gathers its three pairs from its
+preimage points.  The remaining cases are resolved deterministically:
 
 * critical parent: candidates longer than 1/3 are dropped (they span
   over the co-critical chord), and endpoint-sharing candidates around a
@@ -28,10 +29,6 @@ deterministically:
   shortest length profile, then canonical order;
 * no surviving matching: all surviving candidates are returned for the
   caller.
-
-A non-critical parent whose survivors are exactly one matching finds it
-by one lookup of its survival mask (`_MATCH_OF`) and gathers its three
-pairs from its preimage points; only other parents build nine candidates.
 
 Depth truncation replaces the closure operation: the artifact produces
 finite prelaminations only.  Every angle generated at depth d is an
@@ -298,8 +295,7 @@ def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray]
     surv = table[np.searchsorted(bounds, us, "right")[:, :, None],
                  np.searchsorted(bounds, vs, "right")[:, None, :]].reshape(-1, 9)
     match = _MATCH_OF[surv.astype(np.int64) @ (1 << np.arange(9, dtype=np.int64))]
-    span_p = (b - a) % n
-    match[(span_p == third) | (span_p == 2 * third)] = -1  # critical parents take the slow path
+    match[np.isin((b - a) % n, (third, 2 * third))] = -1  # critical parents take the slow path
 
     # fast parents, grouped by matching and ascending within one, gather their three pairs
     fast = match.argsort(kind="stable")[np.count_nonzero(match < 0):]

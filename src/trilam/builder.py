@@ -20,16 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .angles import angle_str
 from .chords import Chord, image
 from .formats import check_types, chord_to_json, crossing_to_json
 from .grid import MAX_INT64_MODULUS, Laminar, int_dtype, rows_of, short_arc_order
-from .legality import is_legal_pair
+from .legality import is_legal_pair, legal_mask
 from .orbits import preperiod1_grid
 
 __all__ = [
@@ -58,8 +59,8 @@ class BuildError(RuntimeError):
 class VerificationError(RuntimeError):
     """A produced leaf failed the independent legality oracle; `witness` is the verdict's JSON."""
 
-    def __init__(self, record: "ComajorRecord", verdict):
-        super().__init__(f"leaf {record.chord} failed certification")
+    def __init__(self, leaf: Chord, verdict):
+        super().__init__(f"leaf {leaf} failed certification")
         self.witness = verdict.to_json()["witness"]
 
 
@@ -182,13 +183,17 @@ def group_by_component(points: np.ndarray, state: BuildState) -> list[np.ndarray
     ends = np.sort(np.append(state.pairs, scale))  # scale lies past every point
     taken = np.flatnonzero(ends[np.searchsorted(ends, pts)] == pts)
     if len(taken):
-        raise BuildError(f"candidate point {Fraction(int(pts[taken[0]]), scale)} collides "
-                         "with an existing leaf endpoint")
+        leaf = state.pairs[(state.pairs == pts[taken[0]]).any(1).argmax()].tolist()
+        point = Fraction(int(pts[taken[0]]), scale)
+        raise BuildError(f"candidate point {point} collides with an existing leaf endpoint",
+                         {"kind": "collision", "point": angle_str(point),
+                          "leaf": chord_to_json(Chord.from_grid(leaf, scale))})
     row = lam.regions(pts)
     homeless = np.flatnonzero(row < 0)
     if len(homeless):
-        raise BuildError(f"central point {Fraction(int(pts[homeless[0]]), scale)} lies in no "
-                         "sector")
+        point = Fraction(int(pts[homeless[0]]), scale)
+        raise BuildError(f"central point {point} lies in no sector",
+                         {"kind": "no-sector", "point": angle_str(point)})
     # bucket: the leaf or sector of the innermost arc; pos: the offset along that arc
     bucket, pos = owner[row], pts - rows[row, 0]
 
@@ -259,13 +264,21 @@ def build(max_block: int, verify: bool = False) -> BuildState:
 
 
 def _verify(state: BuildState) -> None:
-    for rec in state.leaves:
-        verdict = is_legal_pair(rec.chord)
-        if not verdict.is_legal:
-            raise VerificationError(rec, verdict)
+    """`legal_mask` once per (block, type) class on its grid lcm(6, 3M); the first failing
+    leaf raises VerificationError with `is_legal_pair`'s witness for its row."""
+    failed, expected = [], []
+    for block, t in product(range(1, state.completed_block + 1), "BD"):
+        nums, den = preperiod1_grid(block, t)
+        n = lcm(6, den)
+        leaves = np.flatnonzero((state.blocks == block) & (state.ptypes == t))
+        rows = state.pairs[leaves] // (state.scale // n)
+        failed += [(leaves[i], rows[i], n) for i in np.flatnonzero(~legal_mask(rows, n))[:1]]
+        expected.append(state.grow(nums, den))
+    if failed:
+        leaf, row, n = min(failed, key=lambda f: f[0])
+        raise VerificationError(Chord.from_grid(state.pairs[leaf].tolist(), state.scale),
+                                is_legal_pair(Chord.from_grid(row.tolist(), n)))
     # the multisets of leaf endpoints and candidate points agree
-    expected = [state.grow(*preperiod1_grid(block, t))
-                for block in range(1, state.completed_block + 1) for t in ("B", "D")]
     if not np.array_equal(np.sort(state.pairs, axis=None), np.sort(np.concatenate(expected))):
         raise BuildError("endpoint usage does not cover each candidate point exactly once")
 

@@ -46,8 +46,14 @@ class Chord:
 
     @classmethod
     def from_grid(cls, p: tuple[int, int], n: int) -> Chord:
-        """The chord of the ints p on the grid of modulus n."""
-        return cls(Fraction(p[0], n), Fraction(p[1], n))
+        """The chord of the ints p on the grid n; rows 0 <= lo <= hi < n skip `__post_init__`."""
+        lo, hi = p
+        if not 0 <= lo <= hi < n:
+            return cls(Fraction(lo, n), Fraction(hi, n))
+        ch = object.__new__(cls)
+        object.__setattr__(ch, "a", Fraction(lo, n))
+        object.__setattr__(ch, "b", Fraction(hi, n))
+        return ch
 
     def on_grid(self, n: int) -> tuple[int, int]:
         """The endpoints as ints on the grid of modulus n, a multiple of their denominators."""

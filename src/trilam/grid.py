@@ -8,11 +8,12 @@ pullback run in between.  The common scale (`scale_of`), int64 or
 Python ints (`int_dtype`), crossing (`crosses`) and orbit stepping
 (`orbit`) are each decided here once.  `Laminar` is the one laminarity
 primitive: a vectorised pass over the open/close events of a family of
-(lo, hi) chords gives its verdict, a crossing witness, parent pointers
-and the regions of points.  The quadrilateral of a short chord and its
-strips (`majors`, `strip_parts`) serve both the legality oracle and the
-pullback barriers; the canonical chord order (`short_arc_order`) is
-applied only where chords are written: JSON, CSV and SVG.
+(lo, hi) chords gives its verdict, a crossing witness, the chords whose
+depths mismatch, parent pointers and the regions of points.  The strips
+of short chords (`strips`, for an array of chords at once) serve both
+the legality oracle and the pullback barriers; the canonical chord order
+(`short_arc_order`) is applied only where chords are written: JSON, CSV
+and SVG.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from typing import Iterable, Optional
 import numpy as np
 
 __all__ = [
-    "Pair", "Strips", "MAX_INT64_MODULUS", "check_int64", "int_dtype", "scale_of", "rows_of",
+    "Pair", "MAX_INT64_MODULUS", "check_int64", "int_dtype", "scale_of", "rows_of",
     "on_grid", "arclen", "crosses", "Laminar", "short_arc_order", "closure", "orbit", "canon",
-    "antipode", "majors", "boundary_arcs", "strip_parts",
+    "antipode", "short_arcs", "strips",
 ]
 
 Pair = tuple[int, int]
-# bounding chords, boundary arcs and markers (M, -M) of `strip_parts`
-Strips = tuple[list[Pair], list[Pair], tuple[Pair, Pair]]
 
 # Largest modulus n for which n * n - 1, hence any product of two grid
 # values and any key lo * n + hi, fits a signed 64-bit integer.
@@ -99,14 +98,16 @@ class Laminar:
     closes by (hi asc, open rank desc), closes first at an equal position:
     from 128 chords on, each by one stable argsort of an int64 key,
     (lo - base) * span - (hi - base) and (hi - base) * m - open rank for
-    base = min lo and span = max hi - base + 1; smaller families (the
-    legality oracle's) and keys past int64 (`int_dtype`) take two lexsorts.
+    base = min lo and span = max hi - base + 1; smaller families (one
+    chord's orbit in `is_legal_pair`) and keys past int64 take two lexsorts.
     The family is laminar iff every chord's depth at its open equals its
     depth at its close.  (A chord has as many more chords open at its close
     as it has right crossers minus left crossers, and the earliest-opening
     chord of any crossing has only right crossers.)
     `crossing` is None for a laminar family, else the rows of one
-    crossing pair, the earlier-opening chord first.
+    crossing pair, the earlier-opening chord first; `mismatched` holds the
+    rows whose two depths differ, so it tells apart families laid on
+    disjoint ranges of the line.
     """
 
     def __init__(self, pairs: np.ndarray):
@@ -133,10 +134,11 @@ class Laminar:
         self._depth -= self._hi.searchsorted(self._lo, "right")
         opened = self._lo.searchsorted(self._hi)
         opened -= np.arange(m)
-        bad = (self._depth[rank] != opened).nonzero()[0]
+        bad = rank[(self._depth[rank] != opened).nonzero()[0]]  # open ranks of mismatches
+        self.mismatched = self._row(self._opens[bad])
         self.crossing: Optional[tuple[int, int]] = None
         if len(bad):  # scan its earliest-opening chord on a circle longer than the family
-            c = self._opens[rank[bad].min()]
+            c = self._opens[bad.min()]
             hits = crosses((lo[c], hi[c]), (lo, hi), int(self._hi[-1]) - int(self._lo[0]) + 1)
             self.crossing = tuple(int(i) for i in self._row(np.array([c, hits.argmax()])))
         self._keys: Optional[np.ndarray] = None
@@ -221,42 +223,37 @@ def antipode(p: Pair, n: int) -> Pair:
     return canon((p[0] + n // 2) % n, (p[1] + n // 2) % n)
 
 
-def majors(c: Pair, n: int) -> tuple[Pair, Pair]:
-    """The major pair (M, M') of a chord of length <= 1/6, longer one first.
-
-    n must be a multiple of 3.  A degenerate c gives its critical chord
-    (c + 1/3, c + 2/3) twice.
-    """
-    x, y = c
-    if 6 * arclen(x, y, n) > n:
-        raise ValueError(f"expected a chord of length <= 1/6, got {Fraction(arclen(x, y, n), n)}")
-    s, e = (x, y) if 2 * ((y - x) % n) <= n else (y, x)  # the short arc
-    third = n // 3
-    first = canon((s + third) % n, (e - third) % n)
-    second = canon((s + 2 * third) % n, (e - 2 * third) % n)
-    return (first, second) if arclen(*first, n) >= arclen(*second, n) else (second, first)
+# `strips` as (start, end) offsets from a row's short arc (s, s + l) in units of n/6,
+# each end moved on by l; the second table swaps the arcs, for n/3 <= s < 2n/3.
+_UNITS = np.array([[2, 4], [4, 2], [5, 1], [1, 5], [2, 2], [4, 4], [5, 5], [1, 1], [2, 4], [5, 1]])
+_UNITS = np.stack([_UNITS, _UNITS[[0, 1, 2, 3, 5, 4, 7, 6, 8, 9]]])
 
 
-def boundary_arcs(first: Pair, second: Pair) -> list[Pair]:
-    """Arcs joining an endpoint of `first` to an endpoint of `second`, circularly ordered.
+def short_arcs(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s, l): start and length of the short arc of each (lo, hi) row; a row longer than
+    1/6 raises ValueError."""
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    d = hi - lo
+    length = np.minimum(d, n - d)
+    if len(length) and 6 * length.max() > n:
+        raise ValueError("expected a chord of length <= 1/6, got "
+                         f"{Fraction(int(length[(6 * length > n).argmax()]), n)}")
+    return np.where(2 * d > n, hi, lo), length
 
-    For disjoint chords these are the two short edges of their
-    quadrilateral; equal chords have none.
-    """
-    verts = sorted(set(first) | set(second))
-    owner = [v in first for v in verts]
-    k = len(verts)
-    return [(verts[i], verts[(i + 1) % k]) for i in range(k) if owner[i] != owner[(i + 1) % k]]
 
+def strips(pairs: np.ndarray, n: int) -> np.ndarray:
+    """(m, 10, 2): the bounding chords M, M', -M, -M' as (lo, hi), the open boundary arcs
+    (start, end) in circular order, their antipodes, and the markers M, -M, of the short
+    strips of each (lo, hi) row of length <= 1/6, on the grid n (a multiple of 6).
 
-def strip_parts(big: Pair, small: Pair, n: int) -> Strips:
-    """Bounding chords, boundary arcs and markers (M, -M) of the strips between big and small.
-
-    The bounds are the distinct chords among big, small and their
-    antipodes; the open arcs are `boundary_arcs(big, small)`, then their
-    antipodes.
-    """
-    bounds = list(dict.fromkeys((big, small, antipode(big, n), antipode(small, n))))
-    arcs = boundary_arcs(big, small)
-    arcs += [((a + n // 2) % n, (b + n // 2) % n) for a, b in arcs]
-    return bounds, arcs, (big, antipode(big, n))
+    For the short arc (s, s + l) the majors are M = (s + n/3, s + 2n/3 + l) and M' =
+    (s + 2n/3, s + n/3 + l); the arcs, of length l, start at s + n/3 and s + 2n/3; a
+    degenerate row has its critical chord as M = M' and empty arcs."""
+    s, length = short_arcs(pairs, n)
+    units = _UNITS[(3 * s // n % 2).astype(np.intp)].astype(pairs.dtype)
+    objs = s[:, None, None] + n // 6 * units
+    objs[..., 1] += length[:, None]
+    objs %= n
+    objs[:, :4].sort(axis=2)
+    objs[:, 8:].sort(axis=2)
+    return objs

@@ -133,7 +133,7 @@ def _select_pullbacks(parent: tuple[int, int], survivors: dict[int, tuple[int, i
 
 def short_quad_edges(c: Chord) -> list[Chord]:
     """The two edges of the quadrilateral of c other than the major pair, plus antipodes."""
-    n, _, (_, arcs, _) = strips_on_grid(c)
+    n, _, _, arcs = strips_on_grid(c)
     return list(dict.fromkeys(Chord.from_grid(arc, n) for arc in arcs))
 
 
@@ -148,7 +148,7 @@ def _seed_system(c: Chord) -> tuple[int, list[Pair], list[Pair]]:
     verdict = is_legal_pair(c)
     if not verdict.is_legal:
         raise IllegalSeedError(c, verdict)
-    n, p, (bounds, arcs, _) = strips_on_grid(c)
+    n, p, bounds, arcs = strips_on_grid(c)
     barriers = list(dict.fromkeys(bounds + [canon(s, e) for s, e in arcs]))
     images = [canon(x, y) for x, y in orbit(*p, n)]
     seeds = barriers + [r for q in images for r in (q, antipode(q, n)) if r[0] != r[1]]

@@ -66,6 +66,30 @@ def over_long_leaf(monkeypatch):
                         lambda points, state: [np.array([0, state.scale // 4])])
 
 
+# the witnesses of a block-2 candidate at the seed endpoint 1/6 and of the first
+# block-2 point, 1/48, when no seed leaf cuts the disk
+COLLISION = {"kind": "collision", "point": "1/6", "leaf": {"a": "1/6", "b": "1/3"}}
+NO_SECTOR = {"kind": "no-sector", "point": "1/48"}
+
+
+@pytest.fixture
+def colliding_point(monkeypatch):
+    """The block-2 candidates also hold 1/6, an endpoint of the seed leaf (1/6, 1/3)."""
+    real = builder.preperiod1_grid
+
+    def with_collision(block, ptype):
+        nums, den = real(block, ptype)
+        return np.append(nums, den // 6), den
+
+    monkeypatch.setattr(builder, "preperiod1_grid", with_collision)
+
+
+@pytest.fixture
+def no_seed(monkeypatch):
+    """The builder starts from no leaves, so no block-2 point lies in a sector."""
+    monkeypatch.setattr(builder, "seed_leaves", lambda: [])
+
+
 @pytest.fixture
 def crossing_pullback(monkeypatch):
     """Each pullback level also yields its longest child moved one grid step back: a crossing."""

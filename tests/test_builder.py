@@ -20,7 +20,7 @@ from trilam.builder import (
 from trilam.formats import records_to_csv, records_to_json
 from trilam.orbits import preperiod1_grid, preperiod1_points
 
-from conftest import CROSSING_LEAVES, ODD_COMPONENT, OVER_LONG, ch
+from conftest import COLLISION, CROSSING_LEAVES, NO_SECTOR, ODD_COMPONENT, OVER_LONG, ch
 
 
 def fractions(col: np.ndarray, scale: int) -> list[Fraction]:
@@ -284,7 +284,10 @@ def test_crossing_leaf_raises_with_witness(crossing_leaf):
 @pytest.mark.parametrize("fixture,message,witness", [
     ("odd_component", r"odd number of candidate points: \['1/24'\]", ODD_COMPONENT),
     ("over_long_leaf", r"over-long chord \(0, 1/4\)", OVER_LONG),
-], ids=["odd-component", "over-long"])
+    ("colliding_point", r"candidate point 1/6 collides with an existing leaf endpoint",
+     COLLISION),
+    ("no_seed", r"central point 1/48 lies in no sector", NO_SECTOR),
+], ids=["odd-component", "over-long", "collision", "no-sector"])
 def test_pairing_failure_raises_with_witness(request, fixture, message, witness):
     request.getfixturevalue(fixture)
     with pytest.raises(BuildError, match=message) as err:

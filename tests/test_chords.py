@@ -155,7 +155,8 @@ def test_quad(c, verts):
     assert reference.quad(c) == verts
     # the grid routine's quadrilateral has the same vertices
     n = grid.scale_of(c.endpoints(), 6)
-    big, small = grid.majors((grid.on_grid(c.a, n), grid.on_grid(c.b, n)), n)
+    row = np.array([[grid.on_grid(c.a, n), grid.on_grid(c.b, n)]])
+    big, small = grid.strips(row, n)[0, :2].tolist()
     assert sorted({Fraction(v, n) for v in big + small}) == verts
 
 
@@ -229,3 +230,18 @@ def test_crosses_matches_open_arc_form():
         assert got == reference.crosses_by_arcs(c1, c2), (c1, c2)
         outcomes[got].add(i % 2)
     assert outcomes == {True: {0, 1}, False: {0, 1}}
+
+
+def test_from_grid_equals_the_normalising_constructor():
+    # in-range rows skip __post_init__; reversed, out-of-range and degenerate rows,
+    # and grids past int64, give what Chord(Fraction, Fraction) gives
+    rng = random.Random(23)
+    for _ in range(1000):
+        n = rng.choice([1, 6, 48, 3**41, 2**70 + 3])
+        x, y = rng.randrange(-2 * n, 3 * n), rng.randrange(-2 * n, 3 * n)
+        lo, hi = sorted((x % n, y % n))
+        for p in ((x, y), (y, x), (lo, hi), (hi, lo), (lo, lo), (hi, hi)):
+            got, want = Chord.from_grid(p, n), Chord(Fraction(p[0], n), Fraction(p[1], n))
+            assert (got, got.a, got.b, str(got), hash(got)) == (
+                want, want.a, want.b, str(want), hash(want)), (p, n)
+            assert 0 <= got.a <= got.b < 1

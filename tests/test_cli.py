@@ -12,7 +12,8 @@ from trilam.formats import chords_from_json, records_from_json
 from trilam.legality import is_legal_pair
 
 import reference
-from conftest import CROSSING_LEAVES, ODD_COMPONENT, OVER_LONG, witness_crosses
+from conftest import (COLLISION, CROSSING_LEAVES, NO_SECTOR, ODD_COMPONENT, OVER_LONG,
+                      witness_crosses)
 
 
 def run(capsys, *argv):
@@ -120,9 +121,14 @@ def test_pullback_illegal_seed_fails(capsys):
 def test_comajors_verification_failure_prints_json_witness(capsys, monkeypatch):
     from trilam import builder
 
-    real, verdict = builder.is_legal_pair, is_legal_pair(ILLEGAL)
-    leaf = Chord(Fraction(5, 12), Fraction(7, 12))
-    monkeypatch.setattr(builder, "is_legal_pair", lambda c: verdict if c == leaf else real(c))
+    real, verdict = builder.legal_mask, is_legal_pair(ILLEGAL)
+
+    def illegal_in_place_of_leaf(pairs, n):
+        # the oracle is handed ILLEGAL in the row of the leaf (5/12, 7/12) (class 1B, n = 12)
+        pairs[(pairs == [5 * n // 12, 7 * n // 12]).all(1)] = [n // 12, n // 6]
+        return real(pairs, n)
+
+    monkeypatch.setattr(builder, "legal_mask", illegal_in_place_of_leaf)
     code, out, err = run(capsys, "comajors", "--max-block", "2", "--verify")
     assert code == 1
     assert out == ""
@@ -321,7 +327,9 @@ def test_comajors_crossing_prints_witness_and_exits_1(capsys, crossing_leaf):
     ("odd_component", "component holds an odd number of candidate points: ['1/24']",
      ODD_COMPONENT),
     ("over_long_leaf", "consecutive pairing produced an over-long chord (0, 1/4)", OVER_LONG),
-], ids=["odd-component", "over-long"])
+    ("colliding_point", "candidate point 1/6 collides with an existing leaf endpoint", COLLISION),
+    ("no_seed", "central point 1/48 lies in no sector", NO_SECTOR),
+], ids=["odd-component", "over-long", "collision", "no-sector"])
 def test_comajors_pairing_failure_prints_witness_and_exits_1(capsys, request, fixture, message,
                                                              witness):
     request.getfixturevalue(fixture)

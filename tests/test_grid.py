@@ -13,9 +13,9 @@ import pytest
 import reference
 from trilam import grid
 from trilam.builder import build
-from trilam.chords import Chord, SIXTH, length
-from trilam.legality import hits_strip_interior, is_legal_pair
-from trilam.orbits import preperiod1_points
+from trilam.chords import Chord, SIXTH, chord_antipode, length
+from trilam.legality import hits_strip_interior, is_legal_pair, legal_mask
+from trilam.orbits import preperiod1_grid, preperiod1_points
 
 
 @pytest.mark.parametrize("block", range(1, 8))
@@ -48,6 +48,83 @@ def test_legality_matches_reference_on_short_chords():
         kinds[kind] = kinds.get(kind, 0) + 1
         checked += 1
     assert {"crossing", "strip", "legal"} <= set(kinds), kinds
+
+
+def _short_chords(rng, count):
+    """Random chords of length <= 1/6, as (x, y, q) on the grid q: legal and illegal ones,
+    degenerate ones and ones of length exactly 1/6."""
+    out = []
+    while len(out) < count:
+        q = 6 * rng.randint(1, 16)
+        x = rng.randrange(q)
+        kind = rng.random()
+        y = x if kind < 0.1 else x + q // 6 if kind < 0.25 else x + rng.randint(-q // 6, q // 6)
+        out.append((x, y % q, q) if rng.random() < 0.5 else (y % q, x, q))
+    return out
+
+
+def test_legal_mask_and_witnesses_match_reference():
+    # each chord is decided alone on its own grid (`is_legal_pair`, verdict and
+    # witness) and in one batch on a grid 5 times the lcm of all of theirs, and
+    # on one 3^40 times larger, held as Python ints
+    rng = random.Random(20261019)
+    # (45/108, 61/108) has its arcs in swapped order, and its first image meets two of them
+    chords = _short_chords(rng, 600) + [(45, 61, 108)]
+    big = 5 * grid.scale_of((Fraction(1, q) for _, _, q in chords), 6)
+    masks = [legal_mask(np.array([(x * (n // q), y * (n // q)) for x, y, q in chords], dtype), n)
+             for n, dtype in ((big, np.int64), (big * 3**40, object))]
+    assert masks[0].tolist() == masks[1].tolist()
+    kinds = {}
+    for (x, y, q), legal in zip(chords, masks[0].tolist()):
+        c = Chord(Fraction(x, q), Fraction(y, q))
+        want = reference.is_legal_pair(c).to_json()
+        assert is_legal_pair(c).to_json() == want, c
+        assert legal == (want["status"] == "legal"), c
+        kind = want.get("witness", {}).get("kind", want["status"])
+        kinds[kind, c.degenerate, 6 * length(c) == 1] = True
+    assert {("legal", True, False), ("legal", False, True), ("crossing", False, False),
+            ("strip", False, False)} <= set(kinds), kinds
+
+
+def test_legal_mask_of_build5_leaves_on_their_class_grids():
+    state = build(5)
+    for block in range(1, 6):
+        for t in ("B", "D"):
+            n = preperiod1_grid(block, t)[1]
+            rows = state.pairs[(state.blocks == block) & (state.ptypes == t)] // (state.scale // n)
+            assert legal_mask(rows, n).all(), (block, t)
+    with pytest.raises(ValueError, match="length <= 1/6, got 1/4"):
+        legal_mask(np.array([[0, 3], [0, 1]]), 12)
+
+
+def test_block5_census_legal_pairs_are_the_leaves():
+    # completeness: the legal same-class pairs of length <= 1/6 are exactly the leaves
+    state, candidates = build(5), 0
+    for block in range(1, 6):
+        for t in ("B", "D"):
+            points, n = preperiod1_grid(block, t)
+            i, j = np.triu_indices(len(points), 1)
+            d = points[j] - points[i]
+            pairs = np.stack([points[i], points[j]], 1)[6 * np.minimum(d, n - d) <= n]
+            candidates += len(pairs)
+            leaves = state.pairs[(state.blocks == block) & (state.ptypes == t)]
+            legal = pairs[legal_mask(pairs, n)].tolist()
+            assert sorted(legal) == sorted(np.sort(leaves // (state.scale // n)).tolist())
+    assert candidates == 7748 + 76640  # blocks <= 4 (acceptance criterion 3), then block 5
+
+
+def test_strips_match_reference_on_every_short_chord():
+    for n in (6, 12, 24, 36, 60):
+        rows = np.array([(x, y) for x in range(n) for y in range(x, n)
+                         if 6 * grid.arclen(x, y, n) <= n])
+        for (x, y), objs in zip(rows.tolist(), grid.strips(rows, n).tolist()):
+            want = reference.strips_of(Chord(Fraction(x, n), Fraction(y, n)))
+            chord = lambda q: Chord(Fraction(q[0], n), Fraction(q[1], n))
+            bounds = [chord(q) for q in objs[:4]]
+            assert list(dict.fromkeys(bounds)) == list(want.bounding_chords()), (x, y, n)
+            assert (chord(objs[8]), chord(objs[9])) == (want.M, chord_antipode(want.M))
+            arcs = [] if x == y else [(Fraction(a, n), Fraction(b, n)) for a, b in objs[4:8]]
+            assert tuple(arcs) == want.arcs, (x, y, n)
 
 
 def test_strip_hits_match_reference():
@@ -105,6 +182,23 @@ def _families(rng):
                 i = rng.randrange(len(pairs))
                 pairs[i] = tuple(sorted((pairs[i][0], rng.randrange(n))))
             yield n, pairs
+
+
+def test_mismatched_rows_tell_families_apart_on_disjoint_ranges():
+    # families laid side by side on [r n, (r + 1) n): a family crosses iff one of its rows is marked
+    rng = random.Random(19)
+    families = [(n, pairs) for n, pairs in _families(rng) if pairs][:300]
+    for shift in (0, 2**64):
+        rows, owner, crossing = [], [], []
+        for r, (n, pairs) in enumerate(families):
+            rows += [(x + 48 * r + shift, y + 48 * r + shift) for x, y in pairs]
+            owner += [r] * len(pairs)
+            crossing.append(grid.Laminar(np.array(pairs)).crossing is not None)
+        marked = grid.Laminar(np.array(rows, dtype=object if shift else np.int64)).mismatched
+        got = np.zeros(len(families), dtype=bool)
+        got[np.array(owner)[marked]] = True
+        assert got.tolist() == crossing
+    assert {True, False} <= set(crossing)
 
 
 def _as_rows(pairs, shift):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,10 +19,10 @@ angles = st.fractions(min_value=0, max_value=1, max_denominator=400).map(lambda 
 def grid_strips(c):
     """(M, M', boundary arcs) of c from the grid routine, as Fractions."""
     n = grid.scale_of(c.endpoints(), 6)
-    big, small = grid.majors((grid.on_grid(c.a, n), grid.on_grid(c.b, n)), n)
-    _, arcs, _ = grid.strip_parts(big, small, n)
+    objs = grid.strips(np.array([[grid.on_grid(c.a, n), grid.on_grid(c.b, n)]]), n)[0].tolist()
+    arcs = [] if c.degenerate else objs[4:8]
     chord = lambda q: Chord(Fraction(q[0], n), Fraction(q[1], n))
-    return chord(big), chord(small), tuple((Fraction(s, n), Fraction(e, n)) for s, e in arcs)
+    return chord(objs[0]), chord(objs[1]), tuple((Fraction(s, n), Fraction(e, n)) for s, e in arcs)
 
 
 def test_strips_of_examples():

@@ -98,10 +98,10 @@ class BuildState:
     def grow(self, nums: np.ndarray, den: int) -> np.ndarray:
         """Grow the scale to a multiple of den and return the angles nums / den on it."""
         scale = lcm(self.scale, den)
-        dtype = int_dtype(3 * scale)  # cast first: the products may pass int64
-        self.pairs = self.pairs.astype(dtype) * (scale // self.scale)
-        self.scale = scale
-        return nums.astype(dtype) * (scale // den)
+        if scale != self.scale:  # cast first: the products may pass int64
+            self.pairs = self.pairs.astype(int_dtype(3 * scale)) * (scale // self.scale)
+            self.scale = scale
+        return nums.astype(self.pairs.dtype) * (scale // den)
 
     def _records(self, order=slice(None)) -> list[ComajorRecord]:
         return [ComajorRecord(Chord.from_grid(p, self.scale), t, b)
@@ -273,14 +273,22 @@ def _verify(state: BuildState) -> None:
         leaves = np.flatnonzero((state.blocks == block) & (state.ptypes == t))
         rows = state.pairs[leaves] // (state.scale // n)
         failed += [(leaves[i], rows[i], n) for i in np.flatnonzero(~legal_mask(rows, n))[:1]]
-        expected.append(state.grow(nums, den))
+        expected.append(nums.astype(state.pairs.dtype) * (state.scale // den))
     if failed:
         leaf, row, n = min(failed, key=lambda f: f[0])
         raise VerificationError(Chord.from_grid(state.pairs[leaf].tolist(), state.scale),
                                 is_legal_pair(Chord.from_grid(row.tolist(), n)))
     # the multisets of leaf endpoints and candidate points agree
-    if not np.array_equal(np.sort(state.pairs, axis=None), np.sort(np.concatenate(expected))):
-        raise BuildError("endpoint usage does not cover each candidate point exactly once")
+    used, points = np.sort(state.pairs, axis=None), np.sort(np.concatenate(expected))
+    if not np.array_equal(used, points):  # the least point counted differently lies at
+        k = min(len(used), len(points))  # their first difference, or first extra value
+        k = next(iter(np.flatnonzero(used[:k] != points[:k])), k)
+        point = min(v[k] for v in (used, points) if len(v) > k)
+        raise BuildError("endpoint usage does not cover each candidate point exactly once",
+                         {"kind": "endpoint-usage",
+                          "point": angle_str(Fraction(int(point), state.scale)),
+                          "endpoints": int(np.count_nonzero(used == point)),
+                          "candidates": int(np.count_nonzero(points == point))})
 
 
 def nesting_audit(state: BuildState) -> NestingReport:
@@ -309,17 +317,21 @@ def nesting_audit(state: BuildState) -> NestingReport:
         at = up[at]
         keep = at >= 0
         leaf, at, passed = leaf[keep], at[keep], passed[keep]
-    inner, outer, sep = np.concatenate([np.empty((3, 0), dtype=np.intp), *found], axis=1)
-    order = np.lexsort((np.maximum(inner, outer), np.minimum(inner, outer), blocks[inner]))
+    found = np.concatenate([np.empty((3, 0), dtype=np.intp), *found], axis=1)
+    inner, outer, sep = found[:, np.lexsort((found[:2].max(0), found[:2].min(0),
+                                             blocks[found[0]]))]
+    del found
+    cross = state.ptypes[inner] != state.ptypes[outer]
+    bare = np.flatnonzero(~cross & (sep < 0))[:1]
+    if len(bare):
+        i, o = state._records([inner[bare[0]], outer[bare[0]]])
+        raise BuildError(f"same-type block-{i.block_period} leaves nested with no smaller-block "
+                         f"leaf between them: {i.chord} under {o.chord}",
+                         {"kind": "unseparated", "inner": chord_to_json(i.chord),
+                          "outer": chord_to_json(o.chord)})
+    pick = state.leaves.__getitem__
 
-    cross, separated, leaves = [], [], state.leaves
-    for i, o, s in zip(inner[order].tolist(), outer[order].tolist(), sep[order].tolist()):
-        if leaves[i].ptype != leaves[o].ptype:
-            cross.append((leaves[i], leaves[o]))
-        elif s < 0:
-            raise BuildError(f"same-type block-{leaves[i].block_period} leaves nested with no "
-                             f"smaller-block leaf between them: {leaves[i].chord} under "
-                             f"{leaves[o].chord}")
-        else:
-            separated.append((leaves[i], leaves[o], leaves[s]))
-    return NestingReport(cross_type=cross, separated_same_type=separated)
+    def records(rows, *cols):  # one map over the records per column, in the order above
+        return list(zip(*(map(pick, col[rows].tolist()) for col in cols)))
+
+    return NestingReport(records(cross, inner, outer), records(~cross, inner, outer, sep))

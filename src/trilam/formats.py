@@ -1,13 +1,13 @@
 """JSON/CSV serialization for chords, comajor records and prelaminations.
 
 Every chord document is written from grid rows, (lo, hi) ints on a
-modulus n, through one string path, `grid_angle_strs`: x/n is written
-(x/g)/(n/g) for g = gcd(x, n), so no `Fraction` is built per chord.
-Writers keep the order given, but `prelamination_to_json` applies the
-short-arc key itself; `comajors` passes rows in `BuildState.order`, and
-`records_to_json`/`records_to_csv` put records on a grid first
-(`grid.rows_of`).  Documents are read back onto a grid by one reader,
-`chords_from_json`, for `render --in` and `records_from_json`.
+modulus n, by one text path, `_texts`: x/n is written (x/g)/(n/g) for
+g = gcd(x, n) through `%d/%d` fields, so no `Fraction` or string is
+built per angle.  Writers keep the order given, but `prelamination_to_json`
+applies the short-arc key itself; `comajors` passes rows in
+`BuildState.order`, and `records_to_json`/`records_to_csv` put records
+on a grid first (`grid.rows_of`).  Documents are read back onto a grid
+by one reader, `chords_from_json`, for `render --in` and `records_from_json`.
 """
 
 from __future__ import annotations
@@ -27,15 +27,15 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CSV_HEADER", "chord_to_json", "crossing_to_json", "records_to_json", "records_from_json",
-    "records_to_csv", "rows_to_json", "rows_to_csv", "grid_angle_strs", "prelamination_to_json",
+    "records_to_csv", "rows_to_json", "rows_to_csv", "prelamination_to_json",
     "chords_from_json", "check_types",
 ]
 
 CSV_HEADER = "a,b,type,block"
 _SLICE = 4096  # rows written by one `%`
 # the text of `json.dumps(doc, indent=0)`: JSON escapes no 'p/q', 'B' or 'D'
-_JSON_CHORD = '{\n"a": "%s",\n"b": "%s"\n}'
-_JSON_RECORD = '{\n"a": "%s",\n"b": "%s",\n"type": "%s",\n"block": %d\n}'
+_JSON_CHORD = '{\n"a": "%d/%d",\n"b": "%d/%d"\n}'
+_JSON_RECORD = '{\n"a": "%d/%d",\n"b": "%d/%d",\n"type": "%s",\n"block": %d\n}'
 
 
 def chord_to_json(ch: Chord) -> dict:
@@ -71,15 +71,18 @@ def rows_to_json(pairs: np.ndarray, n: int, types: Sequence[str], blocks: Sequen
 
 def rows_to_csv(pairs: np.ndarray, n: int, types: Sequence[str], blocks: Sequence[int]) -> str:
     """The CSV table a,b,type,block of (lo, hi) rows on the grid of n, in row order."""
-    return "".join([CSV_HEADER + "\n", *_texts("%s,%s,%s,%d\n", "", pairs, n, types, blocks)])
+    return "".join([CSV_HEADER + "\n", *_texts("%d/%d,%d/%d,%s,%d\n", "", pairs, n, types, blocks)])
 
 
 def _texts(template: str, sep: str, pairs: np.ndarray, n: int, *cols: list) -> Iterator[str]:
-    """Per slice of rows, `template % (a, b, *col values)` of each (lo, hi) row, a and b its
-    angle strings on n, joined by sep: one `%` a slice, no string or tuple kept per row."""
+    """Per slice of rows, `template % (pa, qa, pb, qb, *col values)` of each (lo, hi) row,
+    pa/qa and pb/qb its reduced angles on n, joined by sep: one gcd and one `%` a slice,
+    no string or tuple kept per row."""
     for s in range(0, len(pairs), _SLICE):
-        strs = (grid_angle_strs(pairs[s:s + _SLICE, j], n) for j in (0, 1))
-        fields = chain.from_iterable(zip(*strs, *(col[s:s + _SLICE] for col in cols)))
+        rows = pairs[s:s + _SLICE]
+        g = np.gcd(rows, n)
+        (pa, pb), (qa, qb) = (rows // g).T.tolist(), (n // g).T.tolist()
+        fields = chain.from_iterable(zip(pa, qa, pb, qb, *(col[s:s + _SLICE] for col in cols)))
         yield sep.join([template] * min(_SLICE, len(pairs) - s)) % tuple(fields)
 
 
@@ -102,12 +105,6 @@ def check_types(types: Sequence[str]) -> Sequence[str]:
     if bad:
         raise ValueError(f"record types must be 'B' or 'D', got {bad}")
     return types
-
-
-def grid_angle_strs(col: np.ndarray, n: int) -> list[str]:
-    """Reduced strings 'p/q' of the grid angles col / n ('0/1' for zero)."""
-    g = np.gcd(col, n)
-    return [f"{p}/{q}" for p, q in zip((col // g).tolist(), (n // g).tolist())]
 
 
 def prelamination_to_json(seed: Chord, depth: int, pairs: np.ndarray, modulus: int) -> str:

@@ -3,17 +3,17 @@
 On the grid of modulus N the angle x/N is the int x in [0, N); tripling
 is x -> 3x mod N and the half-turn x -> x + N/2.  `Fraction` angles
 enter through `on_grid`, families at once through `rows_of`, and leave
-as `Fraction(x, N)`; the hot paths of orbits, builder, legality and
-pullback run in between.  The common scale (`scale_of`), int64 or
-Python ints (`int_dtype`), crossing (`crosses`) and orbit stepping
-(`orbit`) are each decided here once.  `Laminar` is the one laminarity
-primitive: a vectorised pass over the open/close events of a family of
-(lo, hi) chords gives its verdict, a crossing witness, the chords whose
-depths mismatch, parent pointers and the regions of points.  The strips
-of short chords (`strips`, for an array of chords at once) serve both
-the legality oracle and the pullback barriers; the canonical chord order
-(`short_arc_order`) is applied only where chords are written: JSON, CSV
-and SVG.
+as `Fraction(x, N)` or as reduced text (`formats`); the hot paths of
+orbits, builder, legality and pullback run in between.  The common
+scale (`scale_of`), int64 or Python ints (`int_dtype`), crossing
+(`crosses`) and orbit stepping (`orbit`) are each decided here once.
+`Laminar` is the one laminarity primitive: a vectorised pass over the
+open/close events of a family of (lo, hi) chords gives its verdict, a
+crossing witness, the chords whose depths mismatch, parent pointers and
+the regions of points.  The strips of short chords (`strips`, for an
+array of chords at once) serve both the legality oracle and the pullback
+barriers; the canonical chord order (`short_arc_order`) is applied only
+where chords are written: JSON, CSV and SVG.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ class Laminar:
     chords are dropped.  Two chords cross iff lo1 < lo2 < hi1 < hi2 or
     the reverse.  Opens are ordered by (lo asc, hi desc, row asc) and
     closes by (hi asc, open rank desc), closes first at an equal position:
-    from 128 chords on, each by one stable argsort of an int64 key,
-    (lo - base) * span - (hi - base) and (hi - base) * m - open rank for
-    base = min lo and span = max hi - base + 1; smaller families (one
-    chord's orbit in `is_legal_pair`) and keys past int64 take two lexsorts.
+    each by one stable argsort of a key, (lo - base) * span - (hi - base)
+    and (hi - base) * m - open rank for base = min lo and span = max hi -
+    base + 1, while both keys fit int64; wider families (the builder's from
+    block 7 on, where its scale passes 32 bits) take two lexsorts.
     The family is laminar iff every chord's depth at its open equals its
     depth at its close.  (A chord has as many more chords open at its close
     as it has right crossers minus left crossers, and the earliest-opening
@@ -111,8 +111,6 @@ class Laminar:
     """
 
     def __init__(self, pairs: np.ndarray):
-        # array methods rather than np.* wrappers: they cost less per call,
-        # which the small orbit families of the legality oracle feel
         lo, hi = pairs[:, 0], pairs[:, 1]
         keep = lo < hi
         self._rows = None if np.count_nonzero(keep) == len(keep) else keep.nonzero()[0]
@@ -120,9 +118,9 @@ class Laminar:
             lo, hi = lo[self._rows], hi[self._rows]
         self._size, m = len(pairs), len(lo)
         rank = np.empty(m, dtype=np.int32 if m < 2**31 else np.intp)
-        base = lo.min() if m >= 128 else None  # below it two lexsorts cost less per call
-        span = 0 if base is None else int(hi.max()) - int(base) + 1
-        keyed = base is not None and int_dtype(span * max(span, m)) is np.int64  # keys fit
+        base, top = (lo.min(), hi.max()) if m else (0, 0)
+        span = int(top) - int(base) + 1
+        keyed = int_dtype(span * max(span, m)) is np.int64  # both keys fit int64
         self._opens = ((span * (lo - base) - (hi - base)).argsort(kind="stable") if keyed
                        else np.lexsort((-hi, lo))).astype(rank.dtype)
         rank[self._opens] = np.arange(m, dtype=rank.dtype)

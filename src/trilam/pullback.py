@@ -27,8 +27,9 @@ preimage points.  The remaining cases are resolved deterministically:
 * several surviving matchings: prefer the one containing the parent
   itself (setwise invariant minors are their own pullback), then the
   shortest length profile, then canonical order;
-* no surviving matching: all surviving candidates are returned for the
-  caller.
+* no surviving matching: InvariantError, witness `{"kind": "no-matching",
+  "parent", "survivors"}`; no legal seed tried reaches it, though
+  arbitrary barrier sets do.
 
 Depth truncation replaces the closure operation: the artifact produces
 finite prelaminations only.  Every angle generated at depth d is an
@@ -123,7 +124,11 @@ def _select_pullbacks(parent: tuple[int, int], survivors: dict[int, tuple[int, i
 
     viable = [m for m in _MATCHINGS if all(cid in survivors for cid in m)]
     if not viable:
-        return sorted(survivors.values())
+        chord = Chord.from_grid(parent, n)
+        raise InvariantError(f"no matching of the preimages of {chord} survives its barriers",
+                             {"kind": "no-matching", "parent": chord_to_json(chord),
+                              "survivors": [chord_to_json(Chord.from_grid(p, n))
+                                            for p in sorted(survivors.values())]})
     parent_pair = tuple(sorted(parent))
     pool = [m for m in viable if any(survivors[cid] == parent_pair for cid in m)] or viable
     chosen_m = min(pool, key=lambda m: (sorted(arclen(*survivors[cid], n) for cid in m),
@@ -282,7 +287,7 @@ def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, np.ndarr
 
 def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray],
                     n: int) -> np.ndarray:
-    """All selected pullback pairs of the frontier chords (with duplicates).
+    """All selected pullback pairs of the frontier chords, distinct for distinct parents.
 
     `regions` is `_barrier_regions` of the barriers on the grid n.
     """
@@ -318,7 +323,9 @@ def _levels(seeds: np.ndarray, regions: tuple[np.ndarray, np.ndarray], n: int,
 
     `seeds` holds the sorted distinct seed keys, the only keys a child can
     repeat, since its image is its parent (see the module docstring).  The
-    keys are sorted only to give the family's one sort nearly sorted input.
+    keys are sorted only to give the family's one stable argsort sorted runs:
+    without them the `pullbacks` benchmark ran slower (wall medians 0.327
+    against 0.318 s and 0.340 against 0.324 s in two series of 6 pairs).
     """
     levels = [seeds]
     for _ in range(depth):
@@ -377,5 +384,6 @@ def hyperbolic_prune(c: Chord, depth: int) -> Prelamination:
     pruned = Prelamination(seed=c, depth=depth, modulus=pre.modulus, pairs=pre.pairs[~hit],
                            depths=pre.depths[~hit])
     if not pruned.contains(c):
-        raise InvariantError(f"comajor {c} did not survive its own pruning")
+        raise InvariantError(f"comajor {c} did not survive its own pruning",
+                             {"kind": "pruned-comajor", "chord": chord_to_json(c)})
     return pruned

@@ -120,3 +120,35 @@ def witness_crosses(witness: dict) -> bool:
     first, second = (Chord(parse_angle(witness[k]["a"]), parse_angle(witness[k]["b"]))
                      for k in ("first", "second"))
     return witness["kind"] == "crossing" and crosses(first, second)
+
+
+# the witnesses of the block-1 type-B candidate 0, which no leaf ends at, and
+# of the comajor (5/24, 7/24) pruned from its own family
+ENDPOINT_USAGE = {"kind": "endpoint-usage", "point": "0/1", "endpoints": 0, "candidates": 1}
+PRUNED_COMAJOR = {"kind": "pruned-comajor", "chord": {"a": "5/24", "b": "7/24"}}
+
+
+@pytest.fixture
+def extra_candidate(monkeypatch):
+    """The type-B candidates of every block also hold 0; only `--verify` of block 1 sees them."""
+    real = builder.preperiod1_grid
+
+    def with_zero(block, ptype):
+        nums, den = real(block, ptype)
+        return (np.append(nums, 0) if ptype == "B" else nums), den
+
+    monkeypatch.setattr(builder, "preperiod1_grid", with_zero)
+
+
+@pytest.fixture
+def pruning_everything(monkeypatch):
+    """Every chord's forward orbit reaches a short quadrilateral edge: pruning keeps none."""
+    monkeypatch.setattr(pullback.Prelamination, "forward_orbit_hits",
+                        lambda self, targets: np.ones(len(self), dtype=bool))
+
+
+@pytest.fixture
+def no_matching(monkeypatch):
+    """The engine knows no matching, so the first non-critical parent has none surviving."""
+    monkeypatch.setattr(pullback, "_MATCHINGS", ())
+    monkeypatch.setattr(pullback, "_MATCH_OF", np.full(512, -1, dtype=np.int8))

@@ -20,7 +20,8 @@ from trilam.builder import (
 from trilam.formats import records_to_csv, records_to_json
 from trilam.orbits import preperiod1_grid, preperiod1_points
 
-from conftest import COLLISION, CROSSING_LEAVES, NO_SECTOR, ODD_COMPONENT, OVER_LONG, ch
+from conftest import (COLLISION, CROSSING_LEAVES, ENDPOINT_USAGE, NO_SECTOR, ODD_COMPONENT,
+                      OVER_LONG, ch)
 
 
 def fractions(col: np.ndarray, scale: int) -> list[Fraction]:
@@ -137,8 +138,16 @@ def test_verify_counts_each_point_once():
     # candidate points still agree, their multisets do not
     leaves = build(2).leaves
     state = BuildState(leaves=leaves + leaves[-1:], completed_block=2)
-    with pytest.raises(BuildError, match="exactly once"):
+    with pytest.raises(BuildError, match="exactly once") as err:
         builder._verify(state)
+    assert err.value.witness == {"kind": "endpoint-usage", "point": str(leaves[-1].chord.a),
+                                 "endpoints": 2, "candidates": 1}
+
+
+def test_verify_names_a_candidate_no_leaf_ends_at(extra_candidate):
+    with pytest.raises(BuildError, match="exactly once") as err:
+        build(1, verify=True)
+    assert err.value.witness == ENDPOINT_USAGE
 
 
 def test_count_law(build4):
@@ -175,8 +184,11 @@ def test_nesting_audit_same_type_needs_separator():
                 ComajorRecord(ch(1, 18, 1, 14), "D", 5)],
         completed_block=5,
     )
-    with pytest.raises(BuildError):
+    with pytest.raises(BuildError, match=r"same-type block-5 leaves nested with no smaller-block "
+                       r"leaf between them: \(1/18, 1/14\) under \(1/20, 1/12\)") as err:
         nesting_audit(state)
+    assert err.value.witness == {"kind": "unseparated", "inner": {"a": "1/18", "b": "1/14"},
+                                 "outer": {"a": "1/20", "b": "1/12"}}
 
 
 def test_nesting_audit_accepts_separated_same_type(build4):

@@ -12,8 +12,8 @@ from trilam.formats import chords_from_json, records_from_json
 from trilam.legality import is_legal_pair
 
 import reference
-from conftest import (COLLISION, CROSSING_LEAVES, NO_SECTOR, ODD_COMPONENT, OVER_LONG,
-                      witness_crosses)
+from conftest import (COLLISION, CROSSING_LEAVES, ENDPOINT_USAGE, NO_SECTOR, ODD_COMPONENT,
+                      OVER_LONG, PRUNED_COMAJOR, witness_crosses)
 
 
 def run(capsys, *argv):
@@ -337,6 +337,37 @@ def test_comajors_pairing_failure_prints_witness_and_exits_1(capsys, request, fi
     assert code == 1
     assert out == ""
     assert err.splitlines() == [f"build failure: {message}", json.dumps(witness)]
+
+
+@pytest.mark.parametrize("fixture,argv,message,witness", [
+    ("extra_candidate", ["comajors", "--max-block", "1", "--verify"],
+     "build failure: endpoint usage does not cover each candidate point exactly once",
+     ENDPOINT_USAGE),
+    ("pruning_everything", ["pullback", "5/24", "7/24", "--depth", "2", "--prune"],
+     "invariant failure: comajor (5/24, 7/24) did not survive its own pruning", PRUNED_COMAJOR),
+], ids=["endpoint-usage", "pruned-comajor"])
+def test_contract_failure_prints_witness_and_exits_1(capsys, request, fixture, argv, message,
+                                                     witness):
+    request.getfixturevalue(fixture)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [message, json.dumps(witness)]
+
+
+def test_pullback_without_matching_prints_witness_and_exits_1(capsys, no_matching):
+    code, out, err = run(capsys, "pullback", "5/24", "7/24", "--depth", "1")
+    assert code == 1
+    assert out == ""
+    message, witness = err.splitlines()
+    witness = json.loads(witness)
+    parent = Chord(parse_angle(witness["parent"]["a"]), parse_angle(witness["parent"]["b"]))
+    assert message == (f"invariant failure: no matching of the preimages of {parent} "
+                       "survives its barriers")
+    assert witness["kind"] == "no-matching" and witness["survivors"]
+    for item in witness["survivors"]:  # each survivor is a preimage of the parent
+        a, b = (parse_angle(item[k]) for k in "ab")
+        assert {3 * a % 1, 3 * b % 1} == {parent.a, parent.b}
 
 
 @pytest.mark.parametrize("argv", [[], ["--prune"]], ids=["plain", "prune"])

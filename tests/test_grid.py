@@ -278,9 +278,12 @@ def _spread(pairs, span, base):
                          ids=["grid", "widest-keyed", "one-past", "far-past"])
 @pytest.mark.parametrize("base", [0, -(2**40)], ids=["base-0", "negative-lo"])
 @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
-def test_laminar_matches_lexsort_orders(span, base, dtype):
-    # families of 1-300 chords, so both sides of the 128-chord threshold,
-    # with repeats and degenerate rows, laminar and crossing
+def test_laminar_matches_lexsort_orders(monkeypatch, span, base, dtype):
+    # families of 1-300 chords with repeats and degenerate rows, laminar and
+    # crossing; `Laminar` sorts keys through the widest-keyed span and
+    # lexsorts past it, whatever the family's size
+    real, lexsorted = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorted.append(True) or real(keys))
     rng = random.Random(17)
     outcomes = set()
     for k in range(60):
@@ -292,15 +295,18 @@ def test_laminar_matches_lexsort_orders(span, base, dtype):
             pairs[i] = tuple(sorted((pairs[i][0], rng.randrange(n))))
         pairs = _spread(pairs, span, base) if span else [(x + base, y + base) for x, y in pairs]
         rows = np.array(pairs, dtype=dtype)
-        got, want = grid.Laminar(rows), reference.LexsortLaminar(rows)
+        lexsorted.clear()
+        got = grid.Laminar(rows)
+        outcomes.add((got.crossing is None, bool(lexsorted)))
+        want = reference.LexsortLaminar(rows)
         assert got.crossing == want.crossing, pairs
-        outcomes.add((want.crossing is None, len(pairs) >= 128))
         if want.crossing is None:
             assert got.parents().tolist() == want.parents().tolist()
             points = np.array(sorted({x + d for p in pairs for x in p for d in (-1, 0, 1)}),
                               dtype=dtype)
             assert got.regions(points).tolist() == want.regions(points).tolist()
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    past_keys = span is not None and span > _KEYED_SPAN
+    assert outcomes == {(True, past_keys), (False, past_keys)}
 
 
 @pytest.mark.parametrize("shift", [0, 48 * 2**64], ids=["int64", "object"])

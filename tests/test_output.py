@@ -21,7 +21,6 @@ from trilam.builder import build
 from trilam.chords import Chord
 from trilam.cli import main
 from trilam.formats import (
-    grid_angle_strs,
     prelamination_to_json,
     records_to_csv,
     records_to_json,
@@ -97,12 +96,19 @@ def test_row_writers_match_record_references(dtype):
         assert rows_to_csv(*cols) == reference.records_csv(part)
 
 
-def test_grid_angle_strings_are_reduced():
+def test_written_angles_are_reduced():
+    # every angle of the grid as endpoint a and b, on int64 rows and on
+    # Python-int rows of the same angles on a grid 2**64 times finer
     n = 2 * 3**4 * 5
-    col = np.arange(n, dtype=np.int64)
     want = [f"{f.numerator}/{f.denominator}" for f in (Fraction(x, n) for x in range(n))]
-    assert grid_angle_strs(col, n) == want
     assert want[0] == "0/1"
+    rows = np.stack([np.arange(n), np.arange(n)[::-1]], axis=1)
+    for pairs, m in [(rows, n), (rows.astype(object) * 2**64, n * 2**64)]:
+        cols = (pairs, m, ["B"] * n, [1] * n)
+        lines = rows_to_csv(*cols).splitlines()
+        assert lines[1:] == [f"{a},{b},B,1" for a, b in zip(want, want[::-1])]
+        doc = json.loads(rows_to_json(*cols))
+        assert [(r["a"], r["b"]) for r in doc] == list(zip(want, want[::-1]))
 
 
 @pytest.mark.parametrize("cfg", STYLES + [RenderConfig(color_by="block"),

@@ -17,13 +17,14 @@ from trilam.pullback import (
     _barrier_regions,
     _level_children,
     _seed_system,
+    _select_pullbacks,
     build_prelamination,
     hyperbolic_prune,
     short_quad_edges,
 )
 
 import reference
-from conftest import PULLBACK_SEEDS, ch, witness_crosses
+from conftest import PRUNED_COMAJOR, PULLBACK_SEEDS, ch, witness_crosses
 from reference import LengthClass, chord_orbit, classify, sml_siblings
 
 
@@ -411,6 +412,22 @@ def _check_level(frontier, barriers, n):
     return got
 
 
+def _matched_parents(frontier, barriers, n):
+    """The frontier rows left with a surviving matching; each other row must raise the
+    same no-matching InvariantError on both sides, its witness naming the survivors."""
+    regions, matched, unmatched = _barrier_regions(barriers, n), [], 0
+    for row in frontier:
+        try:
+            _level_children(row[None], regions, n)
+            matched.append(row)
+        except InvariantError as err:
+            with pytest.raises(InvariantError) as want:
+                reference.level_children(row[None], barriers, n)
+            assert err.witness == want.value.witness
+            unmatched += 1
+    return np.array(matched, dtype=np.int64).reshape(-1, 2), unmatched
+
+
 def test_level_children_matches_barrier_oracle_on_build5_seeds():
     levels = 0
     for rec in build(5).leaves:
@@ -437,13 +454,18 @@ def test_level_children_matches_barrier_oracle_on_endpoint_barriers():
     # their grid neighbours, so candidates end on barrier endpoints
     rng = random.Random(3)
     n = 6 * 3**6
+    matched = unmatched = 0
     for _ in range(300):
         frontier = np.array([sorted(rng.sample(range(n), 2)) for _ in range(40)], dtype=np.int64)
         pre = [(int(x) // 3 + k * (n // 3)) % n for x in frontier.ravel() for k in range(3)]
         ends = [(rng.choice(pre) + rng.choice([-1, 0, 0, 1])) % n
                 for _ in range(rng.randint(2, 16))]
         barriers = [tuple(sorted(rng.sample(ends, 2))) for _ in range(rng.randint(1, 8))]
+        frontier, missed = _matched_parents(frontier, barriers, n)
         _check_level(frontier, barriers, n)
+        matched, unmatched = matched + len(frontier), unmatched + missed
+    # arbitrary barriers, unlike those of a legal seed, often leave a parent no matching
+    assert matched > 3000 and unmatched > 3000
 
 
 def test_crossing_family_raises_invariant_error_with_witness(crossing_pullback):
@@ -461,3 +483,19 @@ def test_repeated_family_raises_invariant_error_with_witness(repeating_pullback,
     monkeypatch.undo()
     repeated = Chord(parse_angle(witness["chord"]["a"]), parse_angle(witness["chord"]["b"]))
     assert build_prelamination(c, 2).contains(repeated)
+
+
+def test_parent_without_surviving_matching_raises_invariant_error():
+    # the preimages of (1/8, 3/8) are u_i = 1/24, 3/8, 17/24 and v_j = 1/8, 11/24, 19/24;
+    # only (u_0, v_0) and (u_1, v_1) survive, which complete none of the five matchings
+    with pytest.raises(InvariantError, match=r"preimages of \(1/8, 3/8\) survives") as err:
+        _select_pullbacks((3, 9), {4: (9, 11), 0: (1, 3)}, 24)
+    assert err.value.witness == {
+        "kind": "no-matching", "parent": {"a": "1/8", "b": "3/8"},
+        "survivors": [{"a": "1/24", "b": "1/8"}, {"a": "3/8", "b": "11/24"}]}
+
+
+def test_pruned_comajor_raises_invariant_error_with_witness(pruning_everything):
+    with pytest.raises(InvariantError, match="did not survive its own pruning") as err:
+        hyperbolic_prune(ch(5, 24, 7, 24), 2)
+    assert err.value.witness == PRUNED_COMAJOR

@@ -114,7 +114,8 @@ def prelamination_to_json(seed: Chord, depth: int, pairs: np.ndarray, modulus: i
     `Prelamination.pairs`, in any order: they are written in short-arc
     order (`grid.short_arc_order`).
     """
-    items = ",\n".join(_texts(_JSON_CHORD, ",\n", pairs[short_arc_order(pairs, modulus)], modulus))
+    pairs = pairs.take(short_arc_order(pairs, modulus), 0)
+    items = ",\n".join(_texts(_JSON_CHORD, ",\n", pairs, modulus))
     listed = f"[\n{items}\n]" if items else "[]"
     (seed_text,) = _texts(_JSON_CHORD, "", *rows_of(v.as_integer_ratio() for v in seed.endpoints()))
     return f'{{\n"seed": {seed_text},\n"depth": {depth},\n"chords": {listed}\n}}\n'

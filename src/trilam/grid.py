@@ -101,9 +101,11 @@ class Laminar:
     base + 1, while both keys fit int64; wider families (the builder's from
     block 7 on, where its scale passes 32 bits) take two lexsorts.
     The family is laminar iff every chord's depth at its open equals its
-    depth at its close.  (A chord has as many more chords open at its close
+    depth at its close (a chord has as many more chords open at its close
     as it has right crossers minus left crossers, and the earliest-opening
-    chord of any crossing has only right crossers.)
+    chord of any crossing has only right crossers); one binary search of the
+    opens in the closes counts both, as the opens before close j are those
+    with at most j closes at or before them.
     `crossing` is None for a laminar family, else the rows of one
     crossing pair, the earlier-opening chord first; `mismatched` holds the
     rows whose two depths differ, so it tells apart families laid on
@@ -128,11 +130,12 @@ class Laminar:
                   else np.lexsort((-rank, hi)))
         self._lo, self._hi, rank = lo[self._opens], hi[closes], rank[closes]  # rank: of each close
         del closes
-        self._depth = np.arange(1, m + 1)
-        self._depth -= self._hi.searchsorted(self._lo, "right")
-        opened = self._lo.searchsorted(self._hi)
-        opened -= np.arange(m)
-        bad = rank[(self._depth[rank] != opened).nonzero()[0]]  # open ranks of mismatches
+        closed = self._hi.searchsorted(self._lo, "right")  # closes at or before each open
+        opened = np.bincount(closed, minlength=m + 1)
+        opened.cumsum(out=opened)  # opens before close j: those with closed <= j
+        self._depth = np.subtract(np.arange(1, m + 1), closed, out=closed)
+        opened[:m] -= np.arange(m)
+        bad = rank[(self._depth[rank] != opened[:m]).nonzero()[0]]  # open ranks of mismatches
         self.mismatched = self._row(self._opens[bad])
         self.crossing: Optional[tuple[int, int]] = None
         if len(bad):  # scan its earliest-opening chord on a circle longer than the family

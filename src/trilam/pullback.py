@@ -9,16 +9,16 @@ critical chords, respectively the quadrilateral edges), taken from the
 grid strips the legality oracle uses (`legality.strips_on_grid`).
 Whether a candidate crosses a barrier depends only on which barrier
 endpoint or open arc between them each of its endpoints lies in, so a
-family's barriers become one small survival table over those regions
-(`_barrier_regions`) and each candidate costs one lookup.
+parent's matching depends only on the cells of its endpoints among a
+few cuts: one small table over cell pairs (`_barrier_regions`).
 
 Preimage selection.  The six preimage points of a chord alternate
 around the circle, so its preimage chords organize into at most five
 non-crossing perfect matchings (the all-short, all-medium and three
 mixed patterns of the sibling trichotomy).  Barriers generically leave
 exactly one matching alive: a non-critical parent finds it by one lookup
-of its survival mask (`_MATCH_OF`) and gathers its three pairs from its
-preimage points.  The remaining cases are resolved deterministically:
+of its endpoints' cells and computes its three pairs from its endpoints.
+The remaining cases are resolved deterministically:
 
 * critical parent: candidates longer than 1/3 are dropped (they span
   over the co-critical chord), and endpoint-sharing candidates around a
@@ -42,7 +42,7 @@ is expanded.
 Every child triples back to its parent, so children of distinct
 parents are distinct and a child can repeat only a seed (one of an
 earlier level would have a parent repeating one too): each level's
-child keys are filtered against the seed keys alone and form the next
+sorted child keys, less the seed keys found in them, form the next
 frontier.  A chord's depth is the level of its first appearance.  The
 finished family must be laminar (`grid.Laminar`) and free of repeats
 (a crossing or a repeat raises InvariantError with its witness) and is
@@ -175,7 +175,8 @@ class Prelamination:
         check_int64(self.modulus)
         keys = self.pairs[:, 0] * self.modulus + self.pairs[:, 1]
         order = np.argsort(keys, kind="stable")
-        self.pairs, self.depths, self.keys = self.pairs[order], self.depths[order], keys[order]
+        self.pairs, self.depths = self.pairs.take(order, 0), self.depths[order]
+        self.keys = keys[order]
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -268,71 +269,81 @@ def _keys(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(x, y) * n + np.maximum(x, y)
 
 
-def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bounds, table): the barrier endpoints E and E + 1, sorted, and the regions' survival table.
+def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, ...]:
+    """(bounds, table, cuts, cells): the barrier regions and the matchings of their cells.
 
-    A point x has region code searchsorted(bounds, x, "right"), which is
-    2 * searchsorted(E, x), plus 1 when x is in E; whether a chord crosses a
-    barrier depends on its endpoints' codes alone.  table[c1, c2] says that
-    a chord with endpoint codes c1 and c2 crosses no barrier, by `grid.crosses`
-    at representatives on the grid 2n (before E[0] and after E[-1] is one arc).
+    A point x has region code searchsorted(bounds, x, "right") for the sorted
+    barrier endpoints E and E + 1 in `bounds`: 2 * searchsorted(E, x), plus 1
+    when x is in E.  table[c1, c2] says that a chord with endpoint codes c1 and
+    c2 crosses no barrier, by `grid.crosses` at representatives on the grid 2n
+    (before E[0] and after E[-1] is one arc).  For n a multiple of 3 the
+    preimage x // 3 + i * n/3 passes a bound e of its third iff x >= 3e mod n,
+    so a parent's survivals depend only on its endpoints' cells
+    searchsorted(cuts, x, "right") among the cuts 0 (left out) and 3 * bounds
+    mod n; cells[k, l] is their `_MATCH_OF` index.
     """
     ends = np.unique(barriers)
     reps = np.full(2 * len(ends) + 1, 2 * ends[-1] + 1)
     reps[1::2], reps[2:-1:2] = 2 * ends, ends[:-1] + ends[1:]
     bars = 2 * np.array(barriers, dtype=np.int64).T
-    hit = crosses((reps[:, None, None], reps[None, :, None]), bars, 2 * n)
-    return np.sort(np.concatenate([ends, ends + 1])), ~hit.any(axis=2)
+    table = ~crosses((reps[:, None, None], reps[None, :, None]), bars, 2 * n).any(axis=2)
+    bounds = np.sort(np.concatenate([ends, ends + 1]))
+    starts = np.unique(np.append(3 * bounds % n, 0))
+    code = bounds.searchsorted(starts[:, None] // 3 + n // 3 * np.arange(3), "right")
+    surv = table[code[:, None, :, None], code[None, :, None, :]].reshape(len(starts), -1, 9)
+    return bounds, table, starts[1:], _MATCH_OF[surv @ (1 << np.arange(9))]
 
 
-def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray],
+def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, ...],
                     n: int) -> np.ndarray:
     """All selected pullback pairs of the frontier chords, distinct for distinct parents.
 
-    `regions` is `_barrier_regions` of the barriers on the grid n.
+    `regions` is `_barrier_regions` of the barriers on the grid n.  Fast
+    parents, grouped by matching and ascending within one, come first;
+    critical and unmatched parents select from their nine candidates one by one.
     """
     a, b = frontier.T
     third = n // 3
-    offs = np.array([0, third, 2 * third], dtype=np.int64)
-    us = a[:, None] // 3 + offs  # below n, as a and b are
-    vs = b[:, None] // 3 + offs
-    bounds, table = regions  # candidate 3*i + j is (u_i, v_j)
-    surv = table[np.searchsorted(bounds, us, "right")[:, :, None],
-                 np.searchsorted(bounds, vs, "right")[:, None, :]].reshape(-1, 9)
-    match = _MATCH_OF[surv.astype(np.int64) @ (1 << np.arange(9, dtype=np.int64))]
+    bounds, table, cuts, cells = regions  # candidate 3*i + j is (u_i, v_j)
+    match = cells[cuts.searchsorted(a, "right"), cuts.searchsorted(b, "right")]
     match[np.isin((b - a) % n, (third, 2 * third))] = -1  # critical parents take the slow path
 
-    # fast parents, grouped by matching and ascending within one, gather their three pairs
-    fast = match.argsort(kind="stable")[np.count_nonzero(match < 0):]
-    row, k = 3 * fast[:, None], match[fast]
-    u, v = us.ravel()[row + _MATCH_U[k]], vs.ravel()[row + _MATCH_V[k]]
-    chunks = [np.stack([np.minimum(u, v).ravel(), np.maximum(u, v).ravel()], axis=1)]
-
     slow_pairs: list[tuple[int, int]] = []
-    for pi in np.flatnonzero(match < 0).tolist():
-        surv_map = {cid: canon(int(us[pi, cid // 3]), int(vs[pi, cid % 3]))
-                    for cid in range(9) if surv[pi, cid]}
-        slow_pairs.extend(_select_pullbacks((int(a[pi]), int(b[pi])), surv_map, n))
-    chunks.append(np.array(slow_pairs, dtype=np.int64).reshape(-1, 2))
-    return np.concatenate(chunks, axis=0)
+    for x, y in frontier.compress(match < 0, 0).tolist():
+        us, vs = ([z // 3 + i * third for i in range(3)] for z in (x, y))
+        code_u, code_v = bounds.searchsorted(us, "right"), bounds.searchsorted(vs, "right")
+        surv_map = {3 * i + j: canon(us[i], vs[j])
+                    for i in range(3) for j in range(3) if table[code_u[i], code_v[j]]}
+        slow_pairs.extend(_select_pullbacks((x, y), surv_map, n))
+
+    fast = match.argsort(kind="stable")[np.count_nonzero(match < 0):]
+    k = match.take(fast)
+    u = a.take(fast)[:, None] // 3 + (third * _MATCH_U).take(k, 0)  # below n, as a and b are
+    v = b.take(fast)[:, None] // 3 + (third * _MATCH_V).take(k, 0)
+    out = np.empty((u.size + len(slow_pairs), 2), dtype=np.int64)
+    np.minimum(u, v, out=out[:u.size].reshape(-1, 3, 2)[..., 0])
+    np.maximum(u, v, out=out[:u.size].reshape(-1, 3, 2)[..., 1])
+    out[u.size:] = np.array(slow_pairs, dtype=np.int64).reshape(-1, 2)
+    return out
 
 
-def _levels(seeds: np.ndarray, regions: tuple[np.ndarray, np.ndarray], n: int,
+def _levels(seeds: np.ndarray, regions: tuple[np.ndarray, ...], n: int,
             depth: int) -> list[np.ndarray]:
     """Per level, the sorted keys lo * n + hi of the chords first appearing there.
 
     `seeds` holds the sorted distinct seed keys, the only keys a child can
     repeat, since its image is its parent (see the module docstring).  The
-    keys are sorted only to give the family's one stable argsort sorted runs:
-    without them the `pullbacks` benchmark ran slower (wall medians 0.327
-    against 0.318 s and 0.340 against 0.324 s in two series of 6 pairs).
+    keys are sorted, so the few seeds are searched in the many children,
+    and give the family's one stable argsort sorted runs (without them the
+    `pullbacks` benchmark ran slower: wall medians 0.327 against 0.318 s and
+    0.340 against 0.324 s in two series of 6 pairs).
     """
     levels = [seeds]
     for _ in range(depth):
         children = _level_children(np.stack(np.divmod(levels[-1], n), axis=1), regions, n)
-        keys = children[:, 0] * n + children[:, 1]
-        fresh = seeds[np.minimum(np.searchsorted(seeds, keys), len(seeds) - 1)] != keys
-        levels.append(np.sort(keys[fresh]))
+        keys = np.sort(children[:, 0] * n + children[:, 1])
+        first, last = keys.searchsorted(seeds), keys.searchsorted(seeds, "right")
+        levels.append(np.delete(keys, first[first < last]))
     return levels
 
 
@@ -381,8 +392,8 @@ def hyperbolic_prune(c: Chord, depth: int) -> Prelamination:
         raise ValueError(f"{c} is not co-periodic (its image is not periodic)")
     pre = build_prelamination(c, depth)
     hit = pre.forward_orbit_hits(short_quad_edges(c))
-    pruned = Prelamination(seed=c, depth=depth, modulus=pre.modulus, pairs=pre.pairs[~hit],
-                           depths=pre.depths[~hit])
+    pruned = Prelamination(seed=c, depth=depth, modulus=pre.modulus,
+                           pairs=pre.pairs.compress(~hit, 0), depths=pre.depths[~hit])
     if not pruned.contains(c):
         raise InvariantError(f"comajor {c} did not survive its own pruning",
                              {"kind": "pruned-comajor", "chord": chord_to_json(c)})

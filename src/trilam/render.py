@@ -115,7 +115,7 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
     pairs = np.asarray(chords, dtype=int_dtype(2 * n)).reshape(-1, 2)
     m = len(pairs)
     order = short_arc_order(pairs, n)
-    pairs = pairs[order]
+    pairs = pairs.take(order, 0)
     # one style per distinct (class, block), gathered by id: no tuple per chord
     (cu, ci), (bu, bi) = (np.unique(np.asarray(v if v is not None else [d]), return_inverse=True)
                           for v, d in ((classes, ""), (blocks, 0)))

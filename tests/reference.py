@@ -12,9 +12,10 @@ at a time with scalar `math` (four trig calls per chord and an `atan2`
 sweep flag).  The laminarity oracles are stack sweeps: `crossing_pair`
 for the verdict and `group_by_component` for point components;
 `level_children` tests every pullback candidate against every barrier.
-`LexsortLaminar` orders the laminar events by lexsorts, as
-`grid.Laminar` once did for every family, and `chords_by_string` reads
-a chord document one angle string at a time.
+`LexsortLaminar` orders the laminar events by lexsorts and counts the
+depths by two binary searches, as `grid.Laminar` once did for every
+family, and `chords_by_string` reads a chord document one angle string
+at a time.
 The package computes all of them on the integer grid (`trilam.grid`),
 with sorted int64 keys or with the vectorised laminar pass
 (`grid.Laminar`); the differential tests compare the two.  Nothing here
@@ -252,8 +253,10 @@ class LexsortLaminar(Laminar):
     """`grid.Laminar` with its event orders from two lexsorts, as every family was once ordered.
 
     Opens by (lo asc, hi desc, row asc), closes by (hi asc, open rank
-    desc), each by `np.lexsort`; depths, verdict and witness as in
-    `grid.Laminar`, whose `parents` and `regions` it inherits.
+    desc), each by `np.lexsort`; the depth at each open and at each close
+    by binary searches of the two sorted orders into each other, as
+    `grid.Laminar` once counted them; `mismatched`, verdict and witness as
+    in `grid.Laminar`, whose `parents` and `regions` it inherits.
     """
 
     def __init__(self, pairs: np.ndarray):
@@ -271,6 +274,7 @@ class LexsortLaminar(Laminar):
         self._depth = np.arange(1, m + 1) - self._hi.searchsorted(self._lo, "right")
         rank = rank[closes]  # the open rank of each close
         bad = (self._depth[rank] != self._lo.searchsorted(self._hi) - np.arange(m)).nonzero()[0]
+        self.mismatched = self._row(self._opens[rank[bad]])
         self.crossing = None
         if len(bad):
             c = self._opens[rank[bad].min()]

@@ -389,3 +389,41 @@ def test_rows_of_matches_on_grid_and_scale_of(big):
         assert pairs.tolist() == [[grid.on_grid(c.a, n), grid.on_grid(c.b, n)] for c in chords]
     pairs, n = grid.rows_of([], 12)
     assert pairs.shape == (0, 2) and n == 12
+
+
+def _tied_family(rng, n):
+    """A family on a few points of a small grid: chords chained end to end (one's lo the
+    next one's hi), repeated, degenerate and nested, laminar or crossing."""
+    points = sorted(rng.sample(range(n), rng.randint(2, 5)))
+    chain = [(x, y) for x, y in zip(points, points[1:])]
+    pairs = chain + [(points[0], points[-1])] * rng.randint(0, 2)
+    pairs += [(x, x) for x in rng.sample(points, rng.randint(0, 2))]
+    pairs += [tuple(sorted(rng.sample(points, 2))) for _ in range(rng.randint(0, 4))]
+    pairs += rng.sample(pairs, rng.randint(0, len(pairs)))  # repeats
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+def test_laminar_counts_match_two_searches_under_ties(dtype):
+    # the depth counts from one binary search and a running count of the
+    # closes equal those of the two binary searches where endpoints tie
+    rng = random.Random(23)
+    shift = 0 if dtype is np.int64 else 2**64
+    families = [(6, []), (6, [(2, 2), (2, 2)])]  # no chord left to order
+    for k in range(600):
+        n = rng.choice([6, 8, 12])
+        families.append((n, _tied_family(rng, n) if k % 3
+                         else _laminar_family(rng, n, rng.randint(1, 30))))
+    outcomes = set()
+    for n, pairs in families:
+        rows = np.array([(x + shift, y + shift) for x, y in pairs], dtype=dtype).reshape(-1, 2)
+        got, want = grid.Laminar(rows), reference.LexsortLaminar(rows)
+        assert got.mismatched.tolist() == want.mismatched.tolist(), pairs
+        assert got.crossing == want.crossing, pairs
+        outcomes.add(got.crossing is None)
+        if want.crossing is None:
+            assert got.parents().tolist() == want.parents().tolist(), pairs
+            points = np.array([x + shift for x in range(-1, n + 1)], dtype=dtype)
+            assert got.regions(points).tolist() == want.regions(points).tolist(), pairs
+    assert outcomes == {True, False}

@@ -71,6 +71,25 @@ def test_empty_prelamination_document_matches_json_dumps():
     assert json.loads(text) == {"seed": {"a": "1/6", "b": "1/3"}, "depth": 2, "chords": []}
 
 
+@pytest.mark.parametrize("scale", [1, 2**64], ids=["own-modulus", "past-int64"])
+def test_object_rows_write_the_bytes_of_int64_rows(scale):
+    # the writers gather rows into canonical order by `take`; Python-int rows, on the
+    # family's own modulus or scaled past int64, give the bytes of the int64 rows
+    seed = ch(5, 24, 7, 24)
+    pre = hyperbolic_prune(seed, 4)
+    n = pre.modulus
+    rows = pre.pairs.astype(object) * scale
+    assert prelamination_to_json(seed, 4, rows, n * scale) == \
+        prelamination_to_json(seed, 4, pre.pairs, n)
+    for cfg in STYLES:
+        assert render_svg(rows, cfg, modulus=n * scale) == render_svg(pre.pairs, cfg, modulus=n)
+    # the empty family still renders and writes
+    empty = np.empty((0, 2), dtype=object)
+    assert render_svg(empty, modulus=n * scale) == render_svg(np.empty((0, 2), np.int64),
+                                                             modulus=n)
+    assert json.loads(prelamination_to_json(seed, 4, empty, n * scale))["chords"] == []
+
+
 def test_records_document_matches_json_dumps():
     recs = build(3).sorted_leaves()
     for part in (recs, recs[:1], []):

@@ -9,11 +9,12 @@ from trilam.angles import parse_angle
 from trilam.builder import build
 from trilam.chords import Chord, image, length
 from trilam.formats import prelamination_to_json
-from trilam.grid import MAX_INT64_MODULUS, closure, on_grid, scale_of
+from trilam.grid import MAX_INT64_MODULUS, closure, crosses, on_grid, scale_of
 from trilam.pullback import (
     IllegalSeedError,
     InvariantError,
     Prelamination,
+    _MATCH_OF,
     _barrier_regions,
     _level_children,
     _seed_system,
@@ -466,6 +467,41 @@ def test_level_children_matches_barrier_oracle_on_endpoint_barriers():
         matched, unmatched = matched + len(frontier), unmatched + missed
     # arbitrary barriers, unlike those of a legal seed, often leave a parent no matching
     assert matched > 3000 and unmatched > 3000
+
+
+def test_cell_table_matches_candidate_survivals():
+    # a parent's matching, looked up by the cells of its endpoints among the cuts, is
+    # the `_MATCH_OF` index of its nine candidates' survivals, for every parent on the
+    # grid (endpoints multiples of 3 or not), with barriers ending at 0 and at n - 1
+    rng = random.Random(29)
+    outcomes = set()
+    for k in (1, 2, 3):
+        n = 6 * 3**k
+        points = np.arange(n)
+        pre = points[:, None] // 3 + n // 3 * np.arange(3)
+        cand = (pre[:, None, :, None], pre[None, :, None, :])  # (u_i, v_j) of each parent
+        for trial in range(40):
+            ends = rng.sample(range(1, n - 1), rng.randint(2, 8))
+            barriers = [tuple(sorted(rng.sample(ends, 2))) for _ in range(rng.randint(1, 5))]
+            barriers += [tuple(sorted((e, rng.choice(ends)))) for e in ([], [0], [n - 1],
+                                                                          [0, n - 1])[trial % 4]]
+            _, _, cuts, cells = _barrier_regions(barriers, n)
+            crossed = np.zeros((n, n, 3, 3), dtype=bool)
+            for bar in barriers:
+                crossed |= crosses(bar, cand, n)
+            want = _MATCH_OF[(~crossed).reshape(n, n, 9) @ (1 << np.arange(9))]
+            cell = cuts.searchsorted(points, "right")
+            assert np.array_equal(cells[cell[:, None], cell[None, :]], want), barriers
+            outcomes.update(np.unique(want >= 0).tolist())
+    assert outcomes == {True, False}
+
+
+def test_no_matching_raises_its_witness(no_matching):
+    # the cell table reads the module's `_MATCH_OF` when the barriers are read
+    with pytest.raises(InvariantError, match="survives its barriers") as err:
+        build_prelamination(ch(11, 12, 1, 12), 2)
+    assert err.value.witness["kind"] == "no-matching"
+    assert set(err.value.witness) == {"kind", "parent", "survivors"}
 
 
 def test_crossing_family_raises_invariant_error_with_witness(crossing_pullback):

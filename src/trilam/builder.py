@@ -103,12 +103,13 @@ class BuildState:
             self.scale = scale
         return nums.astype(self.pairs.dtype) * (scale // den)
 
-    def _records(self, order=slice(None)) -> list[ComajorRecord]:
+    def _records(self, order) -> list[ComajorRecord]:
         return [ComajorRecord(Chord.from_grid(p, self.scale), t, b)
-                for p, t, b in zip(self.pairs[order].tolist(), self.ptypes[order].tolist(),
+                for p, t, b in zip(self.pairs.take(order, 0).tolist(), self.ptypes[order].tolist(),
                                    self.blocks[order].tolist())]
 
-    leaves = property(_records, doc="The records of the leaves in leaf order, made on each read.")
+    leaves = property(lambda self: self._records(np.arange(len(self.blocks))),
+                      doc="The records of the leaves in leaf order, made on each read.")
 
     def order(self) -> np.ndarray:
         """The leaves' rows in canonical order: block, type D before B, then the short-arc key."""
@@ -271,7 +272,7 @@ def _verify(state: BuildState) -> None:
         nums, den = preperiod1_grid(block, t)
         n = lcm(6, den)
         leaves = np.flatnonzero((state.blocks == block) & (state.ptypes == t))
-        rows = state.pairs[leaves] // (state.scale // n)
+        rows = state.pairs.take(leaves, 0) // (state.scale // n)
         failed += [(leaves[i], rows[i], n) for i in np.flatnonzero(~legal_mask(rows, n))[:1]]
         expected.append(nums.astype(state.pairs.dtype) * (state.scale // den))
     if failed:

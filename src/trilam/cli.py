@@ -53,7 +53,7 @@ def _emit_records(state: BuildState, args) -> None:
     order = state.order()
     if args.type != "both":
         order = order[state.ptypes[order] == args.type]
-    pairs, types, blocks = state.pairs[order], state.ptypes[order], state.blocks[order]
+    pairs, types, blocks = state.pairs.take(order, 0), state.ptypes[order], state.blocks[order]
     if args.format == "svg":
         svg = render_svg(pairs, _render_cfg(args), classes=types, blocks=blocks,
                          modulus=state.scale)
@@ -96,6 +96,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    if args.max_steps < 1:
+        raise ValueError(f"--max-steps must be >= 1, got {args.max_steps}")
     x = parse_angle(args.x)
     info = orbit_info(x)
     print(f"angle {angle_str(x)}: preperiod {info.preperiod}, period {info.period}")

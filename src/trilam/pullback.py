@@ -9,16 +9,16 @@ critical chords, respectively the quadrilateral edges), taken from the
 grid strips the legality oracle uses (`legality.strips_on_grid`).
 Whether a candidate crosses a barrier depends only on which barrier
 endpoint or open arc between them each of its endpoints lies in, so a
-parent's matching depends only on the cells of its endpoints among a
-few cuts: one small table over cell pairs (`_barrier_regions`).
+parent's nine survivals depend only on the cells of its endpoints among
+a few cuts: one small table of survival masks (`_barrier_regions`).
 
 Preimage selection.  The six preimage points of a chord alternate
 around the circle, so its preimage chords organize into at most five
 non-crossing perfect matchings (the all-short, all-medium and three
 mixed patterns of the sibling trichotomy).  Barriers generically leave
-exactly one matching alive: a non-critical parent finds it by one lookup
-of its endpoints' cells and computes its three pairs from its endpoints.
-The remaining cases are resolved deterministically:
+exactly one matching alive: a non-critical parent whose mask completes
+one matching (`_MATCH_OF`) computes its three pairs from its endpoints.
+The other cases take their survivors from the same mask, deterministically:
 
 * critical parent: candidates longer than 1/3 are dropped (they span
   over the co-critical chord), and endpoint-sharing candidates around a
@@ -218,7 +218,7 @@ class Prelamination:
         chords of the same image.
         """
         n, third = self.modulus, self.modulus // 3
-        inner = self.pairs[(1 <= self.depths) & (self.depths <= self.depth - 1)]
+        inner = self.pairs.compress((1 <= self.depths) & (self.depths <= self.depth - 1), 0)
         x, y = 3 * inner.T % n
         keep = (abs(x - y) != third) & (abs(x - y) != 2 * third)  # image not critical
         key, x, y = (inner[:, 0] * n + inner[:, 1])[keep], x[keep], y[keep]
@@ -269,54 +269,50 @@ def _keys(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(x, y) * n + np.maximum(x, y)
 
 
-def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, ...]:
-    """(bounds, table, cuts, cells): the barrier regions and the matchings of their cells.
+def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cuts, masks): the cells of parent endpoints and the survival masks of cell pairs.
 
-    A point x has region code searchsorted(bounds, x, "right") for the sorted
-    barrier endpoints E and E + 1 in `bounds`: 2 * searchsorted(E, x), plus 1
-    when x is in E.  table[c1, c2] says that a chord with endpoint codes c1 and
-    c2 crosses no barrier, by `grid.crosses` at representatives on the grid 2n
-    (before E[0] and after E[-1] is one arc).  For n a multiple of 3 the
-    preimage x // 3 + i * n/3 passes a bound e of its third iff x >= 3e mod n,
-    so a parent's survivals depend only on its endpoints' cells
-    searchsorted(cuts, x, "right") among the cuts 0 (left out) and 3 * bounds
-    mod n; cells[k, l] is their `_MATCH_OF` index.
+    For n a multiple of 3 the preimage x // 3 + i * n/3 of x is at or past a
+    point e of its third iff x >= 3e mod n, so whether each preimage of x is
+    before, at or after each barrier endpoint e, and with it which candidates
+    cross no barrier, is the same throughout the cell searchsorted(cuts, x,
+    "right") among the cuts 0 (left out), 3e and 3(e + 1) mod n.  Bit 3*i + j
+    of masks[k, l] is set when the candidate (u_i, v_j) of a parent with
+    endpoints in cells k and l crosses no barrier (`grid.crosses`).
     """
     ends = np.unique(barriers)
-    reps = np.full(2 * len(ends) + 1, 2 * ends[-1] + 1)
-    reps[1::2], reps[2:-1:2] = 2 * ends, ends[:-1] + ends[1:]
-    bars = 2 * np.array(barriers, dtype=np.int64).T
-    table = ~crosses((reps[:, None, None], reps[None, :, None]), bars, 2 * n).any(axis=2)
-    bounds = np.sort(np.concatenate([ends, ends + 1]))
-    starts = np.unique(np.append(3 * bounds % n, 0))
-    code = bounds.searchsorted(starts[:, None] // 3 + n // 3 * np.arange(3), "right")
-    surv = table[code[:, None, :, None], code[None, :, None, :]].reshape(len(starts), -1, 9)
-    return bounds, table, starts[1:], _MATCH_OF[surv @ (1 << np.arange(9))]
+    starts = np.unique(np.concatenate([[0], 3 * ends % n, 3 * (ends + 1) % n]))
+    pre = starts[:, None] // 3 + n // 3 * np.arange(3)  # the u_i of each cell's first point
+    cand = (pre[:, None, :, None, None], pre[None, :, None, :, None])
+    crossed = crosses(np.array(barriers, dtype=np.int64).T, cand, n).any(axis=4)
+    return starts[1:], (~crossed).reshape(len(starts), len(starts), 9) @ (1 << np.arange(9))
 
 
-def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, ...],
+def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray],
                     n: int) -> np.ndarray:
     """All selected pullback pairs of the frontier chords, distinct for distinct parents.
 
-    `regions` is `_barrier_regions` of the barriers on the grid n.  Fast
-    parents, grouped by matching and ascending within one, come first;
-    critical and unmatched parents select from their nine candidates one by one.
+    Each parent reads its mask once from `regions` (`_barrier_regions` on the grid n).
+    Fast parents, grouped by matching and ascending within one, come first; critical
+    and unmatched parents select from their mask's survivors one by one.
     """
     a, b = frontier.T
     third = n // 3
-    bounds, table, cuts, cells = regions  # candidate 3*i + j is (u_i, v_j)
-    match = cells[cuts.searchsorted(a, "right"), cuts.searchsorted(b, "right")]
-    match[np.isin((b - a) % n, (third, 2 * third))] = -1  # critical parents take the slow path
+    cuts, masks = regions  # candidate 3*i + j is (u_i, v_j)
+    mask = masks[cuts.searchsorted(a, "right"), cuts.searchsorted(b, "right")]
+    match = _MATCH_OF.take(mask)
+    span = (b - a) % n
+    match[(span == third) | (span == 2 * third)] = -1  # critical parents take the slow path
 
     slow_pairs: list[tuple[int, int]] = []
-    for x, y in frontier.compress(match < 0, 0).tolist():
+    slow = match < 0
+    for (x, y), bits in zip(frontier.compress(slow, 0).tolist(), mask.compress(slow).tolist()):
         us, vs = ([z // 3 + i * third for i in range(3)] for z in (x, y))
-        code_u, code_v = bounds.searchsorted(us, "right"), bounds.searchsorted(vs, "right")
         surv_map = {3 * i + j: canon(us[i], vs[j])
-                    for i in range(3) for j in range(3) if table[code_u[i], code_v[j]]}
+                    for i in range(3) for j in range(3) if bits >> (3 * i + j) & 1}
         slow_pairs.extend(_select_pullbacks((x, y), surv_map, n))
 
-    fast = match.argsort(kind="stable")[np.count_nonzero(match < 0):]
+    fast = match.argsort(kind="stable")[np.count_nonzero(slow):]
     k = match.take(fast)
     u = a.take(fast)[:, None] // 3 + (third * _MATCH_U).take(k, 0)  # below n, as a and b are
     v = b.take(fast)[:, None] // 3 + (third * _MATCH_V).take(k, 0)

@@ -298,6 +298,14 @@ def test_size_without_room_for_the_circle_is_usage_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_orbit_without_steps_is_usage_error(capsys, steps):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "1/7", "--max-steps", steps])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", [[], ["--prune"]], ids=["plain", "prune"])
 def test_pullback_invariant_failure_exits_1(capsys, monkeypatch, argv):
     import trilam.cli

@@ -430,16 +430,23 @@ def _matched_parents(frontier, barriers, n):
 
 
 def test_level_children_matches_barrier_oracle_on_build5_seeds():
-    levels = 0
-    for rec in build(5).leaves:
-        n0, seeds, barriers = _seed_system(rec.chord)
+    # the degenerate seeds k/36 start from critical chords: their parents take the
+    # critical branch, which the build(5) seeds never reach
+    chords = [rec.chord for rec in build(5).leaves]
+    chords += [Chord(Fraction(k, 36), Fraction(k, 36)) for k in range(36)]
+    levels = critical = 0
+    for c in chords:
+        n0, seeds, barriers = _seed_system(c)
         scale = 3**5
         n = n0 * scale
         bars = [(x * scale, y * scale) for x, y in barriers]
         seeded = np.array(seeds, dtype=np.int64) * scale
         keys = np.unique(seeded[:, 0] * n + seeded[:, 1])  # the engine's level 0
         for _ in range(5):
-            children = _check_level(np.stack(np.divmod(keys, n), 1), bars, n)
+            frontier = np.stack(np.divmod(keys, n), 1)
+            span = 3 * (frontier[:, 1] - frontier[:, 0])
+            critical += np.count_nonzero((span == n) | (span == 2 * n))
+            children = _check_level(frontier, bars, n)
             x, y = 3 * children.T % n
             child_keys = children[:, 0] * n + children[:, 1]
             # a child's image is its parent, so distinct parents have distinct children
@@ -447,7 +454,7 @@ def test_level_children_matches_barrier_oracle_on_build5_seeds():
                     and len(np.unique(child_keys)) == len(child_keys))
             keys = np.unique(child_keys)
             levels += 1
-    assert levels == 5 * 688
+    assert levels == 5 * (688 + 36) and critical > 0
 
 
 def test_level_children_matches_barrier_oracle_on_endpoint_barriers():
@@ -470,9 +477,10 @@ def test_level_children_matches_barrier_oracle_on_endpoint_barriers():
 
 
 def test_cell_table_matches_candidate_survivals():
-    # a parent's matching, looked up by the cells of its endpoints among the cuts, is
-    # the `_MATCH_OF` index of its nine candidates' survivals, for every parent on the
-    # grid (endpoints multiples of 3 or not), with barriers ending at 0 and at n - 1
+    # a parent's survival mask, looked up by the cells of its endpoints among the cuts,
+    # has bit 3*i + j set exactly when its candidate (u_i, v_j) crosses no barrier, for
+    # every parent on the grid (endpoints multiples of 3 or not), with barriers ending
+    # at 0 and at n - 1; parents with and without a surviving matching both occur
     rng = random.Random(29)
     outcomes = set()
     for k in (1, 2, 3):
@@ -485,19 +493,19 @@ def test_cell_table_matches_candidate_survivals():
             barriers = [tuple(sorted(rng.sample(ends, 2))) for _ in range(rng.randint(1, 5))]
             barriers += [tuple(sorted((e, rng.choice(ends)))) for e in ([], [0], [n - 1],
                                                                           [0, n - 1])[trial % 4]]
-            _, _, cuts, cells = _barrier_regions(barriers, n)
+            cuts, masks = _barrier_regions(barriers, n)
             crossed = np.zeros((n, n, 3, 3), dtype=bool)
             for bar in barriers:
                 crossed |= crosses(bar, cand, n)
-            want = _MATCH_OF[(~crossed).reshape(n, n, 9) @ (1 << np.arange(9))]
+            want = (~crossed).reshape(n, n, 9) @ (1 << np.arange(9))
             cell = cuts.searchsorted(points, "right")
-            assert np.array_equal(cells[cell[:, None], cell[None, :]], want), barriers
-            outcomes.update(np.unique(want >= 0).tolist())
+            assert np.array_equal(masks[cell[:, None], cell[None, :]], want), barriers
+            outcomes.update(np.unique(_MATCH_OF[want] >= 0).tolist())
     assert outcomes == {True, False}
 
 
 def test_no_matching_raises_its_witness(no_matching):
-    # the cell table reads the module's `_MATCH_OF` when the barriers are read
+    # each level reads the module's `_MATCH_OF` once, for all its parents' masks
     with pytest.raises(InvariantError, match="survives its barriers") as err:
         build_prelamination(ch(11, 12, 1, 12), 2)
     assert err.value.witness["kind"] == "no-matching"

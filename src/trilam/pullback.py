@@ -43,10 +43,12 @@ Every child triples back to its parent, so children of distinct
 parents are distinct and a child can repeat only a seed (one of an
 earlier level would have a parent repeating one too): each level's
 sorted child keys, less the seed keys found in them, form the next
-frontier.  A chord's depth is the level of its first appearance.  The
-finished family must be laminar (`grid.Laminar`) and free of repeats
-(a crossing or a repeat raises InvariantError with its witness) and is
-kept in key order: `Prelamination.pairs` is sorted by lo * n + hi.
+frontier.  A chord's depth is the level of its first appearance, and step
+d of a depth-d chord's orbit is its level-0 ancestor: the prune walks only
+the seeds' orbits (`_ancestor_hits`); `Prelamination.forward_orbit_hits`
+stays the general oracle.  The finished family, its levels merged by one
+stable argsort into key order lo * n + hi, must be laminar
+(`grid.Laminar`) and free of repeats, else InvariantError gives a witness.
 """
 
 from __future__ import annotations
@@ -162,7 +164,9 @@ def _seed_system(c: Chord) -> tuple[int, list[Pair], list[Pair]]:
 
 @dataclass
 class Prelamination:
-    """Depth-truncated pullback family, stored as int64 numerators mod `modulus`."""
+    """Depth-truncated pullback family of int64 numerators mod `modulus`, kept in key order
+    (rows out of it are stably sorted); rows off 0 <= lo <= hi < modulus raise ValueError,
+    as do depths not one per row in 0 .. `depth`."""
 
     seed: Chord
     depth: int
@@ -173,10 +177,15 @@ class Prelamination:
 
     def __post_init__(self):
         check_int64(self.modulus)
-        keys = self.pairs[:, 0] * self.modulus + self.pairs[:, 1]
-        order = np.argsort(keys, kind="stable")
-        self.pairs, self.depths = self.pairs.take(order, 0), self.depths[order]
-        self.keys = keys[order]
+        (lo, hi), depths, n = self.pairs.T, self.depths, self.modulus
+        if not (0 <= self.pairs.min(initial=0) <= self.pairs.max(initial=0) < n
+                and (lo <= hi).all() and len(depths) == len(lo)
+                and 0 <= depths.min(initial=0) <= depths.max(initial=0) <= self.depth):
+            raise ValueError(f"need rows 0 <= lo <= hi < {n}, depths 0 .. {self.depth}")
+        self.keys = lo * n + hi
+        if (self.keys[1:] < self.keys[:-1]).any():
+            order = self.keys.argsort(kind="stable")
+            self.pairs, self.depths, self.keys = self.pairs[order], depths[order], self.keys[order]
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -256,8 +265,8 @@ class Prelamination:
         img = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
         out = np.flatnonzero(keys[img] != images)
         hit = np.isin(keys, tkeys)
-        for x, y in orbit(lo[out], hi[out], n):
-            hit[out] |= np.isin(_keys(x, y, n), tkeys)
+        walk = np.stack([_keys(x, y, n) for x, y in orbit(lo[out], hi[out], n)])
+        hit[out] |= np.isin(walk, tkeys).any(axis=0)
         img[out] = out
         for _ in range(sum(closure(n)) - 1):
             hit |= hit[img]
@@ -267,6 +276,24 @@ class Prelamination:
 def _keys(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     """Keys lo * n + hi of the chords with endpoint arrays x and y on the grid of modulus n."""
     return np.minimum(x, y) * n + np.maximum(x, y)
+
+
+def _ancestor_hits(pre: Prelamination, targets: list[Chord]) -> np.ndarray:
+    """`pre.forward_orbit_hits(targets)` of a built family, read at level-0 ancestors; an
+    ancestor that is no seed, or a target of depth >= 1, raises InvariantError."""
+    n, depths = pre.modulus, pre.depths
+    tkeys = np.array([k for k in map(pre._key, targets) if k is not None], dtype=np.int64)
+    seeds = np.append(pre.keys.compress(depths == 0), n * n)  # n * n is past every key
+    power = np.array([pow(3, d, n) for d in range(pre.depth + 1)], dtype=np.int64)
+    ancestors = _keys(*(pre.pairs.T * power.take(depths) % n), n)  # products below n^2
+    at = seeds.searchsorted(ancestors)
+    bad = np.flatnonzero((seeds[at] != ancestors) | (depths > 0) & np.isin(pre.keys, tkeys))
+    if len(bad):
+        chord, depth = Chord.from_grid(pre.pairs[bad[0]].tolist(), n), int(depths[bad[0]])
+        raise InvariantError(f"{chord} of depth {depth} is a target or descends from no seed",
+                             {"kind": "unseeded", "chord": chord_to_json(chord), "depth": depth})
+    walk = np.stack([_keys(x, y, n) for x, y in orbit(*np.divmod(seeds[:-1], n), n)])
+    return np.isin(walk, tkeys).any(axis=0).take(at)
 
 
 def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,10 +356,7 @@ def _levels(seeds: np.ndarray, regions: tuple[np.ndarray, ...], n: int,
 
     `seeds` holds the sorted distinct seed keys, the only keys a child can
     repeat, since its image is its parent (see the module docstring).  The
-    keys are sorted, so the few seeds are searched in the many children,
-    and give the family's one stable argsort sorted runs (without them the
-    `pullbacks` benchmark ran slower: wall medians 0.327 against 0.318 s and
-    0.340 against 0.324 s in two series of 6 pairs).
+    keys are sorted, so the few seeds are searched in the many children.
     """
     levels = [seeds]
     for _ in range(depth):
@@ -358,10 +382,11 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     depths = np.repeat(np.arange(len(levels), dtype=np.int8), [len(k) for k in levels])
     keys = np.concatenate(levels)
     del levels
-    pairs = np.stack(np.divmod(keys, n), axis=1)
+    order = keys.argsort(kind="stable")
+    pairs = np.stack(np.divmod(keys.take(order), n), axis=1)
     del keys
-    pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs, depths=depths)
-    del pairs, depths  # only the family stays alive through the invariant check
+    pre = Prelamination(seed=c, depth=depth, modulus=n, pairs=pairs, depths=depths.take(order))
+    del pairs, depths, order  # only the family stays alive through the invariant check
     crossing = Laminar(pre.pairs).crossing
     if crossing is not None:
         first, second = (Chord.from_grid(p, n) for p in pre.pairs[list(crossing)].tolist())
@@ -387,7 +412,7 @@ def hyperbolic_prune(c: Chord, depth: int) -> Prelamination:
     if any(orbit_info(v).preperiod != 0 for v in minor.endpoints()):
         raise ValueError(f"{c} is not co-periodic (its image is not periodic)")
     pre = build_prelamination(c, depth)
-    hit = pre.forward_orbit_hits(short_quad_edges(c))
+    hit = _ancestor_hits(pre, short_quad_edges(c))
     pruned = Prelamination(seed=c, depth=depth, modulus=pre.modulus,
                            pairs=pre.pairs.compress(~hit, 0), depths=pre.depths[~hit])
     if not pruned.contains(c):

@@ -143,8 +143,8 @@ def extra_candidate(monkeypatch):
 @pytest.fixture
 def pruning_everything(monkeypatch):
     """Every chord's forward orbit reaches a short quadrilateral edge: pruning keeps none."""
-    monkeypatch.setattr(pullback.Prelamination, "forward_orbit_hits",
-                        lambda self, targets: np.ones(len(self), dtype=bool))
+    monkeypatch.setattr(pullback, "_ancestor_hits",
+                        lambda pre, targets: np.ones(len(pre), dtype=bool))
 
 
 @pytest.fixture

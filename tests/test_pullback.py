@@ -8,13 +8,14 @@ import pytest
 from trilam.angles import parse_angle
 from trilam.builder import build
 from trilam.chords import Chord, image, length
-from trilam.formats import prelamination_to_json
+from trilam.formats import chord_to_json, prelamination_to_json
 from trilam.grid import MAX_INT64_MODULUS, closure, crosses, on_grid, scale_of
 from trilam.pullback import (
     IllegalSeedError,
     InvariantError,
     Prelamination,
     _MATCH_OF,
+    _ancestor_hits,
     _barrier_regions,
     _level_children,
     _seed_system,
@@ -268,6 +269,98 @@ def test_prelamination_refuses_modulus_whose_keys_wrap():
     top = _hand_built(n, [(1, 2), (3, 4), (n - 2, n - 1)], seed)
     assert top.contains(Chord(Fraction(n - 2, n), Fraction(n - 1, n)))
     assert not top.contains(Chord(Fraction(n - 3, n), Fraction(n - 1, n)))
+
+
+# on the grid 12, rows that break 0 <= lo <= hi < 12 or one depth in 0 .. 2 per row; the
+# reversed row (7, 3) is the chord (3, 7), which crosses (1, 5)
+@pytest.mark.parametrize("pairs, depths", [
+    ([[1, 5], [7, 3]], [0, 0]),
+    ([[-1, 5], [3, 7]], [0, 0]),
+    ([[1, 5], [3, 12]], [0, 0]),
+    ([[1, 5], [3, 7]], [0, 0, 0]),
+    ([[1, 5], [3, 7]], [0]),
+    ([[1, 5], [3, 7]], [0, 3]),
+    ([[1, 5], [3, 7]], [-1, 0]),
+], ids=["reversed", "negative", "off-grid", "extra-depth", "missing-depth", "too-deep",
+        "negative-depth"])
+def test_prelamination_refuses_malformed_rows(pairs, depths):
+    with pytest.raises(ValueError, match="need rows"):
+        Prelamination(seed=PULLBACK_SEEDS[0], depth=2, modulus=12, pairs=np.array(pairs),
+                      depths=np.array(depths))
+
+
+def test_prelamination_keeps_rows_in_key_order():
+    pre = Prelamination(seed=PULLBACK_SEEDS[0], depth=2, modulus=12,
+                        pairs=np.array([[1, 5], [3, 7]]), depths=np.array([0, 2]))
+    assert not pre.noncrossing()
+    rows = np.array([[0, 6], [1, 5], [1, 11], [2, 2]])
+    kept = Prelamination(seed=PULLBACK_SEEDS[0], depth=2, modulus=12, pairs=rows,
+                         depths=np.array([0, 1, 2, 1]))
+    assert kept.pairs is rows  # already in key order: neither sorted nor copied
+    assert kept.keys.tolist() == [6, 17, 23, 26]
+
+
+def _ancestor_families():
+    """(family, targets) of every `build_prelamination` family at depths 0-6.
+
+    The seeds are `PULLBACK_SEEDS`, the degenerate seeds k/36 and every 16th
+    leaf of `build(4)`.  The targets are the short quadrilateral edges, or for
+    a degenerate seed its first seed chord, a critical chord.
+    """
+    leaves = [r.chord for r in build(4).leaves]
+    degenerate = [Chord(Fraction(k, 36), Fraction(k, 36)) for k in range(36)]
+    for seed in PULLBACK_SEEDS + degenerate + leaves[::16]:
+        for depth in range(7):
+            pre = build_prelamination(seed, depth)
+            if seed.degenerate:
+                first = pre.pairs.compress(pre.depths == 0, 0)[0].tolist()
+                yield pre, [Chord.from_grid(first, pre.modulus)]
+            else:
+                yield pre, short_quad_edges(seed)
+
+
+def test_ancestor_hits_match_orbit_walks():
+    # the prune's hits from level-0 ancestors against the general oracle and the
+    # reference's walk of every chord's orbit
+    verdicts = set()
+    for pre, targets in _ancestor_families():
+        got = _ancestor_hits(pre, targets)
+        assert np.array_equal(got, pre.forward_orbit_hits(targets)), (pre.seed, pre.depth)
+        assert np.array_equal(got, reference.forward_orbit_hits(pre, targets)), (pre.seed,
+                                                                                   pre.depth)
+        verdicts.update(got.tolist())
+    assert verdicts == {True, False}
+
+
+def test_ancestor_hits_refuse_broken_ancestry():
+    pre = build_prelamination(ch(5, 24, 7, 24), 3)
+    n, targets = pre.modulus, short_quad_edges(pre.seed)
+    # a depth-2 chord labelled 1 takes its parent, a depth-1 chord, for its level-0 ancestor
+    i = int(np.flatnonzero(pre.depths == 2)[0])
+    depths = pre.depths.copy()
+    depths[i] = 1
+    relabelled = Prelamination(seed=pre.seed, depth=3, modulus=n, pairs=pre.pairs, depths=depths)
+    with pytest.raises(InvariantError, match="descends from no seed") as err:
+        _ancestor_hits(relabelled, targets)
+    chord = Chord.from_grid(pre.pairs[i].tolist(), n)
+    assert err.value.witness == {"kind": "unseeded", "chord": chord_to_json(chord), "depth": 1}
+    # a target that is a member of depth 1: the chords below it are hit by no seed's orbit
+    j = int(np.flatnonzero(pre.depths == 1)[0])
+    member = Chord.from_grid(pre.pairs[j].tolist(), n)
+    with pytest.raises(InvariantError, match="is a target") as err:
+        _ancestor_hits(pre, targets + [member])
+    assert err.value.witness == {"kind": "unseeded", "chord": chord_to_json(member), "depth": 1}
+
+
+def test_prune_census_through_block_five():
+    # every comajor of blocks <= 5 survives its pruning at depth 5, and the general
+    # oracle finds no kept chord whose forward orbit reaches a short quadrilateral edge
+    comajors = [r.chord for r in build(5).leaves]
+    assert len(comajors) == 688
+    for c in comajors:
+        pruned = hyperbolic_prune(c, 5)
+        assert pruned.contains(c), c
+        assert not pruned.forward_orbit_hits(short_quad_edges(c)).any(), c
 
 
 def test_forward_orbit_hits_runs_to_exact_closure():

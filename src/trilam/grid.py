@@ -142,7 +142,6 @@ class Laminar:
             c = self._opens[bad.min()]
             hits = crosses((lo[c], hi[c]), (lo, hi), int(self._hi[-1]) - int(self._lo[0]) + 1)
             self.crossing = tuple(int(i) for i in self._row(np.array([c, hits.argmax()])))
-        self._keys: Optional[np.ndarray] = None
 
     def _row(self, i: np.ndarray) -> np.ndarray:
         return i if self._rows is None else self._rows[i]
@@ -154,10 +153,9 @@ class Laminar:
         m1 = len(self._opens) + 1
         if m1 == 1:
             return np.full(len(rank), -1, dtype=np.intp)
-        if self._keys is None:  # opens grouped by depth, in open order within a depth
-            by_depth = np.argsort(self._depth, kind="stable")
-            self._keys = np.append(-1, self._depth[by_depth] * m1 + by_depth)
-        key = self._keys[np.searchsorted(self._keys, depth * m1 + rank) - 1]
+        by_depth = np.argsort(self._depth, kind="stable")  # open ranks grouped by depth
+        keys = np.append(-1, self._depth[by_depth] * m1 + by_depth)
+        key = keys[np.searchsorted(keys, depth * m1 + rank) - 1]
         return np.where(key // m1 == depth, self._row(self._opens[np.maximum(key, 0) % m1]), -1)
 
     def parents(self) -> np.ndarray:

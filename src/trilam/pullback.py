@@ -43,12 +43,16 @@ Every child triples back to its parent, so children of distinct
 parents are distinct and a child can repeat only a seed (one of an
 earlier level would have a parent repeating one too): each level's
 sorted child keys, less the seed keys found in them, form the next
-frontier.  A chord's depth is the level of its first appearance, and step
-d of a depth-d chord's orbit is its level-0 ancestor: the prune walks only
-the seeds' orbits (`_ancestor_hits`); `Prelamination.forward_orbit_hits`
-stays the general oracle.  The finished family, its levels merged by one
-stable argsort into key order lo * n + hi, must be laminar
-(`grid.Laminar`) and free of repeats, else InvariantError gives a witness.
+frontier.  A chord's depth is the level of its first appearance.  The
+finished family, its levels merged by one stable argsort into key order
+lo * n + hi, must be laminar (`grid.Laminar`) and free of repeats, else
+InvariantError gives a witness.  The hyperbolic prune grows only the
+seeds whose forward orbits miss the short quadrilateral edges: that is
+the family less the edges' backward orbits, as a chord of depth >= 1 is
+hit iff its parent is and a kept parent has the same children, because
+* each child triples back to its parent;
+* the edges are seeds, and no chord of depth >= 1 is a seed;
+* a parent's children depend only on that parent and the barriers.
 """
 
 from __future__ import annotations
@@ -144,22 +148,24 @@ def short_quad_edges(c: Chord) -> list[Chord]:
     return list(dict.fromkeys(Chord.from_grid(arc, n) for arc in arcs))
 
 
-def _seed_system(c: Chord) -> tuple[int, list[Pair], list[Pair]]:
-    """(n0, seeds, barriers) of the pullback family of c, as (lo, hi) pairs on the grid n0.
+def _seed_system(c: Chord) -> tuple[int, list[Pair], list[Pair], list[Pair]]:
+    """(n0, seeds, barriers, edges) of the pullback family of c, (lo, hi) pairs on the grid n0.
 
-    The barriers are the bounding chords and the short edges of c's
-    strips: the critical chord and its antipode for a degenerate c, the
-    quadrilateral edges and their antipodes otherwise.  The seeds add
-    the non-degenerate chords of the orbits of c and -c; they may repeat.
+    The barriers are the bounding chords and the short edges (`edges`, none
+    for a degenerate c) of c's strips: the critical chord and its antipode
+    for a degenerate c, the quadrilateral edges and their antipodes
+    otherwise.  The seeds add the non-degenerate chords of the orbits of c
+    and -c; they may repeat.
     """
     verdict = is_legal_pair(c)
     if not verdict.is_legal:
         raise IllegalSeedError(c, verdict)
     n, p, bounds, arcs = strips_on_grid(c)
-    barriers = list(dict.fromkeys(bounds + [canon(s, e) for s, e in arcs]))
+    edges = list(dict.fromkeys(canon(s, e) for s, e in arcs))
+    barriers = list(dict.fromkeys(bounds + edges))
     images = [canon(x, y) for x, y in orbit(*p, n)]
     seeds = barriers + [r for q in images for r in (q, antipode(q, n)) if r[0] != r[1]]
-    return n, seeds, barriers
+    return n, seeds, barriers, edges
 
 
 @dataclass
@@ -278,24 +284,6 @@ def _keys(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(x, y) * n + np.maximum(x, y)
 
 
-def _ancestor_hits(pre: Prelamination, targets: list[Chord]) -> np.ndarray:
-    """`pre.forward_orbit_hits(targets)` of a built family, read at level-0 ancestors; an
-    ancestor that is no seed, or a target of depth >= 1, raises InvariantError."""
-    n, depths = pre.modulus, pre.depths
-    tkeys = np.array([k for k in map(pre._key, targets) if k is not None], dtype=np.int64)
-    seeds = np.append(pre.keys.compress(depths == 0), n * n)  # n * n is past every key
-    power = np.array([pow(3, d, n) for d in range(pre.depth + 1)], dtype=np.int64)
-    ancestors = _keys(*(pre.pairs.T * power.take(depths) % n), n)  # products below n^2
-    at = seeds.searchsorted(ancestors)
-    bad = np.flatnonzero((seeds[at] != ancestors) | (depths > 0) & np.isin(pre.keys, tkeys))
-    if len(bad):
-        chord, depth = Chord.from_grid(pre.pairs[bad[0]].tolist(), n), int(depths[bad[0]])
-        raise InvariantError(f"{chord} of depth {depth} is a target or descends from no seed",
-                             {"kind": "unseeded", "chord": chord_to_json(chord), "depth": depth})
-    walk = np.stack([_keys(x, y, n) for x, y in orbit(*np.divmod(seeds[:-1], n), n)])
-    return np.isin(walk, tkeys).any(axis=0).take(at)
-
-
 def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, np.ndarray]:
     """(cuts, masks): the cells of parent endpoints and the survival masks of cell pairs.
 
@@ -350,15 +338,16 @@ def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray]
     return out
 
 
-def _levels(seeds: np.ndarray, regions: tuple[np.ndarray, ...], n: int,
+def _levels(roots: np.ndarray, seeds: np.ndarray, regions: tuple[np.ndarray, ...], n: int,
             depth: int) -> list[np.ndarray]:
     """Per level, the sorted keys lo * n + hi of the chords first appearing there.
 
-    `seeds` holds the sorted distinct seed keys, the only keys a child can
-    repeat, since its image is its parent (see the module docstring).  The
-    keys are sorted, so the few seeds are searched in the many children.
+    Level 0 holds the `roots`, some or all of the sorted distinct seed keys
+    `seeds`.  A child can repeat only a seed, since its image is its parent
+    (see the module docstring), and one that does is dropped, grown or not.
+    The keys are sorted, so the few seeds are searched in the many children.
     """
-    levels = [seeds]
+    levels = [roots]
     for _ in range(depth):
         children = _level_children(np.stack(np.divmod(levels[-1], n), axis=1), regions, n)
         keys = np.sort(children[:, 0] * n + children[:, 1])
@@ -367,18 +356,23 @@ def _levels(seeds: np.ndarray, regions: tuple[np.ndarray, ...], n: int,
     return levels
 
 
-def build_prelamination(c: Chord, depth: int) -> Prelamination:
-    """The depth-truncated pullback family of a legal pair {c, -c}."""
+def _grow(c: Chord, depth: int, prune: bool) -> Prelamination:
+    """The laminar, repeat-free family of {c, -c} grown from every seed, or with `prune`
+    from the seeds whose forward orbits (one stacked walk on the grid n0) miss every edge."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    n0, seeds, barriers = _seed_system(c)
+    n0, seeds, barriers, edges = _seed_system(c)
     scale = 3**depth
     n = n0 * scale
     check_int64(n)
 
     regions = _barrier_regions([(x * scale, y * scale) for x, y in barriers], n)
-    seeded = np.array(seeds, dtype=np.int64) * scale
-    levels = _levels(np.unique(seeded[:, 0] * n + seeded[:, 1]), regions, n, depth)
+    x, y = np.unique(np.array(seeds, dtype=np.int64), axis=0).T  # key order
+    roots = seeded = _keys(x * scale, y * scale, n)
+    if prune:  # every state of the seeds' orbits, walked on the grid n0
+        walk = np.stack([_keys(*state, n0) for state in orbit(x, y, n0)])
+        roots = seeded.compress(~np.isin(walk, _keys(*np.array(edges).T, n0)).any(axis=0))
+    levels = _levels(roots, seeded, regions, n, depth)
     depths = np.repeat(np.arange(len(levels), dtype=np.int8), [len(k) for k in levels])
     keys = np.concatenate(levels)
     del levels
@@ -400,21 +394,23 @@ def build_prelamination(c: Chord, depth: int) -> Prelamination:
     return pre
 
 
+def build_prelamination(c: Chord, depth: int) -> Prelamination:
+    """The depth-truncated pullback family of a legal pair {c, -c}."""
+    return _grow(c, depth, prune=False)
+
+
 def hyperbolic_prune(c: Chord, depth: int) -> Prelamination:
     """Remove the short quadrilateral edges of c and their backward orbits.
 
     Requires a non-degenerate co-periodic seed (the image of c has
-    periodic endpoints); the comajor c itself always survives.
+    periodic endpoints); the comajor c itself always survives.  Only the
+    seeds whose forward orbits miss the edges grow (see the module docstring).
     """
     if c.degenerate:
         raise ValueError("hyperbolic pruning needs a non-degenerate comajor")
-    minor = image(c)
-    if any(orbit_info(v).preperiod != 0 for v in minor.endpoints()):
+    if any(orbit_info(v).preperiod != 0 for v in image(c).endpoints()):
         raise ValueError(f"{c} is not co-periodic (its image is not periodic)")
-    pre = build_prelamination(c, depth)
-    hit = _ancestor_hits(pre, short_quad_edges(c))
-    pruned = Prelamination(seed=c, depth=depth, modulus=pre.modulus,
-                           pairs=pre.pairs.compress(~hit, 0), depths=pre.depths[~hit])
+    pruned = _grow(c, depth, prune=True)
     if not pruned.contains(c):
         raise InvariantError(f"comajor {c} did not survive its own pruning",
                              {"kind": "pruned-comajor", "chord": chord_to_json(c)})

@@ -142,9 +142,14 @@ def extra_candidate(monkeypatch):
 
 @pytest.fixture
 def pruning_everything(monkeypatch):
-    """Every chord's forward orbit reaches a short quadrilateral edge: pruning keeps none."""
-    monkeypatch.setattr(pullback, "_ancestor_hits",
-                        lambda pre, targets: np.ones(len(pre), dtype=bool))
+    """Every seed counts as a short quadrilateral edge: pruning grows none."""
+    real = pullback._seed_system
+
+    def all_edges(c):
+        n, seeds, barriers, _ = real(c)
+        return n, seeds, barriers, seeds
+
+    monkeypatch.setattr(pullback, "_seed_system", all_edges)
 
 
 @pytest.fixture

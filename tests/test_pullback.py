@@ -5,17 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from trilam import legality, pullback
 from trilam.angles import parse_angle
 from trilam.builder import build
 from trilam.chords import Chord, image, length
-from trilam.formats import chord_to_json, prelamination_to_json
+from trilam.formats import prelamination_to_json
 from trilam.grid import MAX_INT64_MODULUS, closure, crosses, on_grid, scale_of
 from trilam.pullback import (
     IllegalSeedError,
     InvariantError,
     Prelamination,
     _MATCH_OF,
-    _ancestor_hits,
     _barrier_regions,
     _level_children,
     _seed_system,
@@ -35,7 +35,7 @@ def grid_chord(p, n):
 
 
 def quad_barriers(c):
-    n, _, barriers = _seed_system(c)
+    n, _, barriers, _ = _seed_system(c)
     return [grid_chord(p, n) for p in barriers]
 
 
@@ -73,7 +73,7 @@ def test_seed_system_has_no_degenerate_chord():
     # expands every frontier chord: the degenerate orbit of a degenerate
     # seed must stay out of its seeds, and no level may produce one
     for seed in PULLBACK_SEEDS + [Chord(Fraction(1, 6), Fraction(1, 6)), ch(11, 12, 1, 12)]:
-        _, seeds, barriers = _seed_system(seed)
+        _, seeds, barriers, _ = _seed_system(seed)
         assert all(x != y for x, y in seeds + barriers), seed
         pre = build_prelamination(seed, 4)
         assert (pre.pairs[:, 0] != pre.pairs[:, 1]).all(), seed
@@ -96,7 +96,7 @@ def test_seed_system_matches_reference(seeds):
     else:
         chords = [Chord(Fraction(k, 36), Fraction(k, 36)) for k in range(36)]
     for c in chords:
-        n, seeds_got, barriers = _seed_system(c)
+        n, seeds_got, barriers, _ = _seed_system(c)
         assert (n, set(seeds_got), set(barriers)) == _grid_seed_system(c), c
         assert len(barriers) == len(set(barriers)), c
 
@@ -300,56 +300,35 @@ def test_prelamination_keeps_rows_in_key_order():
     assert kept.keys.tolist() == [6, 17, 23, 26]
 
 
-def _ancestor_families():
-    """(family, targets) of every `build_prelamination` family at depths 0-6.
-
-    The seeds are `PULLBACK_SEEDS`, the degenerate seeds k/36 and every 16th
-    leaf of `build(4)`.  The targets are the short quadrilateral edges, or for
-    a degenerate seed its first seed chord, a critical chord.
-    """
+def test_prune_is_the_family_less_the_edges_orbit_hits():
+    # the prune grows only the surviving seeds; the whole family less every chord
+    # whose forward orbit reaches a short quadrilateral edge must give the same rows
     leaves = [r.chord for r in build(4).leaves]
-    degenerate = [Chord(Fraction(k, 36), Fraction(k, 36)) for k in range(36)]
-    for seed in PULLBACK_SEEDS + degenerate + leaves[::16]:
+    verdicts = set()
+    for seed in PULLBACK_SEEDS[1:] + leaves[::16]:
+        edges = short_quad_edges(seed)
         for depth in range(7):
             pre = build_prelamination(seed, depth)
-            if seed.degenerate:
-                first = pre.pairs.compress(pre.depths == 0, 0)[0].tolist()
-                yield pre, [Chord.from_grid(first, pre.modulus)]
-            else:
-                yield pre, short_quad_edges(seed)
-
-
-def test_ancestor_hits_match_orbit_walks():
-    # the prune's hits from level-0 ancestors against the general oracle and the
-    # reference's walk of every chord's orbit
-    verdicts = set()
-    for pre, targets in _ancestor_families():
-        got = _ancestor_hits(pre, targets)
-        assert np.array_equal(got, pre.forward_orbit_hits(targets)), (pre.seed, pre.depth)
-        assert np.array_equal(got, reference.forward_orbit_hits(pre, targets)), (pre.seed,
-                                                                                   pre.depth)
-        verdicts.update(got.tolist())
+            hit = pre.forward_orbit_hits(edges)
+            assert np.array_equal(hit, reference.forward_orbit_hits(pre, edges)), (seed, depth)
+            pruned = hyperbolic_prune(seed, depth)
+            assert np.array_equal(pruned.pairs, pre.pairs.compress(~hit, 0)), (seed, depth)
+            assert np.array_equal(pruned.depths, pre.depths.compress(~hit)), (seed, depth)
+            verdicts.update(hit.tolist())
     assert verdicts == {True, False}
 
 
-def test_ancestor_hits_refuse_broken_ancestry():
-    pre = build_prelamination(ch(5, 24, 7, 24), 3)
-    n, targets = pre.modulus, short_quad_edges(pre.seed)
-    # a depth-2 chord labelled 1 takes its parent, a depth-1 chord, for its level-0 ancestor
-    i = int(np.flatnonzero(pre.depths == 2)[0])
-    depths = pre.depths.copy()
-    depths[i] = 1
-    relabelled = Prelamination(seed=pre.seed, depth=3, modulus=n, pairs=pre.pairs, depths=depths)
-    with pytest.raises(InvariantError, match="descends from no seed") as err:
-        _ancestor_hits(relabelled, targets)
-    chord = Chord.from_grid(pre.pairs[i].tolist(), n)
-    assert err.value.witness == {"kind": "unseeded", "chord": chord_to_json(chord), "depth": 1}
-    # a target that is a member of depth 1: the chords below it are hit by no seed's orbit
-    j = int(np.flatnonzero(pre.depths == 1)[0])
-    member = Chord.from_grid(pre.pairs[j].tolist(), n)
-    with pytest.raises(InvariantError, match="is a target") as err:
-        _ancestor_hits(pre, targets + [member])
-    assert err.value.witness == {"kind": "unseeded", "chord": chord_to_json(member), "depth": 1}
+def test_prune_puts_the_strips_on_the_grid_once(monkeypatch):
+    calls = []
+
+    def spy(c):
+        calls.append(c)
+        return legality.strips_on_grid(c)
+
+    monkeypatch.setattr(pullback, "strips_on_grid", spy)
+    c = ch(5, 24, 7, 24)
+    hyperbolic_prune(c, 3)
+    assert calls == [c]
 
 
 def test_prune_census_through_block_five():
@@ -500,6 +479,26 @@ def test_pullback_json_matches_pinned_digest(seed, depth, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of the pruned pullback JSON at depth 8, recorded while the prune
+# still built the whole family and removed the chords whose orbits hit an edge
+_PINNED_PRUNED_JSON = [
+    (PULLBACK_SEEDS[1], "e83d9ce301e4247d864f65e410f1659634ba4bc037df0e4cdf454b3a1d24d710"),
+    (PULLBACK_SEEDS[2], "bc3de673c8b7ee8099aac6ffbabd0329bddf65719fae1ac7a36a9b1697732e55"),
+    (PULLBACK_SEEDS[3], "9640c3b54519994f99841cd72f888eb86f9c65b2d994f715fcaa16e45692e979"),
+    (PULLBACK_SEEDS[4], "8c5f9a646c9a3c4b5844df8ff202eee92d1ab81dcc80ae0ed5ec2239cb346a11"),
+    (PULLBACK_SEEDS[5], "83fc945220002849167696b116d9a87cc68f2ef8a6cc577c7c397b920eaddf82"),
+    (ch(11, 12, 1, 12), "ef01737fd82382a58a97c2012fdca8843543d878d5a1a08b4a0ebaaf69da6259"),
+]
+
+
+@pytest.mark.parametrize("seed,digest", _PINNED_PRUNED_JSON,
+                         ids=[str(c) for c, _ in _PINNED_PRUNED_JSON])
+def test_pruned_json_matches_pinned_digest(seed, digest):
+    pre = hyperbolic_prune(seed, 8)
+    text = prelamination_to_json(seed, 8, pre.pairs, pre.modulus)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _check_level(frontier, barriers, n):
     got = _level_children(frontier, _barrier_regions(barriers, n), n)
     assert np.array_equal(got, reference.level_children(frontier, barriers, n))
@@ -529,7 +528,7 @@ def test_level_children_matches_barrier_oracle_on_build5_seeds():
     chords += [Chord(Fraction(k, 36), Fraction(k, 36)) for k in range(36)]
     levels = critical = 0
     for c in chords:
-        n0, seeds, barriers = _seed_system(c)
+        n0, seeds, barriers, _ = _seed_system(c)
         scale = 3**5
         n = n0 * scale
         bars = [(x * scale, y * scale) for x, y in barriers]

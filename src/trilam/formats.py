@@ -1,19 +1,20 @@
 """JSON/CSV serialization for chords, comajor records and prelaminations.
 
 Every chord document is written from grid rows, (lo, hi) ints on a
-modulus n, by one text path, `_texts`: x/n is written (x/g)/(n/g) for
-g = gcd(x, n) through `%d/%d` fields, so no `Fraction` or string is
-built per angle.  Writers keep the order given, but `prelamination_to_json`
-applies the short-arc key itself; `comajors` passes rows in
-`BuildState.order`, and `records_to_json`/`records_to_csv` put records
-on a grid first (`grid.rows_of`).  Documents are read back onto a grid
-by one reader, `chords_from_json`, for `render --in` and `records_from_json`.
+modulus n, as byte chunks of 4,096 rows (`rows_chunks`,
+`prelamination_chunks`; the str writers join them): x/n is written
+(x/g)/(n/g), g = gcd(x, n), by the text engine (`trilam.text`), so no
+`Fraction` or string is built per angle.  Writers keep the order given,
+but `prelamination_to_json` applies the short-arc key itself.  One
+reader, `chords_from_json`, puts documents back on a grid: canonical
+text, every angle 'p/q' in ASCII digits, by a regex and a parse in C;
+any other by `parse_fraction` a string, which defines the syntax.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+import re
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -21,21 +22,26 @@ import numpy as np
 from .angles import angle_str, parse_fraction
 from .chords import Chord
 from .grid import rows_of, scale_of, short_arc_order
+from .text import digits, joined, rows_bytes
 
 if TYPE_CHECKING:
     from .builder import ComajorRecord
 
 __all__ = [
     "CSV_HEADER", "chord_to_json", "crossing_to_json", "records_to_json", "records_from_json",
-    "records_to_csv", "rows_to_json", "rows_to_csv", "prelamination_to_json",
-    "chords_from_json", "check_types",
+    "records_to_csv", "rows_to_json", "rows_to_csv", "rows_chunks", "prelamination_to_json",
+    "prelamination_chunks", "chords_from_json", "check_types",
 ]
 
 CSV_HEADER = "a,b,type,block"
-_SLICE = 4096  # rows written by one `%`
+_SLICE = 4096  # rows a byte matrix and a chunk
+_READ = 512  # chords a regex match: `re` keeps a frame per repeat of its group
 # the text of `json.dumps(doc, indent=0)`: JSON escapes no 'p/q', 'B' or 'D'
 _JSON_CHORD = '{\n"a": "%d/%d",\n"b": "%d/%d"\n}'
 _JSON_RECORD = '{\n"a": "%d/%d",\n"b": "%d/%d",\n"type": "%s",\n"block": %d\n}'
+_CSV_RECORD = "%d/%d,%d/%d,%s,%d\n"
+# angle strings of canonical text, joined by spaces; 18 digits fit int64
+_CANONICAL = re.compile(r"[0-9]{1,18}/[0-9]{1,18}(?: [0-9]{1,18}/[0-9]{1,18})*")
 
 
 def chord_to_json(ch: Chord) -> dict:
@@ -65,25 +71,40 @@ def _record_rows(records: Iterable["ComajorRecord"]) -> tuple[np.ndarray, int, l
 
 def rows_to_json(pairs: np.ndarray, n: int, types: Sequence[str], blocks: Sequence[int]) -> str:
     """The record array {"a", "b", "type", "block"} of (lo, hi) rows on n, in row order."""
-    items = ",\n".join(_texts(_JSON_RECORD, ",\n", pairs, n, types, blocks))
-    return f"[\n{items}\n]\n" if items else "[]\n"
+    return joined(rows_chunks("json", pairs, n, types, blocks))
 
 
 def rows_to_csv(pairs: np.ndarray, n: int, types: Sequence[str], blocks: Sequence[int]) -> str:
     """The CSV table a,b,type,block of (lo, hi) rows on the grid of n, in row order."""
-    return "".join([CSV_HEADER + "\n", *_texts("%d/%d,%d/%d,%s,%d\n", "", pairs, n, types, blocks)])
+    return joined(rows_chunks("csv", pairs, n, types, blocks))
 
 
-def _texts(template: str, sep: str, pairs: np.ndarray, n: int, *cols: list) -> Iterator[str]:
-    """Per slice of rows, `template % (pa, qa, pb, qb, *col values)` of each (lo, hi) row,
-    pa/qa and pb/qb its reduced angles on n, joined by sep: one gcd and one `%` a slice,
-    no string or tuple kept per row."""
+def rows_chunks(fmt: str, pairs: np.ndarray, n: int, types: Sequence[str],
+                blocks: Sequence[int]) -> Iterator[bytes]:
+    """`rows_to_json` ("json") or `rows_to_csv` ("csv") of the rows, as byte chunks."""
+    if fmt == "csv":
+        yield CSV_HEADER.encode() + b"\n"
+        yield from _rows(_CSV_RECORD, "", pairs, n, types, blocks)
+    else:
+        yield b"[\n" if len(pairs) else b"[]\n"
+        yield from _rows(_JSON_RECORD, ",\n", pairs, n, types, blocks)
+        yield b"\n]\n" if len(pairs) else b""
+
+
+def _rows(template: str, sep: str, pairs: np.ndarray, n: int, types: Sequence[str] = (),
+          blocks: Sequence[int] = ()) -> Iterator[bytes]:
+    """Per slice of rows, the bytes of `template % (pa, qa, pb, qb[, type, block])` of each
+    (lo, hi) row, pa/qa and pb/qb its reduced angles on n, each but the first after sep."""
     for s in range(0, len(pairs), _SLICE):
         rows = pairs[s:s + _SLICE]
         g = np.gcd(rows, n)
-        (pa, pb), (qa, qb) = (rows // g).T.tolist(), (n // g).T.tolist()
-        fields = chain.from_iterable(zip(pa, qa, pb, qb, *(col[s:s + _SLICE] for col in cols)))
-        yield sep.join([template] * min(_SLICE, len(pairs) - s)) % tuple(fields)
+        (pa, pb), (qa, qb) = digits(rows // g).transpose(1, 0, 2), digits(n // g).transpose(1, 0, 2)
+        fields = [pa, qa, pb, qb]
+        if len(types):
+            t = np.asarray(types[s:s + _SLICE], "S")
+            fields += [t.view(np.uint8).reshape(len(t), -1), digits(np.asarray(blocks[s:s + _SLICE]))]
+        chunk = rows_bytes(len(rows), [(slice(None), sep + template, fields)])
+        yield chunk[len(sep):] if s == 0 else chunk
 
 
 def records_from_json(text: str) -> list["ComajorRecord"]:
@@ -114,11 +135,18 @@ def prelamination_to_json(seed: Chord, depth: int, pairs: np.ndarray, modulus: i
     `Prelamination.pairs`, in any order: they are written in short-arc
     order (`grid.short_arc_order`).
     """
+    return joined(prelamination_chunks(seed, depth, pairs, modulus))
+
+
+def prelamination_chunks(seed: Chord, depth: int, pairs: np.ndarray,
+                         modulus: int) -> Iterator[bytes]:
+    """`prelamination_to_json`'s document as byte chunks."""
     pairs = pairs.take(short_arc_order(pairs, modulus), 0)
-    items = ",\n".join(_texts(_JSON_CHORD, ",\n", pairs, modulus))
-    listed = f"[\n{items}\n]" if items else "[]"
-    (seed_text,) = _texts(_JSON_CHORD, "", *rows_of(v.as_integer_ratio() for v in seed.endpoints()))
-    return f'{{\n"seed": {seed_text},\n"depth": {depth},\n"chords": {listed}\n}}\n'
+    (seed_text,) = _rows(_JSON_CHORD, "", *rows_of(v.as_integer_ratio() for v in seed.endpoints()))
+    yield b'{\n"seed": %s,\n"depth": %d,\n"chords": %s' % (seed_text, depth,
+                                                             b"[\n" if len(pairs) else b"[]")
+    yield from _rows(_JSON_CHORD, ",\n", pairs, modulus)
+    yield b"\n]\n}\n" if len(pairs) else b"\n}\n"
 
 
 def chords_from_json(doc) -> tuple[np.ndarray, int, Optional[list[str]], Optional[list[int]]]:
@@ -138,19 +166,19 @@ def chords_from_json(doc) -> tuple[np.ndarray, int, Optional[list[str]], Optiona
         doc = doc["chords"]
     if not isinstance(doc, list):
         raise ValueError(f"expected a list of chords, got {doc!r}")
-    try:  # the angles by columns; the per-string path names a bad item or holds n past int64
-        text = np.empty(2 * len(doc), dtype=np.dtypes.StringDType(coerce=False))
-        text[:] = [item[k] for item in doc for k in "ab"]  # refuses what is no str
-        num, slash, den = np.strings.partition(text, np.array("/", dtype=text.dtype))
-        del text
-        den[slash == ""] = "1"
-        p, q = num.astype(np.int64), den.astype(np.int64)
-        del num, slash, den
-        if (q <= 0).any():
-            raise ValueError("a denominator below 1")
-        n = scale_of((), *set(q.tolist()))
-        pairs = (p % q * (n // q)).reshape(-1, 2)  # n // q overflows for n past int64
-    except (KeyError, TypeError, ValueError, OverflowError):
+    try:  # canonical text, _READ chords a regex match and a parse in C
+        ends = []
+        for s in range(0, len(doc), _READ):
+            text = " ".join([item[k] for item in doc[s:s + _READ] for k in "ab"])  # str only
+            if not _CANONICAL.fullmatch(text):
+                raise ValueError("not canonical")
+            ends.append(np.fromstring(text.replace("/", " "), np.int64, sep=" "))
+        p, q = np.concatenate(ends).reshape(-1, 2).T
+        n = scale_of((), *np.unique(q).tolist())
+        if len(q) != 2 * len(doc) or not q.all() or n >= 2**63:  # a space in an angle, 1/0
+            raise ValueError("not canonical")
+        pairs = (p % q * (n // q)).reshape(-1, 2)
+    except (KeyError, TypeError, ValueError):  # the per-string path, and the empty document
         pairs, n = rows_of(end for item in doc for end in _fraction_ends(item))
     pairs.sort(axis=1)
     return pairs, n, types, blocks

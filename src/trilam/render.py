@@ -15,32 +15,29 @@ pairs and modulus.  The ints are int64 while 2N fits it
 (`grid.int_dtype`) and Python ints beyond, so they are exact at any
 scale; they give the canonical order (`grid.short_arc_order`) and each
 arc's sweep flag.  The floats are exactly these: the correctly rounded
-turns `x / N` of Python ints (numpy would round an int64 x past 2^53
-first), equal to `float(Fraction(x, N))`; `math.cos` and `math.sin` of
-`2.0 * math.pi * (x / N)` once per distinct angle of each slice of
-1,024 chords; and float64 array arithmetic for points, centers and
-radii in the operation order of the scalar formula (numpy's + - * / and
-sqrt round as CPython's do and fuse no multiply-adds).  A slice's text
-is one byte matrix of its elements' template pieces and NUL-padded
-fields, NULs dropped.  A coordinate v is written as `'%.12f' % v`
-exactly: below 2^52 / 10^12, Dekker's two-product gives the error of
-v * 1e12 and so v * 10^12 rounded half to even, gathered four digits at
-a time; any other value (-0.0, huge radii, sizes past ~4,500 px) goes
-through `%`.
+turns `x / N`, equal to `float(Fraction(x, N))`, by one array division
+while x and N are int64 below 2^53 (both convert exactly) and of Python
+ints beyond; `math.cos` and `math.sin` of `2.0 * math.pi * (x / N)`
+once per distinct angle of each slice of 1,024 chords; and float64
+array arithmetic for points, centers and radii in the operation order
+of the scalar formula (numpy's + - * / and sqrt round as CPython's do
+and fuse no multiply-adds).  `render_svg` joins the document's byte
+chunks, one per slice, each written by the text engine (`trilam.text`)
+with coordinates as `'%.12f' % v`.
 """
 
 from __future__ import annotations
 
 import colorsys
 import math
-import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .chords import Chord
 from .grid import int_dtype, rows_of, short_arc_order
+from .text import fixed12, joined, rows_bytes
 
 __all__ = ["RenderConfig", "render_svg"]
 
@@ -103,6 +100,13 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
     per chord; both default to a single neutral style.  One element is
     emitted per chord, in canonical chord order.
     """
+    return joined(_svg_chunks(chords, cfg, classes, blocks, modulus))
+
+
+def _svg_chunks(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig,
+                classes: Optional[Sequence[str]], blocks: Optional[Sequence[int]],
+                modulus: Optional[int]) -> Iterator[bytes]:
+    """`render_svg`'s document in UTF-8, as it is made: a chunk per slice of chords."""
     size = cfg.size_px
     cx = cy = size / 2.0
     r = size / 2.0 - _MARGIN_PX
@@ -122,14 +126,13 @@ def render_svg(chords: Union[Sequence[Chord], np.ndarray], cfg: RenderConfig = R
     keys, sid = np.unique(np.broadcast_to(ci * len(bu) + bi, m), return_inverse=True)
     keys = zip(cu[keys // len(bu)].tolist(), bu[keys % len(bu)].tolist())
     styles = np.array([[t.encode() for t in _style(*key, cfg)] for key in keys], "S").reshape(-1, 2)
-    text = bytearray(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-                     f'viewBox="0 0 {size} {size}">\n<rect width="{size}" height="{size}" '
-                     'fill="white"/>\n<circle cx="%.12f" cy="%.12f" r="%.12f" fill="none" '
-                     'stroke="#888888" stroke-width="1.5"/>\n' % (cx, cy, r), "ascii")
-    for s in range(0, m, _SLICE):  # one growing buffer: no slice text outlives its slice
-        text += _elements(pairs[s:s + _SLICE], styles[sid[order[s:s + _SLICE]]], n, cx, cy, r, cfg)
-    text += b"</svg>\n"
-    return text.decode()
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+           f'viewBox="0 0 {size} {size}">\n<rect width="{size}" height="{size}" '
+           'fill="white"/>\n<circle cx="%.12f" cy="%.12f" r="%.12f" fill="none" '
+           'stroke="#888888" stroke-width="1.5"/>\n' % (cx, cy, r)).encode()
+    for s in range(0, m, _SLICE):
+        yield _elements(pairs[s:s + _SLICE], styles[sid[order[s:s + _SLICE]]], n, cx, cy, r, cfg)
+    yield b"</svg>\n"
 
 
 def _elements(pairs: np.ndarray, styles: np.ndarray, n: int,
@@ -145,8 +148,9 @@ def _elements(pairs: np.ndarray, styles: np.ndarray, n: int,
     iff the arc from lo to hi is the short one, 2 (hi - lo) < n.
     """
     ends, inv = np.unique(pairs.ravel(), return_inverse=True)
-    tau = 2.0 * math.pi
-    th = [tau * (x / n) for x in ends.tolist()]
+    turns = (ends / n if ends.dtype == np.int64 and n < 2**53
+             else np.array([x / n for x in ends.tolist()], np.float64))
+    th = (2.0 * math.pi * turns).tolist()
     cos = np.fromiter(map(math.cos, th), np.float64, len(th))
     sin = np.fromiter(map(math.sin, th), np.float64, len(th))
     i1, i2 = inv[0::2], inv[1::2]
@@ -156,12 +160,12 @@ def _elements(pairs: np.ndarray, styles: np.ndarray, n: int,
     if cfg.geodesic_style == "arc":
         dot = c1 * c2 + s1 * s2
         kind[(kind == 1) & ~(1.0 + dot < 1e-9)] = 2
-    kinds = []
+    parts = []
     for k, tmpl in enumerate((_DOT, _LINE, _ARC)):
         rows = np.flatnonzero(kind == k)
         if not len(rows):
             continue
-        floats, digits = [x1[rows], y1[rows]], []
+        floats = [x1[rows], y1[rows]]
         if k == 1:
             floats += [x2[rows], y2[rows]]
         elif k == 2:
@@ -171,52 +175,12 @@ def _elements(pairs: np.ndarray, styles: np.ndarray, n: int,
             # |o|^2 - 1 = (1 - p1.p2) / (1 + p1.p2) >= 0, but rounding takes it
             # below 0 for some endpoints a few 1e-9 turn apart; such an arc
             # gets radius 0, which SVG draws as the segment
-            rr = np.sqrt(np.maximum(ox * ox + oy * oy - 1.0, 0.0)) * r
-            floats += [rr, rr, x2[rows], y2[rows]]
-            digits = [48 + (2 * (pairs[rows, 1] - pairs[rows, 0]) < n).astype(np.uint8)[:, None]]
-        style = styles[rows].view(np.uint8).reshape(len(rows), 2, -1)
-        fields = {"s": iter(style.transpose(1, 0, 2)), "d": iter(digits),
-                  ".12f": iter(_fixed12(np.stack(floats, 1)).transpose(1, 0, 2))}
-        cols = [np.broadcast_to(np.frombuffer(part.encode(), np.uint8), (len(rows), len(part)))
-                if j % 2 == 0 else next(fields[part])
-                for j, part in enumerate(re.split(r"%(s|d|\.12f)", tmpl + "\n"))]
-        kinds.append((rows, np.concatenate(cols, axis=1)))
-    text = np.zeros((len(pairs), max(mat.shape[1] for _, mat in kinds)), np.uint8)
-    for rows, mat in kinds:
-        text[rows, :mat.shape[1]] = mat
-    # NUL pads every field to its column's width; XML admits no NUL in a document
-    return text[text != 0].tobytes()
-
-
-_SPLIT = 2.0**27 + 1  # Veltkamp's splitter: float64 halves of 26 bits multiply exactly
-_HI12, _LO12 = 999999995904.0, 4096.0  # the halves of 1e12
-# 0000..9999 in ASCII, a uint32 each (made in uint16: small temporaries at import)
-_GROUPS = (48 + np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1],
-           np.uint16) % 10).astype(np.uint8).view("<u4").ravel()
-
-
-def _fixed12(x: np.ndarray) -> np.ndarray:
-    """'%.12f' % v of each float64 v of x, as NUL-padded ASCII of shape x.shape + (width,)."""
-    shape, x = x.shape, x.ravel()
-    fast = (x < 2**52 / 10**12) & ~np.signbit(x)  # else -0.0, < 0, large, inf or nan
-    v = np.where(fast, x, 0.0)
-    y, c = v * 1e12, _SPLIT * v
-    hi = c - (c - v)
-    lo = v - hi
-    e = ((hi * _HI12 - y) + hi * _LO12 + lo * _HI12) + lo * _LO12  # Dekker: v * 10**12 == y + e
-    k = y.astype(np.int64)  # floor(y), as y >= 0
-    d = (y - k) - 0.5
-    k += (d > -e) | ((d == -e) & ((k & 1) == 1))  # v * 10**12 rounded half to even
-    # 5 words: whole part without leading zeros, ".", 3 groups of 4 decimals
-    out = np.full((len(x), 5), ord("."), "<u4")
-    for j in (4, 3, 2):
-        out[:, j] = _GROUPS[k % 10**4]
-        k //= 10**4
-    lead = 8 * ((k < 10).astype(np.uint32) + (k < 100) + (k < 1000))
-    out[:, 0] = _GROUPS[k] >> lead << lead
-    out = out.view(np.uint8)
-    if not fast.all():
-        text = np.array(["%.12f" % v for v in x[~fast].tolist()], "S")
-        out = np.pad(out, ((0, 0), (max(20, text.itemsize) - 20, 0)))
-        out[~fast] = text.astype(f"S{out.shape[1]}").view(np.uint8).reshape(len(text), -1)
-    return out.reshape(*shape, -1)
+            floats += [np.sqrt(np.maximum(ox * ox + oy * oy - 1.0, 0.0)) * r, x2[rows], y2[rows]]
+        label, color = styles[rows].view(np.uint8).reshape(len(rows), 2, -1).transpose(1, 0, 2)
+        xy = list(fixed12(np.stack(floats, 1)).transpose(1, 0, 2))
+        if k == 2:  # the radius, written once, is both rx and ry; then the sweep flag
+            sweep = 48 + (2 * (pairs[rows, 1] - pairs[rows, 0]) < n).astype(np.uint8)[:, None]
+            xy[3:3] = [xy[2], sweep]
+        parts.append((rows if len(rows) < len(pairs) else slice(None), tmpl + "\n",
+                      [label, *xy, color]))
+    return rows_bytes(len(pairs), parts)

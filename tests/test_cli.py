@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from trilam.angles import parse_angle
 from trilam.builder import ComajorRecord
 from trilam.chords import Chord
 from trilam.cli import main
-from trilam.formats import chords_from_json, records_from_json
+from trilam.builder import build
+from trilam.formats import chords_from_json, records_from_json, records_to_json
 from trilam.legality import is_legal_pair
 
 import reference
@@ -461,6 +463,83 @@ def test_chords_from_json_reads_as_the_per_string_reader(doc):
     pairs, n, types, blocks = chords_from_json(doc)
     assert (pairs.dtype, pairs.tolist(), n) == (want[0].dtype, want[0].tolist(), want[1])
     assert (types, blocks) == (None, None)
+
+
+@pytest.mark.parametrize("angle", [
+    " 1/3", "+1/3", "1_0/30", "\u0661/\u0663", "01/03", "-1/3", "0", "7",
+    "1234567890123456789/7",  # 19 digits
+    f"1/{2**59}",  # 18 digits, but with 1/35 the grid passes int64
+    "1/3/", "1//3", "1/0", "1/-3", "", 5,
+])
+def test_chords_from_json_reads_canonical_text_as_parse_fraction(angle):
+    # canonical documents ('p/q' of at most 18 ASCII digits each) take one regex and one
+    # parse; any other angle sends the whole document through `parse_fraction`, which
+    # defines what is accepted: the same rows and grid, or a ValueError
+    item = {"a": angle, "b": "1/35"}
+    for doc in (_chords("1/6", "1/3", "5/6", "2/3", "0/1", "7/12") + [item], [item]):
+        try:
+            want = reference.chords_by_string(doc)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                chords_from_json(doc)
+            assert str(err.value) == str(exc)
+            continue
+        pairs, n, _, _ = chords_from_json(doc)
+        assert (pairs.dtype, pairs.tolist(), n) == (want[0].dtype, want[0].tolist(), want[1])
+
+
+def test_canonical_text_is_read_without_a_parse_per_string(monkeypatch):
+    from trilam import formats
+
+    def refuse(text):
+        raise AssertionError(f"canonical angle {text!r} parsed as a string")
+
+    doc = _chords("1/6", "1/3", "5/6", "2/3", "0/1", f"7/{10**18 - 1}")
+    want = reference.chords_by_string(doc)
+    monkeypatch.setattr(formats, "parse_fraction", refuse)
+    pairs, n, _, _ = chords_from_json(doc)
+    assert (pairs.dtype, pairs.tolist(), n) == (want[0].dtype, want[0].tolist(), want[1])
+
+
+_LEAVES = records_to_json(build(3).sorted_leaves())
+
+
+@pytest.mark.parametrize("argv", [
+    ["comajors", "--max-block", "3", "--format", "json"],
+    ["comajors", "--max-block", "3", "--format", "csv"],
+    ["comajors", "--max-block", "3", "--format", "svg"],
+    ["pullback", "5/24", "7/24", "--depth", "4", "--prune", "--format", "json"],
+    ["pullback", "5/24", "7/24", "--depth", "4", "--prune", "--format", "svg"],
+    ["render", "--in", "{doc}"],
+], ids=["comajors-json", "comajors-csv", "comajors-svg", "pullback-json", "pullback-svg",
+        "render"])
+def test_out_file_and_stdout_get_the_same_bytes(tmp_path, capsysbinary, argv):
+    doc = tmp_path / "leaves.json"
+    doc.write_text(_LEAVES)
+    argv = [a.format(doc=doc) for a in argv]
+    assert main(argv + ["--out", "-"]) == 0
+    out = capsysbinary.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert out and (tmp_path / "out").read_bytes() == out
+    assert capsysbinary.readouterr() == (b"", b"")
+
+
+def test_render_reads_stdin_as_the_file(tmp_path, capsysbinary, monkeypatch):
+    doc = tmp_path / "leaves.json"
+    doc.write_text(_LEAVES)
+    assert main(["render", "--in", str(doc)]) == 0
+    want = capsysbinary.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(_LEAVES.encode())))
+    assert main(["render"]) == 0
+    assert capsysbinary.readouterr().out == want
+
+
+def test_witness_is_one_json_line_after_the_message(capsysbinary):
+    assert main(["pullback", "1/12", "1/6", "--depth", "1"]) == 1
+    out, err = capsysbinary.readouterr()
+    message, witness = err.decode().splitlines()
+    assert out == b"" and message == "illegal seed: seed (1/12, 1/6) is not a legal pair"
+    assert json.loads(witness) == is_legal_pair(ILLEGAL).to_json()["witness"]
 
 
 @pytest.mark.parametrize("argv", [

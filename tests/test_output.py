@@ -30,6 +30,7 @@ from trilam.formats import (
 from trilam.grid import int_dtype, on_grid, scale_of
 from trilam.pullback import build_prelamination, hyperbolic_prune
 from trilam.render import RenderConfig, render_svg
+from trilam.text import digits
 
 from conftest import PULLBACK_SEEDS, ch
 
@@ -83,11 +84,27 @@ def test_object_rows_write_the_bytes_of_int64_rows(scale):
         prelamination_to_json(seed, 4, pre.pairs, n)
     for cfg in STYLES:
         assert render_svg(rows, cfg, modulus=n * scale) == render_svg(pre.pairs, cfg, modulus=n)
+    cols = (["B", "D"] * len(rows))[:len(rows)], list(range(1, len(rows) + 1))
+    for write in (rows_to_json, rows_to_csv):
+        assert write(rows, n * scale, *cols) == write(pre.pairs, n, *cols)
     # the empty family still renders and writes
     empty = np.empty((0, 2), dtype=object)
     assert render_svg(empty, modulus=n * scale) == render_svg(np.empty((0, 2), np.int64),
                                                              modulus=n)
     assert json.loads(prelamination_to_json(seed, 4, empty, n * scale))["chords"] == []
+
+
+def test_digits_match_str():
+    # every power of ten and its neighbours up to 2^63 - 1, and random ints of every length;
+    # ints past int64 take one `%` each
+    rng = np.random.default_rng(17)
+    edges = sorted({max(0, 10**k + d) for k in range(19) for d in (-1, 0, 1)} | {2**63 - 1})
+    lengths = 10 ** rng.uniform(0, np.log10(2**63 - 1), 10**4)
+    for v in (np.array(edges), lengths.astype(np.int64), rng.integers(0, 2**63 - 1, 10**4),
+              np.array([0, 7, 2**63, 10**30 + 5], dtype=object), np.array([], np.int64)):
+        text = digits(v)
+        assert [row[row != 0].tobytes().decode() for row in text] == [str(x) for x in v.tolist()]
+    assert digits(np.arange(12).reshape(3, 2, 2)).shape == (3, 2, 2, 4)
 
 
 def test_records_document_matches_json_dumps():

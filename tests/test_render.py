@@ -8,7 +8,8 @@ import pytest
 import reference
 from trilam.builder import build
 from trilam.chords import Chord
-from trilam.render import RenderConfig, _fixed12, render_svg
+from trilam.render import RenderConfig, render_svg
+from trilam.text import fixed12
 
 from conftest import ch
 
@@ -134,7 +135,7 @@ def test_chord_below_float_resolution_renders_with_radius_zero():
 
 
 def _fixed12_lines(x):
-    mat = _fixed12(x)
+    mat = fixed12(x)
     mat = np.concatenate([mat, np.full((len(x), 1), ord("\n"), np.uint8)], axis=1)
     return mat[mat != 0].tobytes().decode().splitlines()
 

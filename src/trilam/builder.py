@@ -13,7 +13,8 @@ per leaf beside its type and block; each step grows the scale by one
 lcm.  Grouping, pairing, the crossing check and the nesting audit run on
 these rows through one laminar pass (`grid.Laminar`), in which grouping
 lays the four sectors beside the leaves as arcs; output is written from
-the rows, and `Fraction` records are made only when leaves are read.
+the rows, and `Fraction` records only when leaves are read: records and
+rows convert by `records_to_rows` and `rows_to_records`, here and in `formats`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .angles import angle_str
-from .chords import Chord, image
-from .formats import check_types, chord_to_json, crossing_to_json
+from .chords import Chord, chord_to_json, crossing_to_json, image
 from .grid import MAX_INT64_MODULUS, Laminar, int_dtype, rows_of, short_arc_order
 from .legality import is_legal_pair, legal_mask
 from .orbits import preperiod1_grid
@@ -45,6 +45,9 @@ __all__ = [
     "run_step",
     "build",
     "nesting_audit",
+    "records_to_rows",
+    "rows_to_records",
+    "check_types",
 ]
 
 
@@ -77,6 +80,31 @@ class ComajorRecord:
         return image(self.chord)
 
 
+def records_to_rows(records: Iterable[ComajorRecord], *moduli: int,
+                    reach: int = 1) -> tuple[np.ndarray, int, list[str], list[int]]:
+    """(pairs, n, types, blocks): the records' chords as `grid.rows_of` puts them on a grid,
+    and their types and blocks, in record order."""
+    records = list(records)
+    ends = (v.as_integer_ratio() for r in records for v in r.chord.endpoints())
+    pairs, n = rows_of(ends, *moduli, reach=reach)
+    return pairs, n, [r.ptype for r in records], [r.block_period for r in records]
+
+
+def rows_to_records(pairs: np.ndarray, n: int, types: Iterable[str],
+                    blocks: Iterable[int]) -> list[ComajorRecord]:
+    """The records of (lo, hi) rows on the grid of n and their types and blocks, in row order."""
+    return [ComajorRecord(Chord.from_grid(p, n), t, b)
+            for p, t, b in zip(pairs.tolist(), types, blocks)]
+
+
+def check_types(types: Sequence[str]) -> Sequence[str]:
+    """The record types, each 'B' or 'D'; others are refused by name."""
+    bad = sorted(set(types) - {"B", "D"})
+    if bad:
+        raise ValueError(f"record types must be 'B' or 'D', got {bad}")
+    return types
+
+
 class BuildState:
     """The leaves drawn so far: (lo, hi) rows on the grid of `scale`, type and block columns.
 
@@ -88,10 +116,9 @@ class BuildState:
 
     def __init__(self, leaves: Sequence[ComajorRecord] = (), completed_block: int = 0):
         self.completed_block = completed_block
-        ends = (v.as_integer_ratio() for rec in leaves for v in rec.chord.endpoints())
-        self.pairs, self.scale = rows_of(ends, 12, reach=3)
-        self.ptypes = np.array(check_types([rec.ptype for rec in leaves]), dtype="U1")
-        self.blocks = np.array([rec.block_period for rec in leaves], dtype=np.int64)
+        self.pairs, self.scale, types, blocks = records_to_rows(leaves, 12, reach=3)
+        self.ptypes = np.array(check_types(types), dtype="U1")
+        self.blocks = np.array(blocks, dtype=np.int64)
         if (self.blocks < 1).any():
             raise ValueError(f"record {leaves[np.argmax(self.blocks < 1)]!r} needs 'block' >= 1")
 
@@ -103,12 +130,8 @@ class BuildState:
             self.scale = scale
         return nums.astype(self.pairs.dtype) * (scale // den)
 
-    def _records(self, order) -> list[ComajorRecord]:
-        return [ComajorRecord(Chord.from_grid(p, self.scale), t, b)
-                for p, t, b in zip(self.pairs.take(order, 0).tolist(), self.ptypes[order].tolist(),
-                                   self.blocks[order].tolist())]
-
-    leaves = property(lambda self: self._records(np.arange(len(self.blocks))),
+    leaves = property(lambda self: rows_to_records(self.pairs, self.scale, self.ptypes.tolist(),
+                                                   self.blocks.tolist()),
                       doc="The records of the leaves in leaf order, made on each read.")
 
     def order(self) -> np.ndarray:
@@ -118,7 +141,9 @@ class BuildState:
 
     def sorted_leaves(self) -> list[ComajorRecord]:
         """The records in canonical order (`order`)."""
-        return self._records(self.order())
+        order = self.order()
+        return rows_to_records(self.pairs.take(order, 0), self.scale, self.ptypes[order].tolist(),
+                               self.blocks[order].tolist())
 
 
 @dataclass
@@ -213,7 +238,7 @@ def pair_consecutively(groups: list[np.ndarray], scale: int) -> np.ndarray:
     """
     odd = np.flatnonzero(np.array([len(g) for g in groups]) % 2)
     if len(odd):
-        points = [str(Fraction(v, scale)) for v in groups[odd[0]].tolist()]
+        points = [angle_str(Fraction(v, scale)) for v in groups[odd[0]].tolist()]
         raise BuildError(f"component holds an odd number of candidate points: {points}",
                          {"kind": "odd-component", "points": points})
     pairs = np.sort(np.concatenate(groups).reshape(-1, 2), axis=1)
@@ -265,15 +290,15 @@ def build(max_block: int, verify: bool = False) -> BuildState:
 
 
 def _verify(state: BuildState) -> None:
-    """`legal_mask` once per (block, type) class on its grid lcm(6, 3M); the first failing
-    leaf raises VerificationError with `is_legal_pair`'s witness for its row."""
+    """`legal_mask` once per (block, type) class on its grid 3M, a multiple of 6 as 3^k - 1
+    is even; the first failing leaf raises VerificationError with `is_legal_pair`'s witness
+    for its row."""
     failed, expected = [], []
     for block, t in product(range(1, state.completed_block + 1), "BD"):
         nums, den = preperiod1_grid(block, t)
-        n = lcm(6, den)
         leaves = np.flatnonzero((state.blocks == block) & (state.ptypes == t))
-        rows = state.pairs.take(leaves, 0) // (state.scale // n)
-        failed += [(leaves[i], rows[i], n) for i in np.flatnonzero(~legal_mask(rows, n))[:1]]
+        rows = state.pairs.take(leaves, 0) // (state.scale // den)
+        failed += [(leaves[i], rows[i], den) for i in np.flatnonzero(~legal_mask(rows, den))[:1]]
         expected.append(nums.astype(state.pairs.dtype) * (state.scale // den))
     if failed:
         leaf, row, n = min(failed, key=lambda f: f[0])
@@ -322,17 +347,17 @@ def nesting_audit(state: BuildState) -> NestingReport:
     inner, outer, sep = found[:, np.lexsort((found[:2].max(0), found[:2].min(0),
                                              blocks[found[0]]))]
     del found
+    leaves = state.leaves
     cross = state.ptypes[inner] != state.ptypes[outer]
     bare = np.flatnonzero(~cross & (sep < 0))[:1]
     if len(bare):
-        i, o = state._records([inner[bare[0]], outer[bare[0]]])
+        i, o = leaves[inner[bare[0]]], leaves[outer[bare[0]]]
         raise BuildError(f"same-type block-{i.block_period} leaves nested with no smaller-block "
                          f"leaf between them: {i.chord} under {o.chord}",
                          {"kind": "unseparated", "inner": chord_to_json(i.chord),
                           "outer": chord_to_json(o.chord)})
-    pick = state.leaves.__getitem__
 
     def records(rows, *cols):  # one map over the records per column, in the order above
-        return list(zip(*(map(pick, col[rows].tolist()) for col in cols)))
+        return list(zip(*(map(leaves.__getitem__, col[rows].tolist()) for col in cols)))
 
     return NestingReport(records(cross, inner, outer), records(~cross, inner, outer, sep))

@@ -3,6 +3,7 @@
 Length, image, antipode and crossing of `Fraction` chords.  All
 arithmetic is exact; `crosses` puts both chords on their common
 integer grid and asks `grid.crosses`, the one crossing predicate.
+Failure witnesses name chords by `chord_to_json` and `crossing_to_json`.
 
 Conventions: a chord is an unordered pair of angles, degenerate when
 they coincide.  Chords sharing an endpoint never count as crossing.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import grid
-from .angles import Angle, HALF, antipode, tripling
+from .angles import Angle, HALF, angle_str, antipode, tripling
 
 __all__ = [
     "Chord",
@@ -26,6 +27,8 @@ __all__ = [
     "crosses",
     "image",
     "chord_antipode",
+    "chord_to_json",
+    "crossing_to_json",
 ]
 
 SIXTH = Fraction(1, 6)
@@ -103,3 +106,12 @@ def image(ch: Chord) -> Chord:
 def chord_antipode(ch: Chord) -> Chord:
     """The chord rotated by a half turn."""
     return Chord(antipode(ch.a), antipode(ch.b))
+
+
+def chord_to_json(ch: Chord) -> dict:
+    return {"a": angle_str(ch.a), "b": angle_str(ch.b)}
+
+
+def crossing_to_json(first: Chord, second: Chord) -> dict:
+    """The witness of a crossing pair of chords in a family that must be laminar."""
+    return {"kind": "crossing", "first": chord_to_json(first), "second": chord_to_json(second)}

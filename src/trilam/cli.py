@@ -6,20 +6,22 @@ pullback family of a legal pair), render (chords JSON to SVG).
 
 Exit codes: 0 success, 1 verification or legality failure, 2 usage or
 file error.  A failed contract (construction, certification, seed
-legality, pullback invariant) prints its message on stderr, then its
-witness, when it has one, as one JSON line; `check` prints its verdict
-and witness on stdout.
+legality, pullback invariant) is reported by `main` alone: its message
+on stderr, then its witness, when it has one, as one JSON line; `check`
+prints its verdict and witness on stdout.  A reader that closes standard
+output early ends the document quietly, with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, Optional, Sequence
 
 from .angles import angle_str, orbit_info, parse_angle, tripling
-from .builder import BuildError, BuildState, VerificationError, build
+from .builder import BuildError, VerificationError, build
 from .chords import Chord, image
 from .formats import chords_from_json, prelamination_chunks, rows_chunks
 from .legality import is_legal_pair
@@ -31,21 +33,20 @@ from .render import RenderConfig, render_svg
 def _write(chunks: Iterable[bytes], out: Optional[str]) -> None:
     """Write a document's byte chunks as they are made, to the file `out` or standard output."""
     if out is None or out == "-":
-        sys.stdout.flush()  # text printed before stays before
-        sys.stdout.buffer.writelines(chunks)
-        sys.stdout.buffer.flush()
+        try:
+            sys.stdout.flush()  # text printed before stays before
+            sys.stdout.buffer.writelines(chunks)
+            sys.stdout.buffer.flush()
+        except BrokenPipeError:  # the reader has what it wanted; the exit flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         with open(out, "wb") as fh:
             fh.writelines(chunks)
 
 
-def _fail(what: str,
-          exc: BuildError | VerificationError | IllegalSeedError | InvariantError) -> int:
-    """Report a failed contract on stderr, then its witness, if any, as one JSON line; exit 1."""
-    print(f"{what}: {exc}", file=sys.stderr)
-    if exc.witness is not None:
-        print(json.dumps(exc.witness), file=sys.stderr)
-    return 1
+# the failed contracts `main` reports with exit 1, by the prefix of their message
+_FAILURES = {BuildError: "build failure", VerificationError: "verification failure",
+             IllegalSeedError: "illegal seed", InvariantError: "invariant failure"}
 
 
 def _render_cfg(args) -> RenderConfig:
@@ -58,7 +59,8 @@ def _svg(pairs, args, **kw) -> list[bytes]:
     return [render_svg(pairs, _render_cfg(args), **kw).encode()]
 
 
-def _emit_records(state: BuildState, args) -> None:
+def cmd_comajors(args) -> int:
+    state = build(args.max_block, verify=args.verify)
     order = state.order()
     if args.type != "both":
         order = order[state.ptypes[order] == args.type]
@@ -68,16 +70,6 @@ def _emit_records(state: BuildState, args) -> None:
     else:
         chunks = rows_chunks(args.format, pairs, state.scale, types, blocks)
     _write(chunks, args.out)
-
-
-def cmd_comajors(args) -> int:
-    try:
-        state = build(args.max_block, verify=args.verify)
-    except VerificationError as exc:
-        return _fail("verification failure", exc)
-    except BuildError as exc:
-        return _fail("build failure", exc)
-    _emit_records(state, args)
     return 0
 
 
@@ -123,12 +115,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_pullback(args) -> int:
     c = Chord(parse_angle(args.a), parse_angle(args.b))
-    try:
-        pre = (hyperbolic_prune if args.prune else build_prelamination)(c, args.depth)
-    except IllegalSeedError as exc:
-        return _fail("illegal seed", exc)
-    except InvariantError as exc:
-        return _fail("invariant failure", exc)
+    pre = (hyperbolic_prune if args.prune else build_prelamination)(c, args.depth)
     if args.format == "svg":
         _write(_svg(pre.pairs, args, modulus=pre.modulus), args.out)
     else:
@@ -204,6 +191,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except tuple(_FAILURES) as exc:  # before ValueError: IllegalSeedError is one
+        print(f"{_FAILURES[type(exc)]}: {exc}", file=sys.stderr)
+        if exc.witness is not None:
+            print(json.dumps(exc.witness), file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         ap.exit(2, f"{ap.prog}: error: {exc}\n")
         return 2  # unreachable; keeps type checkers content

@@ -9,23 +9,22 @@ but `prelamination_to_json` applies the short-arc key itself.  One
 reader, `chords_from_json`, puts documents back on a grid: canonical
 text, every angle 'p/q' in ASCII digits, by a regex and a parse in C;
 any other by `parse_fraction` a string, which defines the syntax.
+Records convert to and from rows in `builder`, which checks their types.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .angles import angle_str, parse_fraction
-from .chords import Chord
+from .angles import parse_fraction
+from .builder import ComajorRecord, check_types, records_to_rows, rows_to_records
+from .chords import Chord, chord_to_json, crossing_to_json
 from .grid import rows_of, scale_of, short_arc_order
 from .text import digits, joined, rows_bytes
-
-if TYPE_CHECKING:
-    from .builder import ComajorRecord
 
 __all__ = [
     "CSV_HEADER", "chord_to_json", "crossing_to_json", "records_to_json", "records_from_json",
@@ -44,29 +43,14 @@ _CSV_RECORD = "%d/%d,%d/%d,%s,%d\n"
 _CANONICAL = re.compile(r"[0-9]{1,18}/[0-9]{1,18}(?: [0-9]{1,18}/[0-9]{1,18})*")
 
 
-def chord_to_json(ch: Chord) -> dict:
-    return {"a": angle_str(ch.a), "b": angle_str(ch.b)}
+def records_to_json(records: Iterable[ComajorRecord]) -> str:
+    """The records as `rows_to_json` writes their rows (`builder.records_to_rows`), in order."""
+    return rows_to_json(*records_to_rows(records))
 
 
-def crossing_to_json(first: Chord, second: Chord) -> dict:
-    """The witness of a crossing pair of chords in a family that must be laminar."""
-    return {"kind": "crossing", "first": chord_to_json(first), "second": chord_to_json(second)}
-
-
-def records_to_json(records: Iterable["ComajorRecord"]) -> str:
-    """The records as `rows_to_json` writes their rows, in the given order."""
-    return rows_to_json(*_record_rows(records))
-
-
-def records_to_csv(records: Iterable["ComajorRecord"]) -> str:
-    """The records as `rows_to_csv` writes their rows, in the given order."""
-    return rows_to_csv(*_record_rows(records))
-
-
-def _record_rows(records: Iterable["ComajorRecord"]) -> tuple[np.ndarray, int, list, list]:
-    records = list(records)
-    ends = (v.as_integer_ratio() for r in records for v in r.chord.endpoints())
-    return *rows_of(ends), [r.ptype for r in records], [r.block_period for r in records]
+def records_to_csv(records: Iterable[ComajorRecord]) -> str:
+    """The records as `rows_to_csv` writes their rows (`builder.records_to_rows`), in order."""
+    return rows_to_csv(*records_to_rows(records))
 
 
 def rows_to_json(pairs: np.ndarray, n: int, types: Sequence[str], blocks: Sequence[int]) -> str:
@@ -107,25 +91,13 @@ def _rows(template: str, sep: str, pairs: np.ndarray, n: int, types: Sequence[st
         yield chunk[len(sep):] if s == 0 else chunk
 
 
-def records_from_json(text: str) -> list["ComajorRecord"]:
+def records_from_json(text: str) -> list[ComajorRecord]:
     """The records of a record array, read as `render --in` reads it, of types 'B' and 'D'."""
-    from .builder import ComajorRecord
-
     doc = json.loads(text)
     pairs, n, types, blocks = chords_from_json(doc)
     if types is None and doc != []:
         raise ValueError("not a record array: its first item needs str 'type'")
-    check_types(types or ())
-    return [ComajorRecord(Chord.from_grid(p, n), t, b)
-            for p, t, b in zip(pairs.tolist(), types or (), blocks or ())]
-
-
-def check_types(types: Sequence[str]) -> Sequence[str]:
-    """The record types, each 'B' or 'D'; others are refused by name."""
-    bad = sorted(set(types) - {"B", "D"})
-    if bad:
-        raise ValueError(f"record types must be 'B' or 'D', got {bad}")
-    return types
+    return rows_to_records(pairs, n, check_types(types or ()), blocks or ())
 
 
 def prelamination_to_json(seed: Chord, depth: int, pairs: np.ndarray, modulus: int) -> str:

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import grid
-from .chords import Chord
+from .chords import Chord, chord_to_json
 from .grid import Pair, scale_of
 
 __all__ = [
@@ -61,8 +61,6 @@ class LegalityWitness:
     second: Chord  # crossing partner, strip boundary chord, or violated arc as a chord
 
     def to_json(self) -> dict:
-        from .formats import chord_to_json
-
         if self.kind == "strip":
             return {"kind": "strip", "image_index": self.first_index,
                     "image": chord_to_json(self.first), "boundary": chord_to_json(self.second)}

@@ -63,8 +63,7 @@ from typing import Optional
 import numpy as np
 
 from .angles import orbit_info
-from .chords import Chord, image
-from .formats import chord_to_json, crossing_to_json
+from .chords import Chord, chord_to_json, crossing_to_json, image
 from .grid import Laminar, Pair, antipode, arclen, canon, check_int64, closure, crosses, orbit
 from .legality import LegalityVerdict, is_legal_pair, strips_on_grid
 

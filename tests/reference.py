@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from trilam.builder import _SEED_DATA, BuildError
 from trilam.formats import chord_to_json
 from trilam.grid import Laminar, crosses, on_grid, orbit, rows_of, scale_of, short_arc_order
 from trilam.legality import LegalityVerdict, LegalityWitness
-from trilam.pullback import _MATCHINGS, IllegalSeedError, _select_pullbacks
+from trilam.pullback import IllegalSeedError, InvariantError
 from trilam.render import RenderConfig, _TYPE_COLORS, _block_color
 
 # -- preperiod-1 points ------------------------------------------------------
@@ -562,17 +563,67 @@ def forward_orbit_hits(pre, targets: list[Chord]) -> np.ndarray:
     return hit
 
 
-# survival masks of the five matchings, bit 3*i + j for the candidate (u_i, v_j)
-_MATCH_MASKS = tuple(sum(1 << cid for cid in m) for m in _MATCHINGS)
+def _matchings() -> list[tuple[int, ...]]:
+    """The perfect matchings of the six preimage points that cross nowhere, as candidate ids
+    3*i + j for the pairs (u_i, v_j), found by trying all six: the points alternate
+    u_0, v_0, u_1, v_1, u_2, v_2 around the circle, at positions 2i and 2j + 1."""
+    out = []
+    for sigma in itertools.permutations(range(3)):
+        ends = [tuple(sorted((2 * i, 2 * j + 1))) for i, j in enumerate(sigma)]
+        if not any(a < c < b < d or c < a < d < b
+                   for (a, b), (c, d) in itertools.combinations(ends, 2)):
+            out.append(tuple(3 * i + j for i, j in enumerate(sigma)))
+    return out
+
+
+MATCHINGS = _matchings()
+# survival masks of the matchings, bit 3*i + j for the candidate (u_i, v_j)
+_MATCH_MASKS = tuple(sum(1 << cid for cid in m) for m in MATCHINGS)
+
+
+def _arclen(pair: tuple[int, int], n: int) -> int:
+    d = (pair[1] - pair[0]) % n
+    return min(d, n - d)
+
+
+def select_pullbacks(parent: tuple[int, int], survivors: dict[int, tuple[int, int]],
+                     n: int) -> list[tuple[int, int]]:
+    """The children of one parent among its surviving candidates {id: (lo, hi)}, by the rules
+    of the `trilam.pullback` docstring.
+
+    A critical parent drops the candidates longer than 1/3 and, of those sharing an
+    endpoint, keeps the shorter (then the smaller pair), shortest first.  Any other parent
+    takes a surviving matching: one holding the parent itself if any, then the shortest
+    sorted length profile, then the smallest sorted pairs; with none, InvariantError.
+    """
+    if 3 * _arclen(parent, n) == n:
+        kept: list[tuple[int, int]] = []
+        for pr in sorted(survivors.values(), key=lambda pr: (_arclen(pr, n), pr)):
+            if 3 * _arclen(pr, n) <= n and not any(set(pr) & set(k) for k in kept):
+                kept.append(pr)
+        return sorted(kept)
+    alive = [[survivors[cid] for cid in m] for m in MATCHINGS
+             if all(cid in survivors for cid in m)]
+    if not alive:
+        chord = Chord.from_grid(parent, n)
+        raise InvariantError(f"no matching of the preimages of {chord} survives",
+                             {"kind": "no-matching", "parent": chord_to_json(chord),
+                              "survivors": [chord_to_json(Chord.from_grid(p, n))
+                                            for p in sorted(survivors.values())]})
+    own = [m for m in alive if tuple(sorted(parent)) in m]
+    return min((sorted(m) for m in own or alive),
+               key=lambda m: (sorted(_arclen(pr, n) for pr in m), m))
 
 
 def level_children(frontier: np.ndarray, barriers: list[tuple[int, int]],
                    n: int) -> np.ndarray:
-    """All selected pullback pairs of the frontier chords (with duplicates), barrier by barrier.
+    """All selected pullback pairs of the frontier chords (with duplicates), barrier by barrier,
+    as rows in lexicographic order.
 
     Each of the nine candidates of every parent is tested against every
-    barrier with the modular crossing test; the selection is the
-    engine's (`_MATCHINGS` fast path, `_select_pullbacks` otherwise).
+    barrier with the modular crossing test; a non-critical parent whose
+    survivors are exactly one matching takes it, every other parent
+    `select_pullbacks`.
     """
     a = frontier[:, 0]
     b = frontier[:, 1]
@@ -600,22 +651,19 @@ def level_children(frontier: np.ndarray, barriers: list[tuple[int, int]],
 
     lo = np.minimum(x1, x2)
     hi = np.maximum(x1, x2)
-    chunks: list[np.ndarray] = []
-    for m, mbits in zip(_MATCHINGS, _MATCH_MASKS):
+    chunks: list[np.ndarray] = [np.empty((0, 2), dtype=np.int64)]
+    for m, mbits in zip(MATCHINGS, _MATCH_MASKS):
         sel = fast & (mask == mbits)
-        if sel.any():
-            ids = list(m)
-            chunks.append(np.stack([lo[sel][:, ids].ravel(), hi[sel][:, ids].ravel()], axis=1))
+        ids = list(m)
+        chunks.append(np.stack([lo[sel][:, ids].ravel(), hi[sel][:, ids].ravel()], axis=1))
 
     slow_pairs: list[tuple[int, int]] = []
     for pi in np.nonzero(~fast)[0]:
         surv_map = {cid: (int(lo[pi, cid]), int(hi[pi, cid])) for cid in range(9) if surv[pi, cid]}
-        slow_pairs.extend(_select_pullbacks((int(a[pi]), int(b[pi])), surv_map, n))
-    if slow_pairs:
-        chunks.append(np.array(slow_pairs, dtype=np.int64).reshape(-1, 2))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(chunks, axis=0)
+        slow_pairs.extend(select_pullbacks((int(a[pi]), int(b[pi])), surv_map, n))
+    chunks.append(np.array(slow_pairs, dtype=np.int64).reshape(-1, 2))
+    out = np.concatenate(chunks, axis=0)
+    return out[np.lexsort((out[:, 1], out[:, 0]))]
 
 
 def prelamination_levels(c: Chord, depth: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -1,10 +1,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import trilam
 from trilam.angles import parse_angle
 from trilam.builder import ComajorRecord
 from trilam.chords import Chord
@@ -583,3 +588,25 @@ def test_angle_readers_agree(tmp_path, capsys, text, angle):
     assert parse_angle(text) == angle
     pairs, n, _, _ = chords_from_json(doc)
     assert {Fraction(int(x), n) for x in pairs[0]} == {angle, Fraction(1, 5)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["pullback", "7/39", "8/39", "--depth", "8", "--prune", "--format", "json"],
+    ["pullback", "7/39", "8/39", "--depth", "8", "--prune", "--format", "svg"],
+    ["comajors", "--max-block", "8", "--format", "csv"],
+], ids=["json", "svg", "csv"])
+def test_closed_stdout_ends_quietly(argv):
+    # a reader such as `head -c 100` closes the pipe long before the MB-sized document ends
+    src = str(Path(trilam.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-m", "trilam.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (0, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

@@ -83,11 +83,14 @@ class ComajorRecord:
 def records_to_rows(records: Iterable[ComajorRecord], *moduli: int,
                     reach: int = 1) -> tuple[np.ndarray, int, list[str], list[int]]:
     """(pairs, n, types, blocks): the records' chords as `grid.rows_of` puts them on a grid,
-    and their types and blocks, in record order."""
+    and their types and blocks, in record order; a type but 'B' or 'D' or a block < 1 raises."""
     records = list(records)
     ends = (v.as_integer_ratio() for r in records for v in r.chord.endpoints())
     pairs, n = rows_of(ends, *moduli, reach=reach)
-    return pairs, n, [r.ptype for r in records], [r.block_period for r in records]
+    types, blocks = check_types([r.ptype for r in records]), [r.block_period for r in records]
+    if min(blocks, default=1) < 1:
+        raise ValueError(f"record {records[blocks.index(min(blocks))]!r} needs 'block' >= 1")
+    return pairs, n, types, blocks
 
 
 def rows_to_records(pairs: np.ndarray, n: int, types: Iterable[str],
@@ -117,10 +120,7 @@ class BuildState:
     def __init__(self, leaves: Sequence[ComajorRecord] = (), completed_block: int = 0):
         self.completed_block = completed_block
         self.pairs, self.scale, types, blocks = records_to_rows(leaves, 12, reach=3)
-        self.ptypes = np.array(check_types(types), dtype="U1")
-        self.blocks = np.array(blocks, dtype=np.int64)
-        if (self.blocks < 1).any():
-            raise ValueError(f"record {leaves[np.argmax(self.blocks < 1)]!r} needs 'block' >= 1")
+        self.ptypes, self.blocks = np.array(types, dtype="U1"), np.array(blocks, dtype=np.int64)
 
     def grow(self, nums: np.ndarray, den: int) -> np.ndarray:
         """Grow the scale to a multiple of den and return the angles nums / den on it."""

@@ -24,7 +24,7 @@ from .angles import parse_fraction
 from .builder import ComajorRecord, check_types, records_to_rows, rows_to_records
 from .chords import Chord, chord_to_json, crossing_to_json
 from .grid import rows_of, scale_of, short_arc_order
-from .text import digits, joined, rows_bytes
+from .text import digits, joined, pieces, rows_bytes
 
 __all__ = [
     "CSV_HEADER", "chord_to_json", "crossing_to_json", "records_to_json", "records_from_json",
@@ -79,6 +79,7 @@ def _rows(template: str, sep: str, pairs: np.ndarray, n: int, types: Sequence[st
           blocks: Sequence[int] = ()) -> Iterator[bytes]:
     """Per slice of rows, the bytes of `template % (pa, qa, pb, qb[, type, block])` of each
     (lo, hi) row, pa/qa and pb/qb its reduced angles on n, each but the first after sep."""
+    text = pieces(sep + template)
     for s in range(0, len(pairs), _SLICE):
         rows = pairs[s:s + _SLICE]
         g = np.gcd(rows, n)
@@ -87,7 +88,7 @@ def _rows(template: str, sep: str, pairs: np.ndarray, n: int, types: Sequence[st
         if len(types):
             t = np.asarray(types[s:s + _SLICE], "S")
             fields += [t.view(np.uint8).reshape(len(t), -1), digits(np.asarray(blocks[s:s + _SLICE]))]
-        chunk = rows_bytes(len(rows), [(slice(None), sep + template, fields)])
+        chunk = rows_bytes(len(rows), [(slice(None), text, fields)])
         yield chunk[len(sep):] if s == 0 else chunk
 
 

@@ -11,23 +11,23 @@ the only place floating point appears; all data paths stay exact.
 The renderer works on the integer grid (`trilam.grid`) in one pass:
 `Chord`s are put on their common scale N once (`grid.rows_of`); the
 leaves, a pullback family or a `render --in` document pass their int
-pairs and modulus.  The ints are int64 while 2N fits it
-(`grid.int_dtype`) and Python ints beyond, so they are exact at any
-scale; they give the canonical order (`grid.short_arc_order`) and each
-arc's sweep flag.  The floats are exactly these: the correctly rounded
-turns `x / N`, equal to `float(Fraction(x, N))`, by one array division
-while x and N are int64 below 2^53 (both convert exactly) and of Python
-ints beyond; `math.cos` and `math.sin` of `2.0 * math.pi * (x / N)`
-once per distinct angle of each slice of 1,024 chords; and float64
-array arithmetic for points, centers and radii in the operation order
-of the scalar formula (numpy's + - * / and sqrt round as CPython's do
-and fuse no multiply-adds).  `render_svg` joins the document's byte
-chunks, one per slice, each written by the text engine (`trilam.text`)
-with coordinates as `'%.12f' % v`.
+pairs and modulus, int64 while 2N fits it (`grid.int_dtype`) and Python
+ints beyond, exact at any scale.  They give the canonical order
+(`grid.short_arc_order`) and each arc's sweep flag.  The floats are
+exactly these: the turns `x / N`, correctly rounded (one array division
+while x and N are int64 below 2^53, of Python ints beyond); `math.cos`
+and `math.sin` of `2.0 * math.pi * (x / N)` for each endpoint, both from
+one `cmath.rect(1.0, t)`, which CPython computes as 1.0 * cos(t) and
+1.0 * sin(t) with the libm `cos` and `sin` that `math` calls; and
+float64 array arithmetic in the operation order of the scalar formula
+(numpy's + - * / and sqrt round as CPython's do and fuse no
+multiply-adds).  `render_svg` joins the document's byte chunks, one per
+slice of 1,024 chords, written by the text engine (`trilam.text`).
 """
 
 from __future__ import annotations
 
+import cmath
 import colorsys
 import math
 from dataclasses import dataclass
@@ -37,13 +37,11 @@ import numpy as np
 
 from .chords import Chord
 from .grid import int_dtype, rows_of, short_arc_order
-from .text import fixed12, joined, rows_bytes
+from .text import fixed12, joined, pieces, rows_bytes
 
 __all__ = ["RenderConfig", "render_svg"]
 
-# chords drawn at a time: a large family is never held as per-chord
-# Python floats all at once, and chords sharing an endpoint mostly sit
-# in one slice, so its trig is still taken once
+# chords drawn at a time: a large family is never held as per-chord Python floats all at once
 _SLICE = 1024
 _MARGIN_PX = 10  # between the circle and the edge of the picture
 
@@ -77,6 +75,7 @@ _DOT = '<circle class="%s" cx="%.12f" cy="%.12f" r="1.5" fill="%s"/>'
 _TAIL = '" fill="none" stroke="%s" stroke-width="1.0"/>'
 _LINE = '<path class="%s" d="M %.12f %.12f L %.12f %.12f' + _TAIL
 _ARC = '<path class="%s" d="M %.12f %.12f A %.12f %.12f 0 0 %d %.12f %.12f' + _TAIL
+_PIECES = [pieces(t + "\n") for t in (_DOT, _LINE, _ARC)]
 
 
 def _style(cls: str, block: int, cfg: RenderConfig) -> tuple[str, str]:
@@ -139,48 +138,50 @@ def _elements(pairs: np.ndarray, styles: np.ndarray, n: int,
               cx: float, cy: float, r: float, cfg: RenderConfig) -> bytes:
     """The SVG elements of canonically ordered chords in UTF-8, in order, a line each.
 
-    `styles` holds each chord's (label, color) bytes.  A degenerate chord
-    is a dot; a straight chord, or a diameter (1 + p1.p2 < 1e-9 for the
-    unit-disk endpoints p1, p2), a segment.  Any other geodesic is an arc
-    of the circle orthogonal to the unit circle through p1 and p2: center
-    o = k (p1 + p2) with k = 1 / (1 + p1.p2), radius sqrt(|o|^2 - 1).  It
-    runs from lo to hi inside the disk, clockwise on screen (SVG sweep 1)
-    iff the arc from lo to hi is the short one, 2 (hi - lo) < n.
+    `styles` holds each chord's (label, color) bytes.  The trig is taken
+    per endpoint (`_cos_sin` of the lo column, then the hi column), bit
+    for bit that of `math` (module docstring): leaf and pullback families
+    seldom or never share endpoints, so none are deduplicated.  A
+    degenerate chord is a dot; a straight chord, or a diameter
+    (1 + p1.p2 < 1e-9 for the unit-disk endpoints p1, p2), a segment.  Any
+    other geodesic is an arc of the circle orthogonal to the unit circle
+    through p1 and p2: center o = k (p1 + p2) with k = 1 / (1 + p1.p2),
+    radius sqrt(|o|^2 - 1).  It runs from lo to hi inside the disk,
+    clockwise on screen (SVG sweep 1) iff the arc from lo to hi is the
+    short one, 2 (hi - lo) < n.
     """
-    ends, inv = np.unique(pairs.ravel(), return_inverse=True)
-    turns = (ends / n if ends.dtype == np.int64 and n < 2**53
-             else np.array([x / n for x in ends.tolist()], np.float64))
-    th = (2.0 * math.pi * turns).tolist()
-    cos = np.fromiter(map(math.cos, th), np.float64, len(th))
-    sin = np.fromiter(map(math.sin, th), np.float64, len(th))
-    i1, i2 = inv[0::2], inv[1::2]
-    c1, s1, c2, s2 = cos[i1], sin[i1], cos[i2], sin[i2]
-    x1, y1, x2, y2 = cx + r * c1, cy - r * s1, cx + r * c2, cy - r * s2
-    kind = np.where(i1 == i2, 0, 1)
-    if cfg.geodesic_style == "arc":
-        dot = c1 * c2 + s1 * s2
-        kind[(kind == 1) & ~(1.0 + dot < 1e-9)] = 2
+    (lo, hi), m = pairs.T, len(pairs)
+    cos, sin = _cos_sin(pairs.T.ravel(), n)
+    (c1, c2), (s1, s2) = cos.reshape(2, m), sin.reshape(2, m)
+    (x1, x2), (y1, y2) = (cx + r * cos).reshape(2, m), (cy - r * sin).reshape(2, m)
+    dot1 = 1.0 + (c1 * c2 + s1 * s2)
+    kind = np.where(lo == hi, 0, 1 + ((dot1 >= 1e-9) & (cfg.geodesic_style == "arc")))
     parts = []
-    for k, tmpl in enumerate((_DOT, _LINE, _ARC)):
-        rows = np.flatnonzero(kind == k)
-        if not len(rows):
+    for k, counts in enumerate(np.bincount(kind, minlength=3).tolist()):
+        if not counts:
             continue
-        floats = [x1[rows], y1[rows]]
-        if k == 1:
-            floats += [x2[rows], y2[rows]]
-        elif k == 2:
-            kk = 1.0 / (1.0 + dot[rows])
-            ox = kk * (c1[rows] + c2[rows])
-            oy = kk * (s1[rows] + s2[rows])
+        rows = np.flatnonzero(kind == k) if counts < m else slice(None)  # one kind: no gathers
+        floats = [v[rows] for v in ((x1, y1) if k == 0 else (x1, y1, x2, y2))]
+        if k == 2:
+            kk = 1.0 / dot1[rows]
+            ox, oy = (kk * (a[rows] + b[rows]) for a, b in ((c1, c2), (s1, s2)))
             # |o|^2 - 1 = (1 - p1.p2) / (1 + p1.p2) >= 0, but rounding takes it
             # below 0 for some endpoints a few 1e-9 turn apart; such an arc
             # gets radius 0, which SVG draws as the segment
-            floats += [np.sqrt(np.maximum(ox * ox + oy * oy - 1.0, 0.0)) * r, x2[rows], y2[rows]]
-        label, color = styles[rows].view(np.uint8).reshape(len(rows), 2, -1).transpose(1, 0, 2)
-        xy = list(fixed12(np.stack(floats, 1)).transpose(1, 0, 2))
+            floats.insert(2, np.sqrt(np.maximum(ox * ox + oy * oy - 1.0, 0.0)) * r)
+        label, color = styles[rows].view(np.uint8).reshape(counts, 2, -1).transpose(1, 0, 2)
+        xy = list(fixed12(np.stack(floats)))
         if k == 2:  # the radius, written once, is both rx and ry; then the sweep flag
-            sweep = 48 + (2 * (pairs[rows, 1] - pairs[rows, 0]) < n).astype(np.uint8)[:, None]
+            sweep = 48 + (2 * (hi[rows] - lo[rows]) < n).astype(np.uint8)[:, None]
             xy[3:3] = [xy[2], sweep]
-        parts.append((rows if len(rows) < len(pairs) else slice(None), tmpl + "\n",
-                      [label, *xy, color]))
-    return rows_bytes(len(pairs), parts)
+        parts.append((rows, _PIECES[k], [label, *xy, color]))
+    return rows_bytes(m, parts)
+
+
+def _cos_sin(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`math.cos` and `math.sin` of 2.0 * math.pi * (x / n) for each int x of x, bit for bit."""
+    turns = (x / n if x.dtype == np.int64 and n < 2**53
+             else np.array([v / n for v in x.tolist()], np.float64))
+    th = (2.0 * math.pi * turns).tolist()
+    z = np.fromiter(map(cmath.rect, [1.0] * len(th), th), complex, len(th))
+    return z.real, z.imag

@@ -33,20 +33,25 @@ def joined(chunks: Iterable[bytes]) -> str:
     return text.decode()
 
 
-def rows_bytes(m: int, parts: Sequence[tuple[Union[slice, np.ndarray], str, list]]) -> bytes:
-    """The bytes of m rows: each (rows, template, fields) part writes `template % fields` into
-    its rows, a slice or index array of the m, each field a (len(rows), w) uint8 matrix."""
-    parts = [(rows, [np.frombuffer(p.encode(), np.uint8) for p in _FIELD.split(template)],
-              fields) for rows, template, fields in parts]
-    out = np.empty((m, max(sum(col.shape[-1] for col in chain(pieces, fields))
-                           for _, pieces, fields in parts)), np.uint8)
-    for rows, pieces, fields in parts:  # no pad or copy of a row block: each column in place
-        at = 0
-        for col in chain.from_iterable(zip_longest(pieces, fields)):
-            if col is not None:
-                out[rows, at:at + col.shape[-1]] = col
-                at += col.shape[-1]
-        out[rows, at:] = 0
+def pieces(template: str) -> list[np.ndarray]:
+    """The literal pieces of a %-template between its fields, as uint8 arrays."""
+    return [np.frombuffer(p.encode(), np.uint8) for p in _FIELD.split(template)]
+
+
+def rows_bytes(m: int, parts: Sequence[tuple[Union[slice, np.ndarray], list, list]]) -> bytes:
+    """The bytes of m rows: each (rows, pieces, fields) part writes a template's `pieces` and
+    its fields, each a (len(rows), w) uint8 matrix, into its rows, a slice or index array."""
+    width = max(sum(col.shape[-1] for col in chain(pieces, fields)) for _, pieces, fields in parts)
+    out = np.empty((m, width), np.uint8)
+    for rows, pieces, fields in parts:  # the template's row, NULs for its fields, then each field
+        row, starts, at = np.zeros(width, np.uint8), [], 0
+        for piece, field in zip_longest(pieces, fields):
+            row[at:at + len(piece)] = piece
+            starts.append(at + len(piece))
+            at = starts[-1] + (field.shape[-1] if field is not None else 0)
+        out[rows] = row
+        for at, field in zip(starts, fields):
+            out[rows, at:at + field.shape[-1]] = field
     return out.tobytes().translate(None, b"\0")
 
 
@@ -63,41 +68,44 @@ def digits(v: np.ndarray) -> np.ndarray:
         q = v // 10**4
         out[:, j] = _TRIM[v - q * 10**4 + 10**4 * (q > 0)]
         v = q
-    last = out[:, -1]
-    last[last == 0] = ord("0") << 24  # x = 0
+    np.maximum(out[:, -1], ord("0") << 24, out=out[:, -1])  # x = 0: "0"
     return out.view(np.uint8).reshape(*shape, 4 * out.shape[1])
 
 
 _SPLIT = 2.0**27 + 1  # Veltkamp's splitter: float64 halves of 26 bits multiply exactly
 _HI12, _LO12 = 999999995904.0, 4096.0  # the halves of 1e12
+_POINT, _DIGIT = _GROUPS[:1000] - (ord("0") - ord(".")), _GROUPS[:10] >> 24  # ".ddd", "d"
 
 
 def fixed12(x: np.ndarray) -> np.ndarray:
     """'%.12f' % v of each float64 v of x, as NUL-padded ASCII of shape x.shape + (width,).
 
-    Below 2^52 / 10^12, Dekker's two-product gives the error of v * 1e12
-    and so v * 10^12 rounded half to even, written four digits at a time;
-    any other value (-0.0, < 0, large, inf or nan) goes through `%`.
+    For 0 < v < 2^52 / 10^12, v * 10^12 rounds half to even as y = v * 1e12
+    does, or where y is halfway between ints, to the side of the error e of y
+    (Dekker's two-product), written a group of digits at a time; any other
+    value (0.0, -0.0, < 0, large, inf or nan) goes through `%`.
     """
     shape, x = x.shape, x.ravel()
-    fast = (x < 2**52 / 10**12) & ~np.signbit(x)
-    v = np.where(fast, x, 0.0)
-    y, c = v * 1e12, _SPLIT * v
-    hi = c - (c - v)
+    fast = (x > 0) & (x < 2**52 / 10**12)
+    v = np.where(fast, x, 1.0)
+    y = v * 1e12
+    k = np.rint(y)  # y < 2^52: y - k is exact; v * 10^12 rounds as y does unless y is a half
+    tie = np.flatnonzero(np.abs(y - k) == 0.5)  # there, Dekker's two-product: v*10**12 == y+e
+    v, y = v[tie], y[tie]
+    hi = _SPLIT * v - (_SPLIT * v - v)
     lo = v - hi
-    e = ((hi * _HI12 - y) + hi * _LO12 + lo * _HI12) + lo * _LO12  # Dekker: v * 10**12 == y + e
-    k = y.astype(np.int64)  # floor(y), as y >= 0
-    d = (y - k) - 0.5
-    k += (d > -e) | ((d == -e) & ((k & 1) == 1))  # v * 10**12 rounded half to even
-    # 5 words: whole part without leading zeros, ".", 3 groups of 4 decimals
-    out = np.full((len(x), 5), ord("."), "<u4")
-    for j in (4, 3, 2):
-        out[:, j] = _GROUPS[k % 10**4]
-        k //= 10**4
-    out[:, 0] = digits(k).view("<u4")[:, 0]
-    out = out.view(np.uint8)
+    e = ((hi * _HI12 - y) + hi * _LO12 + lo * _HI12) + lo * _LO12
+    k[tie] = np.where(e == 0, k[tie], y + np.copysign(0.5, e))
+    k = k.astype(np.int64)
+    out = np.empty((len(x), 5), "<u4")  # 17 bytes: whole (< 10^4), ".ddd", 2 groups, a digit
+    for j, g, t in ((4, 10, _DIGIT), (3, 10**4, _GROUPS), (2, 10**4, _GROUPS), (1, 1000, _POINT)):
+        q = k // g  # one // per group, no %
+        out[:, j] = t[k - q * g]
+        k = q
+    out[:, 0] = np.maximum(_TRIM[k], ord("0") << 24)  # without leading zeros; "0" for 0
+    out = np.ascontiguousarray(out.view(np.uint8)[:, :17])  # 17-byte rows; frees the 20-byte buffer
     if not fast.all():
         words = np.array(["%.12f" % v for v in x[~fast].tolist()], "S")
-        out = np.pad(out, ((0, 0), (max(20, words.itemsize) - 20, 0)))
+        out = np.pad(out, ((0, 0), (max(17, words.itemsize) - 17, 0)))
         out[~fast] = words.astype(f"S{out.shape[1]}").view(np.uint8).reshape(len(words), -1)
     return out.reshape(*shape, -1)

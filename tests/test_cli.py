@@ -15,7 +15,7 @@ from trilam.builder import ComajorRecord
 from trilam.chords import Chord
 from trilam.cli import main
 from trilam.builder import build
-from trilam.formats import chords_from_json, records_from_json, records_to_json
+from trilam.formats import chords_from_json, records_from_json, records_to_csv, records_to_json
 from trilam.legality import is_legal_pair
 
 import reference
@@ -219,6 +219,8 @@ def test_records_from_json_round_trips_a_record_array():
     assert records_from_json(json.dumps([_RECORD])) == [
         ComajorRecord(Chord(Fraction(1, 6), Fraction(1, 3)), "D", 1)]
     assert records_from_json("[]\n") == []
+    recs = build(3).sorted_leaves()  # what the writers write reads back
+    assert records_from_json(records_to_json(recs)) == recs
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -244,6 +246,20 @@ def test_records_from_json_rejects_what_is_no_record_array(tmp_path, capsys, doc
             main(["render", "--in", str(src)])
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"trilam: error: {message}\n"
+
+
+@pytest.mark.parametrize("writer", [records_to_json, records_to_csv])
+@pytest.mark.parametrize("record,message", [
+    (ComajorRecord(Chord(Fraction(1, 6), Fraction(1, 3)), "X", 1),
+     r"record types must be 'B' or 'D', got \['X'\]"),
+    (ComajorRecord(Chord(Fraction(1, 6), Fraction(1, 3)), "D", 0),
+     r"record ComajorRecord\(.*block_period=0\) needs 'block' >= 1"),
+], ids=["type-X", "block-0"])
+def test_record_writers_refuse_what_records_from_json_refuses(writer, record, message):
+    # a record array the library writes reads back: the writers refuse what the reader does
+    good = ComajorRecord(Chord(Fraction(2, 3), Fraction(5, 6)), "D", 1)
+    with pytest.raises(ValueError, match=message):
+        writer([good, record])
 
 
 def test_malformed_fraction_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 import reference
 from trilam.builder import build
 from trilam.chords import Chord
+from trilam import render
 from trilam.render import RenderConfig, render_svg
 from trilam.text import fixed12
 
@@ -186,3 +188,51 @@ def test_near_diameter_radius_leaves_fast_range():
     radii = [float(m) for m in re.findall(r" A (\S+) ", svg)]
     assert max(radii) > 2**52 / 10**12
     assert svg == reference.render_svg(_mixed_slice())
+
+
+def test_trig_is_math_cos_and_sin_bit_for_bit(monkeypatch):
+    # the renderer's cos and sin of each endpoint x are math.cos and math.sin of
+    # 2.0 * math.pi * (x / n), bit for bit: every point of a grid of more than 38
+    # slices, drawn as dots, and points of moduli past 2^53 (turns of Python ints),
+    # one of them past int64
+    seen, cos_sin = [], render._cos_sin
+
+    def spy(x, n):
+        cos, sin = cos_sin(x, n)
+        seen.append((x.tolist(), n, np.array(cos), np.array(sin)))
+        return cos, sin
+
+    monkeypatch.setattr(render, "_cos_sin", spy)
+    n = 6 * 3**8
+    render_svg(np.repeat(np.arange(n), 2).reshape(-1, 2), modulus=n)
+    assert len(seen) > 38 and sorted(x for xs, _, _, _ in seen for x in xs) == sorted(2 * [*range(n)])
+    rng = random.Random(11)
+    for big in (6 * 3**34, 6 * 3**40):
+        xs = sorted({0, 1, big // 2, big - 1, *(rng.randrange(big) for _ in range(2000))})
+        render_svg(np.array([[x, x] for x in xs], dtype=object), modulus=big)
+        assert seen[-1][1] == big
+    for xs, n, cos, sin in seen:
+        turns = [2.0 * math.pi * (x / n) for x in xs]
+        want = np.array([[math.cos(t) for t in turns], [math.sin(t) for t in turns]])
+        assert (np.stack([cos, sin]).view(np.int64) == want.view(np.int64)).all(), n
+
+
+@pytest.mark.parametrize("style", ["arc", "straight"])
+def test_render_matches_reference_across_slice_boundary(style):
+    # dots, diameters and short arcs interleaved in canonical order, so that each
+    # kind falls on both sides of the boundary between rows 1,023 and 1,024; the
+    # arcs (x, x + n - 3), of sweep 0, start at their hi and close the last slice
+    n = 2400
+    chords = [Chord(Fraction(a, n), Fraction(b, n)) for x in range(n // 2)
+              for a, b in ((x, x), (x, x + n // 2), (x, x + 1 + 97 * (x % 11)), (x, x + n - 3))
+              if b < n]
+    assert len(chords) > 2048
+    cfg = RenderConfig(geodesic_style=style)
+    svg = render_svg(chords, cfg)
+    assert svg == reference.render_svg(chords, cfg)
+    lines = svg.splitlines()[3:-1]
+    for part in (lines[1024 - 200:1024], lines[1024:1024 + 200]):
+        kinds = {"dot" if line.startswith("<circle") else " A " in line for line in part}
+        assert kinds == ({"dot", True, False} if style == "arc" else {"dot", False})
+        if style == "arc":  # a diameter: a segment of the arc style
+            assert any(" L " in line for line in part)

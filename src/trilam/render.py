@@ -157,10 +157,10 @@ def _elements(pairs: np.ndarray, styles: np.ndarray, n: int,
     dot1 = 1.0 + (c1 * c2 + s1 * s2)
     kind = np.where(lo == hi, 0, 1 + ((dot1 >= 1e-9) & (cfg.geodesic_style == "arc")))
     parts = []
-    for k, counts in enumerate(np.bincount(kind, minlength=3).tolist()):
-        if not counts:
+    for k, count in enumerate(np.bincount(kind, minlength=3).tolist()):
+        if not count:
             continue
-        rows = np.flatnonzero(kind == k) if counts < m else slice(None)  # one kind: no gathers
+        rows = np.flatnonzero(kind == k) if count < m else slice(None)  # one kind: no gathers
         floats = [v[rows] for v in ((x1, y1) if k == 0 else (x1, y1, x2, y2))]
         if k == 2:
             kk = 1.0 / dot1[rows]
@@ -169,7 +169,7 @@ def _elements(pairs: np.ndarray, styles: np.ndarray, n: int,
             # below 0 for some endpoints a few 1e-9 turn apart; such an arc
             # gets radius 0, which SVG draws as the segment
             floats.insert(2, np.sqrt(np.maximum(ox * ox + oy * oy - 1.0, 0.0)) * r)
-        label, color = styles[rows].view(np.uint8).reshape(counts, 2, -1).transpose(1, 0, 2)
+        label, color = styles[rows].view(np.uint8).reshape(count, 2, -1).transpose(1, 0, 2)
         xy = list(fixed12(np.stack(floats)))
         if k == 2:  # the radius, written once, is both rx and ry; then the sweep flag
             sweep = 48 + (2 * (hi[rows] - lo[rows]) < n).astype(np.uint8)[:, None]

@@ -12,13 +12,13 @@ endpoint or open arc between them each of its endpoints lies in, so a
 parent's nine survivals depend only on the cells of its endpoints among
 a few cuts: one small table of survival masks (`_barrier_regions`).
 
-Preimage selection.  The six preimage points of a chord alternate
-around the circle, so its preimage chords organize into at most five
-non-crossing perfect matchings (the all-short, all-medium and three
-mixed patterns of the sibling trichotomy).  Barriers generically leave
-exactly one matching alive: a non-critical parent whose mask completes
-one matching (`_MATCH_OF`) computes its three pairs from its endpoints.
-The other cases take their survivors from the same mask, deterministically:
+Preimage selection.  The six preimage points u_i = a//3 + i*n/3 and
+v_j = b//3 + j*n/3 of a chord (a, b) alternate around the circle, so its
+candidates (u_i, v_j), of id 3*i + j, form at most five non-crossing
+perfect matchings (the all-short, all-medium and three mixed patterns of
+the sibling trichotomy).  Barriers generically leave exactly one alive;
+the other cases take their survivors from the same mask, deterministically,
+by rules that one table holds (`_pick_table`):
 
 * critical parent: candidates longer than 1/3 are dropped (they span
   over the co-critical chord), and endpoint-sharing candidates around a
@@ -58,6 +58,7 @@ hit iff its parent is and a kept parent has the same children, because
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -94,9 +95,7 @@ class InvariantError(RuntimeError):
         self.witness = witness
 
 
-# Perfect non-crossing matchings of the six alternating preimage points,
-# as candidate ids 3*i + j for the pairing (u_i, v_j): the all-short,
-# all-medium and three mixed sibling patterns.
+# The five matchings of the module docstring, as candidate ids.
 _MATCHINGS = (
     (0, 4, 8),
     (2, 3, 7),
@@ -105,40 +104,39 @@ _MATCHINGS = (
     (1, 3, 8),
 )
 _MATCH_U, _MATCH_V = np.divmod(np.array(_MATCHINGS), 3)  # the (u_i, v_j) of each pairing
-_MATCH_OF = np.full(512, -1, dtype=np.int8)  # survival mask -> index of its matching, or -1
-_MATCH_OF[[sum(1 << cid for cid in m) for m in _MATCHINGS]] = range(len(_MATCHINGS))
 
 
-def _select_pullbacks(parent: tuple[int, int], survivors: dict[int, tuple[int, int]],
-                      n: int) -> list[tuple[int, int]]:
-    """Resolve the surviving preimage candidates of one parent chord.
+def _pick_table() -> np.ndarray:
+    """The places among u_0, v_0, u_1, ..., v_2 of the children's lo and hi, per parent case.
 
-    `survivors` maps candidate id (3*i + j) to its canonical int pair.
-    Implements the selection rules described in the module docstring.
+    The rules see only the mask, the class of delta = b//3 - a//3 (0, below, at or above
+    n/6), and whether the parent is critical (own 10) or which candidate is itself (id
+    own - 1; 0: none): column (own * 4 + cls) * 512 + mask.  -1 pads a critical parent's
+    children, -2 marks no matching.  A rule takes the first candidate set the mask holds,
+    in an order fixed on the model parent u_i = 4i, v_j = cls + 4j mod 12 (the greedy
+    critical rule: disjoint sets of the short ones, ordered by membership of the shortest).
     """
-    if arclen(*parent, n) * 3 == n:
-        # critical parent: the shortest candidates of length <= 1/3 sharing no endpoint
-        chosen: list[tuple[int, int]] = []
-        used: set[int] = set()
-        for pr in sorted((pr for pr in survivors.values() if arclen(*pr, n) * 3 <= n),
-                         key=lambda pr: (arclen(*pr, n), pr)):
-            if not used & set(pr):
-                chosen.append(pr)
-                used.update(pr)
-        return sorted(chosen)
+    pick = np.full((11, 4, 512, 3), -2, dtype=np.int8)  # candidate ids
+    for cls in range(4):
+        pair = [canon(4 * (c // 3), cls + 4 * (c % 3)) for c in range(9)]
+        size = [arclen(*p, 12) for p in pair]
+        short = sorted((c for c in range(9) if 3 * size[c] <= 12), key=lambda c: (size[c], pair[c]))
+        disjoint = [s for k in range(4) for s in combinations(short, k)
+                    if len({e for c in s for e in pair[c]}) == sum(len({*pair[c]}) for c in s)]
+        orders = [sorted(_MATCHINGS, key=lambda m: (mine not in [pair[c] for c in m],
+                                                    sorted(size[c] for c in m),
+                                                    sorted(pair[c] for c in m)))
+                  for mine in [None, *pair]]
+        orders.append(sorted(disjoint, key=lambda s: [c not in s for c in short]))
+        for own, order in enumerate(orders):
+            for s in reversed(order):  # the first set the mask holds is written last
+                bits = sum(1 << c for c in s)
+                pick[own, cls, np.arange(512) & bits == bits] = [*s, -1, -1, -1][:3]
+    place = np.where(pick < 0, pick, np.sort([2 * (pick // 3), 2 * (pick % 3) + 1], axis=0))
+    return np.ascontiguousarray(place.reshape(2, -1, 3).transpose(0, 2, 1))
 
-    viable = [m for m in _MATCHINGS if all(cid in survivors for cid in m)]
-    if not viable:
-        chord = Chord.from_grid(parent, n)
-        raise InvariantError(f"no matching of the preimages of {chord} survives its barriers",
-                             {"kind": "no-matching", "parent": chord_to_json(chord),
-                              "survivors": [chord_to_json(Chord.from_grid(p, n))
-                                            for p in sorted(survivors.values())]})
-    parent_pair = tuple(sorted(parent))
-    pool = [m for m in viable if any(survivors[cid] == parent_pair for cid in m)] or viable
-    chosen_m = min(pool, key=lambda m: (sorted(arclen(*survivors[cid], n) for cid in m),
-                                        sorted(survivors[cid] for cid in m)))
-    return sorted(survivors[cid] for cid in chosen_m)
+
+_PICK = _pick_table()
 
 
 def short_quad_edges(c: Chord) -> list[Chord]:
@@ -259,9 +257,9 @@ class Prelamination:
         """Boolean mask of chords whose forward orbit (index >= 0) reaches a target.
 
         A target off this family's grid is reached by no orbit.  A chord
-        whose image is a member is hit iff it or its image is, so hits
-        spread by one gather per tripling step; only chords whose image is
-        no member (critical chords, whose image is a point) walk their orbits.
+        whose image is a member is hit iff it or its image is, so hits spread
+        by pointer doubling; only chords whose image is no member (critical
+        chords, whose image is a point) walk their orbits, then point to self.
         """
         n, keys = self.modulus, self.keys
         tkeys = np.array([k for k in map(self._key, targets) if k is not None], dtype=np.int64)
@@ -273,8 +271,9 @@ class Prelamination:
         walk = np.stack([_keys(x, y, n) for x, y in orbit(lo[out], hi[out], n)])
         hit[out] |= np.isin(walk, tkeys).any(axis=0)
         img[out] = out
-        for _ in range(sum(closure(n)) - 1):
+        for _ in range((sum(closure(n)) - 1).bit_length()):  # img covers 2**k steps in pass k
             hit |= hit[img]
+            img = img[img]
         return hit
 
 
@@ -304,37 +303,37 @@ def _barrier_regions(barriers: list[Pair], n: int) -> tuple[np.ndarray, np.ndarr
 
 def _level_children(frontier: np.ndarray, regions: tuple[np.ndarray, np.ndarray],
                     n: int) -> np.ndarray:
-    """All selected pullback pairs of the frontier chords, distinct for distinct parents.
+    """All selected pullback pairs of the frontier rows lo <= hi, distinct for distinct parents.
 
-    Each parent reads its mask once from `regions` (`_barrier_regions` on the grid n).
-    Fast parents, grouped by matching and ascending within one, come first; critical
-    and unmatched parents select from their mask's survivors one by one.
+    Each parent reads its mask from `regions` (`_barrier_regions` on the grid n) and its
+    children from one `_PICK` column; the first parent left no matching raises InvariantError.
     """
-    a, b = frontier.T
     third = n // 3
     cuts, masks = regions  # candidate 3*i + j is (u_i, v_j)
-    mask = masks[cuts.searchsorted(a, "right"), cuts.searchsorted(b, "right")]
-    match = _MATCH_OF.take(mask)
-    span = (b - a) % n
-    match[(span == third) | (span == 2 * third)] = -1  # critical parents take the slow path
-
-    slow_pairs: list[tuple[int, int]] = []
-    slow = match < 0
-    for (x, y), bits in zip(frontier.compress(slow, 0).tolist(), mask.compress(slow).tolist()):
-        us, vs = ([z // 3 + i * third for i in range(3)] for z in (x, y))
-        surv_map = {3 * i + j: canon(us[i], vs[j])
-                    for i in range(3) for j in range(3) if bits >> (3 * i + j) & 1}
-        slow_pairs.extend(_select_pullbacks((x, y), surv_map, n))
-
-    fast = match.argsort(kind="stable")[np.count_nonzero(slow):]
-    k = match.take(fast)
-    u = a.take(fast)[:, None] // 3 + (third * _MATCH_U).take(k, 0)  # below n, as a and b are
-    v = b.take(fast)[:, None] // 3 + (third * _MATCH_V).take(k, 0)
-    out = np.empty((u.size + len(slow_pairs), 2), dtype=np.int64)
-    np.minimum(u, v, out=out[:u.size].reshape(-1, 3, 2)[..., 0])
-    np.maximum(u, v, out=out[:u.size].reshape(-1, 3, 2)[..., 1])
-    out[u.size:] = np.array(slow_pairs, dtype=np.int64).reshape(-1, 2)
-    return out
+    (a3, b3), (ra, rb) = (frontier // 3).T, (frontier % third).T
+    col = np.searchsorted([1, third, third + 1], 2 * (b3 - a3), "right") * 512  # delta-class
+    col += masks[tuple(cuts.searchsorted(frontier, "right").T)]
+    col += 2048 * 10 * (ra == rb)  # critical: a span of n/3 or 2n/3 is 0 mod n/3
+    # x is u_i (v_i) for i = x // third iff x % third is a3 (b3): the parent's own candidate
+    s = np.flatnonzero((ra != rb) & ((ra == a3) | (ra == b3)))
+    if len(s):
+        (i, j), ua = (frontier[s] // third).T, ra[s] == a3[s]
+        col[s] += 2048 * np.where(ua, (rb[s] == b3[s]) * (3 * i + j + 1),
+                                  (rb[s] == a3[s]) * (3 * j + i + 1))
+    place = _PICK.take(col, 2)  # (2, 3, m): each child's lo and hi
+    if place[0, 0].min(initial=0) == -2:
+        k = int(place[0, 0].argmin())  # the first parent left no matching
+        chord, x, y = Chord.from_grid(frontier[k].tolist(), n), int(a3[k]), int(b3[k])
+        survivors = sorted(canon(x + c // 3 * third, y + c % 3 * third) for c in range(9)
+                           if col[k] >> c & 1)
+        raise InvariantError(f"no matching of the preimages of {chord} survives its barriers", {
+            "kind": "no-matching", "parent": chord_to_json(chord),
+            "survivors": [chord_to_json(Chord.from_grid(p, n)) for p in survivors]})
+    out = np.multiply(place >> 1, third, dtype=np.int64)  # u_i or v_j, below n as a, b are
+    out += a3
+    out += (place & 1) * (b3 - a3)
+    out = out.reshape(2, -1)  # a critical parent may have fewer than 3 children
+    return (out if place[0, 2].min(initial=0) >= 0 else out[:, place[0].ravel() >= 0]).T
 
 
 def _levels(roots: np.ndarray, seeds: np.ndarray, regions: tuple[np.ndarray, ...], n: int,

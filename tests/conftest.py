@@ -154,6 +154,5 @@ def pruning_everything(monkeypatch):
 
 @pytest.fixture
 def no_matching(monkeypatch):
-    """The engine knows no matching, so the first non-critical parent has none surviving."""
-    monkeypatch.setattr(pullback, "_MATCHINGS", ())
-    monkeypatch.setattr(pullback, "_MATCH_OF", np.full(512, -1, dtype=np.int8))
+    """The selection table leaves every parent no matching, so the first one raises."""
+    monkeypatch.setattr(pullback, "_PICK", np.full_like(pullback._PICK, -2))

@@ -15,11 +15,9 @@ from trilam.pullback import (
     IllegalSeedError,
     InvariantError,
     Prelamination,
-    _MATCH_OF,
     _barrier_regions,
     _level_children,
     _seed_system,
-    _select_pullbacks,
     build_prelamination,
     hyperbolic_prune,
     short_quad_edges,
@@ -479,6 +477,24 @@ def test_pullback_json_matches_pinned_digest(seed, depth, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# one sha256 over the depth-8 JSON of the 72 distinct degenerate seeds k/36 and k/48 in
+# angle order, recorded while critical and multi-matching parents were still selected one
+# by one: these families meet such parents at every level
+_PINNED_DEGENERATE_JSON = "c53584badfd65a42cc3295cf48602a81db026b5fd4439c1bb7132c6690985408"
+
+
+def test_degenerate_seed_families_match_pinned_digest():
+    angles = sorted({Fraction(k, 36) for k in range(36)} | {Fraction(k, 48) for k in range(48)})
+    digest, chords = hashlib.sha256(), 0
+    for v in angles:
+        seed = Chord(v, v)
+        pre = build_prelamination(seed, 8)
+        digest.update(prelamination_to_json(seed, 8, pre.pairs, pre.modulus).encode())
+        chords += len(pre)
+    assert (len(angles), chords) == (72, 1_128_464)
+    assert digest.hexdigest() == _PINNED_DEGENERATE_JSON
+
+
 # sha256 of the pruned pullback JSON at depth 8, recorded while the prune
 # still built the whole family and removed the chords whose orbits hit an edge
 _PINNED_PRUNED_JSON = [
@@ -501,7 +517,7 @@ def test_pruned_json_matches_pinned_digest(seed, digest):
 
 def _check_level(frontier, barriers, n):
     got = _level_children(frontier, _barrier_regions(barriers, n), n)
-    # the engine groups its rows by its own matching order; the next level sorts them anyway
+    # the engine lists its rows by child slot; the next level sorts them anyway
     rows = got[np.lexsort((got[:, 1], got[:, 0]))]
     assert np.array_equal(rows, reference.level_children(frontier, barriers, n))
     return got
@@ -570,6 +586,58 @@ def test_level_children_matches_barrier_oracle_on_endpoint_barriers():
     assert matched > 3000 and unmatched > 3000
 
 
+def _parent_cases(n):
+    """The first parent (a, b) on the grid n of each case the selection tells apart.
+
+    A critical parent is keyed by its span; any other by the sign of 2 delta - n/3
+    (or "same triple" for delta = b//3 - a//3 = 0) and the candidate id, if any,
+    whose canonical pair is the parent itself.
+    """
+    third, cases = n // 3, {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if b - a in (third, 2 * third):
+                cases.setdefault(("critical", b - a), (a, b))
+                continue
+            delta = b // 3 - a // 3
+            cands = [tuple(sorted((a // 3 + i * third, b // 3 + j * third)))
+                     for i in range(3) for j in range(3)]
+            own = cands.index((a, b)) if (a, b) in cands else None
+            cases.setdefault((int(np.sign(2 * delta - third)) if delta else "same triple", own),
+                             (a, b))
+    return cases
+
+
+@pytest.mark.parametrize("n", [54, 162])
+def test_level_children_matches_selection_oracle_on_every_mask(n):
+    # every survival mask, fed as a one-cell region table, for one parent of each case:
+    # each delta-class, both critical spans and each candidate that is its own parent.
+    # Endpoints off the multiples of 3, which the engine never expands, make more of
+    # these cases occur
+    cases = _parent_cases(n)
+    assert set(cases) == {
+        ("critical", n // 3), ("critical", 2 * n // 3), ("same triple", None),
+        (-1, None), (-1, 1), (-1, 3), (-1, 4), (-1, 5), (-1, 7),
+        (0, None), (0, 1), (0, 5), (0, 6), (1, None), (1, 2)}
+    third, unmatched = n // 3, 0
+    for a, b in cases.values():
+        for mask in range(512):
+            survivors = {cid: tuple(sorted((a // 3 + cid // 3 * third, b // 3 + cid % 3 * third)))
+                         for cid in range(9) if mask >> cid & 1}
+            regions = (np.empty(0, dtype=np.int64), np.array([[mask]]))
+            try:
+                want = sorted(reference.select_pullbacks((a, b), survivors, n))
+            except InvariantError as err:
+                with pytest.raises(InvariantError) as got:
+                    _level_children(np.array([[a, b]]), regions, n)
+                assert got.value.witness == err.witness, (a, b, mask)
+                unmatched += 1
+                continue
+            got = _level_children(np.array([[a, b]]), regions, n)
+            assert sorted(map(tuple, got.tolist())) == want, (a, b, mask)
+    assert unmatched > 0
+
+
 def test_cell_table_matches_candidate_survivals():
     # a parent's survival mask, looked up by the cells of its endpoints among the cuts,
     # has bit 3*i + j set exactly when its candidate (u_i, v_j) crosses no barrier, for
@@ -594,12 +662,12 @@ def test_cell_table_matches_candidate_survivals():
             want = (~crossed).reshape(n, n, 9) @ (1 << np.arange(9))
             cell = cuts.searchsorted(points, "right")
             assert np.array_equal(masks[cell[:, None], cell[None, :]], want), barriers
-            outcomes.update(np.unique(_MATCH_OF[want] >= 0).tolist())
+            outcomes.update(np.unique(np.isin(want, reference._MATCH_MASKS)).tolist())
     assert outcomes == {True, False}
 
 
 def test_no_matching_raises_its_witness(no_matching):
-    # each level reads the module's `_MATCH_OF` once, for all its parents' masks
+    # each level reads the module's `_PICK` once, for all its parents
     with pytest.raises(InvariantError, match="survives its barriers") as err:
         build_prelamination(ch(11, 12, 1, 12), 2)
     assert err.value.witness["kind"] == "no-matching"
@@ -625,9 +693,10 @@ def test_repeated_family_raises_invariant_error_with_witness(repeating_pullback,
 
 def test_parent_without_surviving_matching_raises_invariant_error():
     # the preimages of (1/8, 3/8) are u_i = 1/24, 3/8, 17/24 and v_j = 1/8, 11/24, 19/24;
-    # only (u_0, v_0) and (u_1, v_1) survive, which complete none of the five matchings
+    # the diameters (0, 1/2) and (1/4, 3/4) leave only (u_0, v_0) and (u_1, v_1), which
+    # complete none of the five matchings
     with pytest.raises(InvariantError, match=r"preimages of \(1/8, 3/8\) survives") as err:
-        _select_pullbacks((3, 9), {4: (9, 11), 0: (1, 3)}, 24)
+        pullbacks(ch(1, 8, 3, 8), [ch(0, 1, 1, 2), ch(1, 4, 3, 4)])
     assert err.value.witness == {
         "kind": "no-matching", "parent": {"a": "1/8", "b": "3/8"},
         "survivors": [{"a": "1/24", "b": "1/8"}, {"a": "3/8", "b": "11/24"}]}

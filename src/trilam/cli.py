@@ -129,7 +129,7 @@ def cmd_render(args) -> int:
     else:
         with open(args.infile, "rb") as fh:
             data = fh.read()
-    pairs, n, classes, blocks = chords_from_json(json.loads(data))
+    pairs, n, classes, blocks = chords_from_json(data)
     _write(_svg(pairs, args, classes=classes, blocks=blocks, modulus=n), args.out)
     return 0
 

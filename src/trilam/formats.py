@@ -6,16 +6,18 @@ modulus n, as byte chunks of 4,096 rows (`rows_chunks`,
 (x/g)/(n/g), g = gcd(x, n), by the text engine (`trilam.text`), so no
 `Fraction` or string is built per angle.  Writers keep the order given,
 but `prelamination_to_json` applies the short-arc key itself.  One
-reader, `chords_from_json`, puts documents back on a grid: canonical
-text, every angle 'p/q' in ASCII digits, by a regex and a parse in C;
-any other by `parse_fraction` a string, which defines the syntax.
-Records convert to and from rows in `builder`, which checks their types.
+reader, `chords_from_json`, puts documents back on a grid: raw bytes in
+the writers' layout by regexes made from their templates, any other as
+`json.loads` parses them; then canonical text, every angle 'p/q' in ASCII
+digits, by a parse in C, any other by `parse_fraction` a string, which
+defines the syntax.  Records convert to and from rows in `builder`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import suppress
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -35,12 +37,24 @@ __all__ = [
 CSV_HEADER = "a,b,type,block"
 _SLICE = 4096  # rows a byte matrix and a chunk
 _READ = 512  # chords a regex match: `re` keeps a frame per repeat of its group
-# the text of `json.dumps(doc, indent=0)`: JSON escapes no 'p/q', 'B' or 'D'
-_JSON_CHORD = '{\n"a": "%d/%d",\n"b": "%d/%d"\n}'
-_JSON_RECORD = '{\n"a": "%d/%d",\n"b": "%d/%d",\n"type": "%s",\n"block": %d\n}'
+# the text of `json.dumps(doc, indent=0)`, each %s a field's ASCII: JSON escapes no 'p/q',
+# 'B' or 'D'.  The reader's regexes are these templates, escaped, with a regex per field
+_JSON_CHORD = '{\n"a": "%s/%s",\n"b": "%s/%s"\n}'
+_JSON_RECORD = '{\n"a": "%s/%s",\n"b": "%s/%s",\n"type": "%s",\n"block": %s\n}'
+_JSON_HEAD = '{\n"seed": %s,\n"depth": %s,\n"chords": '  # then the chord list, "\n}\n"
 _CSV_RECORD = "%d/%d,%d/%d,%s,%d\n"
 # angle strings of canonical text, joined by spaces; 18 digits fit int64
 _CANONICAL = re.compile(r"[0-9]{1,18}/[0-9]{1,18}(?: [0-9]{1,18}/[0-9]{1,18})*")
+_INTS = re.sub(rb"\D", b" ", bytes.maketrans(b"BD", b"12"))  # digits kept, a type B or D 1 or 2
+_ENDS = ("[0-9]{1,18}",) * 4  # p/q twice, each fitting int64
+_CHORD = re.escape(_JSON_CHORD) % _ENDS
+# per non-empty layout: (head, _READ items then ",\n" (group 1) or the end, ints an item)
+_LAYOUTS = [(re.compile(head.encode()), re.compile(
+    f"{item}(?:,\n{item}){{0,{_READ - 1}}}(?:(,\n)|{re.escape(end)}\\Z)".encode()), width)
+    for head, item, end, width in [
+        (re.escape(_JSON_HEAD + "[\n") % (_CHORD, "(?:0|[1-9][0-9]{0,17})"), _CHORD,
+         "\n]\n}\n", 4),
+        ("\\[\n", re.escape(_JSON_RECORD) % (*_ENDS, "[BD]", "[1-9][0-9]{0,17}"), "\n]\n", 6)]]
 
 
 def records_to_json(records: Iterable[ComajorRecord]) -> str:
@@ -94,9 +108,10 @@ def _rows(template: str, sep: str, pairs: np.ndarray, n: int, types: Sequence[st
 
 def records_from_json(text: str) -> list[ComajorRecord]:
     """The records of a record array, read as `render --in` reads it, of types 'B' and 'D'."""
-    doc = json.loads(text)
+    # json.loads reads NUL-free ASCII bytes as this str; a NUL leading them reads as UTF-16
+    doc = text.encode() if text.isascii() and "\0" not in text else json.loads(text)
     pairs, n, types, blocks = chords_from_json(doc)
-    if types is None and doc != []:
+    if types is None and (len(pairs) or json.loads(text) != []):
         raise ValueError("not a record array: its first item needs str 'type'")
     return rows_to_records(pairs, n, check_types(types or ()), blocks or ())
 
@@ -116,21 +131,25 @@ def prelamination_chunks(seed: Chord, depth: int, pairs: np.ndarray,
     """`prelamination_to_json`'s document as byte chunks."""
     pairs = pairs.take(short_arc_order(pairs, modulus), 0)
     (seed_text,) = _rows(_JSON_CHORD, "", *rows_of(v.as_integer_ratio() for v in seed.endpoints()))
-    yield b'{\n"seed": %s,\n"depth": %d,\n"chords": %s' % (seed_text, depth,
-                                                             b"[\n" if len(pairs) else b"[]")
+    yield _JSON_HEAD.encode() % (seed_text, b"%d" % depth) + (b"[\n" if len(pairs) else b"[]")
     yield from _rows(_JSON_CHORD, ",\n", pairs, modulus)
     yield b"\n]\n}\n" if len(pairs) else b"\n}\n"
 
 
 def chords_from_json(doc) -> tuple[np.ndarray, int, Optional[list[str]], Optional[list[int]]]:
-    """Chords of a parsed record array, prelamination document or bare chord list, on a grid.
+    """Chords of a record array, prelamination document or bare chord list, on a grid.
 
+    `doc` is raw bytes, read unparsed in the writers' layout, or a parsed document.
     Returns the (m, 2) pairs lo <= hi on the lcm n of the denominators as
     written (`grid.rows_of`), for `render_svg(pairs, modulus=n)`, and the
     types and blocks of a record array (its first item has a "type"),
     every item of which must carry a str type and an int block >= 1;
     other documents give None, None.
     """
+    if isinstance(doc, bytes):
+        with suppress(ValueError):  # off the writers' layout, parsed as any other document
+            return _read_layout(doc)
+        doc = json.loads(doc)
     types = blocks = None
     if isinstance(doc, list) and doc and isinstance(doc[0], dict) and "type" in doc[0]:
         types = [_record_field(item, "type", str) for item in doc]
@@ -140,21 +159,45 @@ def chords_from_json(doc) -> tuple[np.ndarray, int, Optional[list[str]], Optiona
     if not isinstance(doc, list):
         raise ValueError(f"expected a list of chords, got {doc!r}")
     try:  # canonical text, _READ chords a regex match and a parse in C
-        ends = []
-        for s in range(0, len(doc), _READ):
-            text = " ".join([item[k] for item in doc[s:s + _READ] for k in "ab"])  # str only
-            if not _CANONICAL.fullmatch(text):
-                raise ValueError("not canonical")
-            ends.append(np.fromstring(text.replace("/", " "), np.int64, sep=" "))
-        p, q = np.concatenate(ends).reshape(-1, 2).T
-        n = scale_of((), *np.unique(q).tolist())
-        if len(q) != 2 * len(doc) or not q.all() or n >= 2**63:  # a space in an angle, 1/0
+        texts = [" ".join([item[k] for item in doc[s:s + _READ] for k in "ab"])  # str only
+                 for s in range(0, len(doc), _READ)]
+        if not all(map(_CANONICAL.fullmatch, texts)):
             raise ValueError("not canonical")
-        pairs = (p % q * (n // q)).reshape(-1, 2)
+        pairs, n, _ = _grid(texts, 4, len(doc))  # len(doc) rows: no space in an angle
     except (KeyError, TypeError, ValueError):  # the per-string path, and the empty document
         pairs, n = rows_of(end for item in doc for end in _fraction_ends(item))
-    pairs.sort(axis=1)
+        pairs.sort(axis=1)
     return pairs, n, types, blocks
+
+
+def _read_layout(data: bytes):
+    """`chords_from_json` of a non-empty document in the writers' layout, or a ValueError."""
+    head, items, width = _LAYOUTS[data[:1] == b"["]
+    match, matches = head.match(data), []
+    while match and (match.lastindex or not matches):  # up to the match that ends the document
+        if match := items.match(data, match.end()):
+            matches.append(match)
+    if match is None:
+        raise ValueError("not the writers' layout")
+    pairs, n, ends = _grid((m[0] for m in matches), width)
+    if width == 4:
+        return pairs, n, None, None
+    return pairs, n, [" BD"[t] for t in ends[:, 4].tolist()], ends[:, 5].tolist()
+
+
+def _grid(texts: Iterable, width: int, count: int = -1) -> tuple[np.ndarray, int, np.ndarray]:
+    """(pairs, n, ends): ends the ASCII ints of the texts, each parsed as it comes, a type B or D
+    as 1 or 2, in `count` rows of `width`; pairs the sorted rows on the lcm n of the chords pa/qa,
+    pb/qb its first 4 columns hold.  A ValueError for another count, a q of 0 or n >= 2^63."""
+    ends = np.concatenate([np.fromstring(text.translate(_INTS), np.int64, sep=" ")
+                           for text in texts]).reshape(count, width)
+    p, q = ends[:, 0:4:2], ends[:, 1:4:2]
+    n = scale_of((), *np.unique(q).tolist())
+    if not q.all() or n >= 2**63:
+        raise ValueError("not canonical")
+    pairs = p % q * (n // q)
+    pairs.sort(axis=1)
+    return pairs, n, ends
 
 
 def _record_field(item, key: str, kind: type):

@@ -2,8 +2,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,8 +17,10 @@ from trilam.builder import ComajorRecord
 from trilam.chords import Chord
 from trilam.cli import main
 from trilam.builder import build
-from trilam.formats import chords_from_json, records_from_json, records_to_csv, records_to_json
+from trilam.formats import (chords_from_json, prelamination_to_json, records_from_json,
+                            records_to_csv, records_to_json)
 from trilam.legality import is_legal_pair
+from trilam.pullback import build_prelamination, hyperbolic_prune
 
 import reference
 from conftest import (COLLISION, CROSSING_LEAVES, ENDPOINT_USAGE, NO_SECTOR, ODD_COMPONENT,
@@ -520,6 +524,117 @@ def test_canonical_text_is_read_without_a_parse_per_string(monkeypatch):
     monkeypatch.setattr(formats, "parse_fraction", refuse)
     pairs, n, _, _ = chords_from_json(doc)
     assert (pairs.dtype, pairs.tolist(), n) == (want[0].dtype, want[0].tolist(), want[1])
+
+
+def _pullback_json(a, b, depth, prune=False):
+    pre = (hyperbolic_prune if prune else build_prelamination)(Chord(a, b), depth)
+    return prelamination_to_json(pre.seed, pre.depth, pre.pairs, pre.modulus).encode()
+
+
+def _outcome(read, data):
+    """What `read(data)` gives: rows, dtype, grid, types and blocks, or its error."""
+    try:
+        pairs, n, types, blocks = read(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return pairs.dtype, pairs.tolist(), n, types, blocks
+
+
+def _mutants(data: bytes):
+    """The document, then, at every offset, its byte deleted, doubled or replaced."""
+    yield data
+    for i in range(len(data)):
+        yield data[:i] + data[i + 1:]
+        yield data[:i + 1] + data[i:]
+        for b in b'09/" \n-BDX{':
+            yield data[:i] + bytes([b]) + data[i + 1:]
+
+
+_DOCS = {
+    "pruned": _pullback_json(Fraction(5, 24), Fraction(7, 24), 2, prune=True),
+    "degenerate": _pullback_json(Fraction(1, 36), Fraction(1, 36), 2),
+    "records": records_to_json(build(3).sorted_leaves()).encode(),
+}
+_PRELAMINATION_HEAD = b'{\n"seed": {\n"a": "1/2",\n"b": "1/2"\n},\n"depth": 0,\n"chords": '
+_ONE_RECORD = b'[\n{\n"a": "1/6",\n"b": "1/3",\n"type": "D",\n"block": 1\n}\n]\n'
+
+
+@pytest.mark.parametrize("data", [
+    *_DOCS.values(),
+    _PRELAMINATION_HEAD + b'[]\n}\n',
+    b"[]\n",
+    b"",
+    _ONE_RECORD,
+    _ONE_RECORD.replace(b'"1/6"', b'"1234567890123456789/7"'),
+    _ONE_RECORD.replace(b'"1/6"', b'"0/0"'),
+    _ONE_RECORD.replace(b'"1/6"', b'"1/%d"' % 2**62).replace(b'"1/3"', b'"1/%d"' % 3**39),
+    _ONE_RECORD.replace(b'"block": 1', b'"block": 0'),
+    _ONE_RECORD.replace(b'"block": 1', b'"block": 01'),
+    _ONE_RECORD.replace(b'"block": 1', b'"block": -1'),
+    _ONE_RECORD.replace(b'"block": 1', b'"block": 1000000000000000000'),
+    _ONE_RECORD.replace(b'"D"', b'"X"'),
+    _DOCS["pruned"].replace(b'"depth": 2', b'"depth": 07'),
+    _DOCS["pruned"].replace(b'"depth": 2', b'"depth": -2'),
+    b"\xef\xbb\xbf" + _DOCS["pruned"],
+    _DOCS["pruned"].decode().encode("utf-16"),
+    _DOCS["pruned"].replace(b"\n", b"\r\n"),
+    _DOCS["pruned"].rstrip(b"\n"),
+    _DOCS["pruned"] + b"\n",
+    _DOCS["pruned"] + b"{}",
+    _ONE_RECORD.replace(b'"a": "1/6",\n"b": "1/3"', b'"b": "1/3",\n"a": "1/6"'),
+    json.dumps(json.loads(_DOCS["records"]), indent=2).encode(),
+], ids=[*_DOCS, "no-chords", "empty-array", "empty", "one-record", "19-digits",
+        "zero-denominator", "lcm-past-int64", "block-0", "block-leading-zero", "block-signed",
+        "block-19-digits", "type-X", "depth-leading-zero", "depth-signed", "bom", "utf-16",
+        "crlf", "no-final-newline", "trailing-newline", "trailing-data", "key-order", "indent-2"])
+def test_chords_from_json_reads_bytes_as_their_parse(data):
+    # raw bytes read as `json.loads` of them read: the same rows, dtype, grid, types and
+    # blocks, or the same error; so does every one-byte mutant of three canonical documents
+    docs = _mutants(data) if data in _DOCS.values() else [data]
+    for doc in docs:
+        want = _outcome(lambda d: chords_from_json(json.loads(d)), doc)
+        assert _outcome(chords_from_json, doc) == want, doc
+
+
+def test_writers_layout_is_read_without_a_parse(monkeypatch):
+    # the writers' documents are read from their bytes: json.loads is never called
+    from trilam import formats
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the document was parsed")
+
+    recs = build(5).sorted_leaves()
+    docs = [_DOCS["pruned"], records_to_json(recs).encode()]
+    wants = [_outcome(lambda d: chords_from_json(json.loads(d)), doc) for doc in docs]
+    monkeypatch.setattr(formats.json, "loads", refuse)
+    assert [_outcome(chords_from_json, doc) for doc in docs] == wants
+    (_, _, _, types, blocks) = wants[1]
+    assert set(types) == {"B", "D"} and set(blocks) == {1, 2, 3, 4, 5}
+    assert records_from_json(records_to_json(recs)) == recs
+
+
+def test_reading_a_canonical_document_peaks_below_its_size_2_5_times():
+    # no parsed document and no str per angle: ints are parsed 512 chords at a time
+    data = _pullback_json(Fraction(7, 39), Fraction(8, 39), 8, prune=True)
+    tracemalloc.start()
+    try:
+        pairs, _, _, _ = chords_from_json(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 65610
+    assert peak < 2.5 * len(data)
+
+
+def test_records_from_json_fails_as_json_loads_on_text_its_bytes_would_change():
+    # json.loads reads bytes led by a NUL as UTF-16, and a lone surrogate has no UTF-8: such
+    # text is parsed as a str, and fails as it did
+    utf16 = "".join("\0" + c for c in json.dumps([_RECORD]))  # a record array, as UTF-16 bytes
+    for text in (utf16, "[\ud800]", '["\ud800"]', "[\u00a0]"):
+        with pytest.raises(ValueError) as want:
+            chords_from_json(json.loads(text))
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            records_from_json(text)
 
 
 _LEAVES = records_to_json(build(3).sorted_leaves())

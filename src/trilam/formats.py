@@ -45,16 +45,15 @@ _JSON_HEAD = '{\n"seed": %s,\n"depth": %s,\n"chords": '  # then the chord list, 
 _CSV_RECORD = "%d/%d,%d/%d,%s,%d\n"
 # angle strings of canonical text, joined by spaces; 18 digits fit int64
 _CANONICAL = re.compile(r"[0-9]{1,18}/[0-9]{1,18}(?: [0-9]{1,18}/[0-9]{1,18})*")
-_INTS = re.sub(rb"\D", b" ", bytes.maketrans(b"BD", b"12"))  # digits kept, a type B or D 1 or 2
+_INTS = re.sub(rb"\D", b" ", bytes.maketrans(b"BD", b"12"))  # translate: digits kept, B/D 1/2
 _ENDS = ("[0-9]{1,18}",) * 4  # p/q twice, each fitting int64
 _CHORD = re.escape(_JSON_CHORD) % _ENDS
+_RECORD = re.escape(_JSON_RECORD) % (*_ENDS, "[BD]", "[1-9][0-9]{0,17}")  # a JSON int block >= 1
+_HEAD = re.escape(_JSON_HEAD + "[\n") % (_CHORD, "(?:0|[1-9][0-9]{0,17})")  # a JSON int depth
 # per non-empty layout: (head, _READ items then ",\n" (group 1) or the end, ints an item)
 _LAYOUTS = [(re.compile(head.encode()), re.compile(
     f"{item}(?:,\n{item}){{0,{_READ - 1}}}(?:(,\n)|{re.escape(end)}\\Z)".encode()), width)
-    for head, item, end, width in [
-        (re.escape(_JSON_HEAD + "[\n") % (_CHORD, "(?:0|[1-9][0-9]{0,17})"), _CHORD,
-         "\n]\n}\n", 4),
-        ("\\[\n", re.escape(_JSON_RECORD) % (*_ENDS, "[BD]", "[1-9][0-9]{0,17}"), "\n]\n", 6)]]
+    for head, item, end, width in [(_HEAD, _CHORD, "\n]\n}\n", 4), ("\\[\n", _RECORD, "\n]\n", 6)]]
 
 
 def records_to_json(records: Iterable[ComajorRecord]) -> str:
@@ -108,10 +107,9 @@ def _rows(template: str, sep: str, pairs: np.ndarray, n: int, types: Sequence[st
 
 def records_from_json(text: str) -> list[ComajorRecord]:
     """The records of a record array, read as `render --in` reads it, of types 'B' and 'D'."""
-    # json.loads reads NUL-free ASCII bytes as this str; a NUL leading them reads as UTF-16
-    doc = text.encode() if text.isascii() and "\0" not in text else json.loads(text)
+    doc = json.loads(text)
     pairs, n, types, blocks = chords_from_json(doc)
-    if types is None and (len(pairs) or json.loads(text) != []):
+    if types is None and doc != []:
         raise ValueError("not a record array: its first item needs str 'type'")
     return rows_to_records(pairs, n, check_types(types or ()), blocks or ())
 
@@ -163,7 +161,7 @@ def chords_from_json(doc) -> tuple[np.ndarray, int, Optional[list[str]], Optiona
                  for s in range(0, len(doc), _READ)]
         if not all(map(_CANONICAL.fullmatch, texts)):
             raise ValueError("not canonical")
-        pairs, n, _ = _grid(texts, 4, len(doc))  # len(doc) rows: no space in an angle
+        pairs, n = _grid(_ints(texts, 4, len(doc)))  # len(doc) rows: no space in an angle
     except (KeyError, TypeError, ValueError):  # the per-string path, and the empty document
         pairs, n = rows_of(end for item in doc for end in _fraction_ends(item))
         pairs.sort(axis=1)
@@ -179,25 +177,28 @@ def _read_layout(data: bytes):
             matches.append(match)
     if match is None:
         raise ValueError("not the writers' layout")
-    pairs, n, ends = _grid((m[0] for m in matches), width)
+    ends = _ints((m[0] for m in matches), width)
     if width == 4:
-        return pairs, n, None, None
-    return pairs, n, [" BD"[t] for t in ends[:, 4].tolist()], ends[:, 5].tolist()
+        return *_grid(ends), None, None
+    return *_grid(ends), [" BD"[t] for t in ends[:, 4].tolist()], ends[:, 5].tolist()
 
 
-def _grid(texts: Iterable, width: int, count: int = -1) -> tuple[np.ndarray, int, np.ndarray]:
-    """(pairs, n, ends): ends the ASCII ints of the texts, each parsed as it comes, a type B or D
-    as 1 or 2, in `count` rows of `width`; pairs the sorted rows on the lcm n of the chords pa/qa,
-    pb/qb its first 4 columns hold.  A ValueError for another count, a q of 0 or n >= 2^63."""
-    ends = np.concatenate([np.fromstring(text.translate(_INTS), np.int64, sep=" ")
-                           for text in texts]).reshape(count, width)
+def _ints(texts: Iterable, width: int, count: int = -1) -> np.ndarray:
+    """The ASCII ints of the texts, B and D as 1 and 2, in `count` rows of `width`."""
+    ends = [np.fromstring(text.translate(_INTS), np.int64, sep=" ") for text in texts]
+    return np.concatenate(ends).reshape(count, width)
+
+
+def _grid(ends: np.ndarray) -> tuple[np.ndarray, int]:
+    """The sorted rows of the chords pa/qa, pb/qb in the first 4 columns of `ends`, on the lcm
+    n of their denominators.  A ValueError for a q of 0 or n >= 2^63."""
     p, q = ends[:, 0:4:2], ends[:, 1:4:2]
     n = scale_of((), *np.unique(q).tolist())
     if not q.all() or n >= 2**63:
         raise ValueError("not canonical")
     pairs = p % q * (n // q)
     pairs.sort(axis=1)
-    return pairs, n, ends
+    return pairs, n
 
 
 def _record_field(item, key: str, kind: type):

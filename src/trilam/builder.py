@@ -95,9 +95,10 @@ def records_to_rows(records: Iterable[ComajorRecord], *moduli: int,
 
 def rows_to_records(pairs: np.ndarray, n: int, types: Iterable[str],
                     blocks: Iterable[int]) -> list[ComajorRecord]:
-    """The records of (lo, hi) rows on the grid of n and their types and blocks, in row order."""
-    return [ComajorRecord(Chord.from_grid(p, n), t, b)
-            for p, t, b in zip(pairs.tolist(), types, blocks)]
+    """The records of (lo, hi) rows on the grid of n and their types and blocks, in row order;
+    the rows are read as flat ints, two at a time: a list per row would be GC-tracked."""
+    return [ComajorRecord(Chord.from_grid((lo, hi), n), t, b) for lo, hi, t, b
+            in zip(*[iter(pairs.ravel().tolist())] * 2, types, blocks)]
 
 
 def check_types(types: Sequence[str]) -> Sequence[str]:

@@ -15,6 +15,7 @@ output early ends the document quietly, with exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -141,6 +142,7 @@ def _add_render_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--color-by", choices=["type", "block"], default="type", dest="color_by")
 
 
+@functools.cache  # built once per process; commands look their helpers up when they run
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="trilam",
                                  description="Exact comajor laminations of the tripling map")

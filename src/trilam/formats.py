@@ -193,12 +193,13 @@ def _grid(ends: np.ndarray) -> tuple[np.ndarray, int]:
     """The sorted rows of the chords pa/qa, pb/qb in the first 4 columns of `ends`, on the lcm
     n of their denominators.  A ValueError for a q of 0 or n >= 2^63."""
     p, q = ends[:, 0:4:2], ends[:, 1:4:2]
-    n = scale_of((), *np.unique(q).tolist())
-    if not q.all() or n >= 2**63:
-        raise ValueError("not canonical")
-    pairs = p % q * (n // q)
-    pairs.sort(axis=1)
-    return pairs, n
+    n, rest = 1, q.ravel()
+    while len(rest):  # fold in a q that n misses: n at least doubles, so at most 63 folds
+        if not rest.all() or (n := scale_of((), n, int(rest[0]))) >= 2**63:  # q = 0 before any %
+            raise ValueError("not canonical")
+        rest = rest[n % rest != 0]
+    a, b = (p % q * (n // q)).T
+    return np.column_stack([np.minimum(a, b), np.maximum(a, b)]), n
 
 
 def _record_field(item, key: str, kind: type):

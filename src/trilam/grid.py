@@ -58,13 +58,14 @@ def scale_of(angles: Iterable[Fraction], *moduli: int) -> int:
 def rows_of(ends: Iterable[Pair], *moduli: int, reach: int = 1) -> tuple[np.ndarray, int]:
     """(pairs, n): chords as (m, 2) rows on the lcm n of their denominators and the moduli.
 
-    `ends` holds each angle p/q, 0 <= p < q, as (p, q), two per chord; the
-    rows are `int_dtype(reach * n)`, the caller's bound on its values.
+    `ends` holds each angle p/q, 0 <= p < q, as (p, q), two per chord; the rows are
+    `int_dtype(reach * n)`, the caller's bound on its values.  Only ints are held, the
+    ends flattened as read: a pair kept per angle is GC-tracked and brings on GC passes.
     """
-    ends = list(ends)
-    n = scale_of((), *{q for _, q in ends}, *moduli)
-    flat = np.fromiter(chain.from_iterable(ends), int_dtype(reach * n), 2 * len(ends))
-    return (flat[0::2] * (n // flat[1::2])).reshape(-1, 2), n
+    flat = list(chain.from_iterable(ends))
+    n = lcm(*set(flat[1::2]), *moduli)
+    ends = np.fromiter(flat, int_dtype(reach * n), len(flat)).reshape(-1, 2)  # odd: ValueError
+    return (ends[:, 0] * (n // ends[:, 1])).reshape(-1, 2), n
 
 
 def on_grid(x: Fraction, n: int) -> int:

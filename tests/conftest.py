@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,22 @@ from trilam.chords import Chord, crosses
 
 def ch(p, q, r, s) -> Chord:
     return Chord(Fraction(p, q) % 1, Fraction(r, s) % 1)
+
+
+def gen0_collections(job) -> int:
+    """The gen-0 collections of CPython's cyclic GC while `job()` runs, at the thresholds
+    (700, 10, 10) set here and restored after; a collection starts after 700 net
+    allocations of tracked objects (tuples, lists, instances), so it counts those a
+    job keeps alive."""
+    old = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(700, 10, 10)
+    try:
+        before = gc.get_stats()[0]["collections"]
+        job()
+        return gc.get_stats()[0]["collections"] - before
+    finally:
+        gc.set_threshold(*old)
 
 
 # the degenerate 1/2 seed and legal pairs whose pullback families the

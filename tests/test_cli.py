@@ -277,6 +277,30 @@ def test_bad_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once_and_keeps_its_behaviour(capsys, monkeypatch):
+    # every main call reuses one parser: usage errors still exit 2 each time, --help prints
+    # the text of a parser built afresh, and a command looks a patched helper up when run
+    import trilam.cli
+    from trilam.builder import BuildError
+
+    assert trilam.cli._parser() is trilam.cli._parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["comajors", "--max-block", "1", "--format", "yaml"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == trilam.cli._parser.__wrapped__().format_help()
+
+    def broken(max_block, verify=False):
+        raise BuildError("patched")
+
+    monkeypatch.setattr(trilam.cli, "build", broken)
+    assert run(capsys, "comajors", "--max-block", "1")[::2] == (1, "build failure: patched\n")
+
+
 def test_comajors_build_failure_exits_1(capsys, monkeypatch):
     import trilam.cli
     from trilam.builder import BuildError

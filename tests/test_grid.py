@@ -17,6 +17,8 @@ from trilam.chords import Chord, SIXTH, chord_antipode, length
 from trilam.legality import hits_strip_interior, is_legal_pair, legal_mask
 from trilam.orbits import preperiod1_grid, preperiod1_points
 
+from conftest import gen0_collections
+
 
 @pytest.mark.parametrize("block", range(1, 8))
 @pytest.mark.parametrize("ptype", ["B", "D"])
@@ -389,6 +391,24 @@ def test_rows_of_matches_on_grid_and_scale_of(big):
         assert pairs.tolist() == [[grid.on_grid(c.a, n), grid.on_grid(c.b, n)] for c in chords]
     pairs, n = grid.rows_of([], 12)
     assert pairs.shape == (0, 2) and n == 12
+
+
+def test_rows_of_holds_ints_only():
+    # 100k angles from a generator: the ends are flattened as read, so no pair per angle
+    # stays alive to start collections (keeping a pair per angle ran about 130)
+    ends = ((k % 997, 997) for k in range(100_000))
+    assert gen0_collections(lambda: grid.rows_of(ends)) <= 5
+
+
+@pytest.mark.parametrize("ends", [
+    [(1, 2), 3], [(1, 2), Fraction(1, 3)], [(1, 2), "1/3"], [(1, 2), (1,)],
+    [(1, 2, 3), (1, 2)], [(1, 2), (1, 3), (1, 4)],
+], ids=["int", "fraction", "str", "single", "triple", "odd-angles"])
+def test_rows_of_refuses_ends_that_are_no_pairs(ends):
+    # no check per angle: a non-iterable or non-int end fails the flattening or the
+    # array, and an odd count of ints or of angles fails a reshape to pairs
+    with pytest.raises((TypeError, ValueError)):
+        grid.rows_of(ends)
 
 
 def _tied_family(rng, n):

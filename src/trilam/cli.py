@@ -55,9 +55,9 @@ def _render_cfg(args) -> RenderConfig:
 
 
 def _svg(pairs, args, **kw) -> list[bytes]:
-    """The SVG document as one chunk, drawn by `render_svg` (the benchmark's output checks
-    patch `cli.render_svg`)."""
-    return [render_svg(pairs, _render_cfg(args), **kw).encode()]
+    """The SVG document as one chunk, drawn by `render_svg` with the flags `main` checked
+    (`args.render`; the benchmark's output checks patch `cli.render_svg`)."""
+    return [render_svg(pairs, args.render, **kw).encode()]
 
 
 def cmd_comajors(args) -> int:
@@ -192,6 +192,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
     try:
+        if "size" in args and getattr(args, "format", "svg") == "svg":  # before any build or read
+            args.render = _render_cfg(args)
         return args.func(args)
     except tuple(_FAILURES) as exc:  # before ValueError: IllegalSeedError is one
         print(f"{_FAILURES[type(exc)]}: {exc}", file=sys.stderr)

@@ -6,11 +6,11 @@ modulus n, as byte chunks of 4,096 rows (`rows_chunks`,
 (x/g)/(n/g), g = gcd(x, n), by the text engine (`trilam.text`), so no
 `Fraction` or string is built per angle.  Writers keep the order given,
 but `prelamination_to_json` applies the short-arc key itself.  One
-reader, `chords_from_json`, puts documents back on a grid: raw bytes in
-the writers' layout by regexes made from their templates, any other as
-`json.loads` parses them; then canonical text, every angle 'p/q' in ASCII
-digits, by a parse in C, any other by `parse_fraction` a string, which
-defines the syntax.  Records convert to and from rows in `builder`.
+function, `chords_from_json`, puts documents back on a grid by one of two
+readers: raw bytes in the writers' layout by regexes made from their
+templates and a parse of their ints in C; any other document as
+`json.loads` parses it, then `parse_fraction` an angle, which defines the
+syntax.  Records convert to and from rows in `builder`.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ _JSON_CHORD = '{\n"a": "%s/%s",\n"b": "%s/%s"\n}'
 _JSON_RECORD = '{\n"a": "%s/%s",\n"b": "%s/%s",\n"type": "%s",\n"block": %s\n}'
 _JSON_HEAD = '{\n"seed": %s,\n"depth": %s,\n"chords": '  # then the chord list, "\n}\n"
 _CSV_RECORD = "%d/%d,%d/%d,%s,%d\n"
-# angle strings of canonical text, joined by spaces; 18 digits fit int64
-_CANONICAL = re.compile(r"[0-9]{1,18}/[0-9]{1,18}(?: [0-9]{1,18}/[0-9]{1,18})*")
 _INTS = re.sub(rb"\D", b" ", bytes.maketrans(b"BD", b"12"))  # translate: digits kept, B/D 1/2
 _ENDS = ("[0-9]{1,18}",) * 4  # p/q twice, each fitting int64
 _CHORD = re.escape(_JSON_CHORD) % _ENDS
@@ -156,15 +154,8 @@ def chords_from_json(doc) -> tuple[np.ndarray, int, Optional[list[str]], Optiona
         doc = doc["chords"]
     if not isinstance(doc, list):
         raise ValueError(f"expected a list of chords, got {doc!r}")
-    try:  # canonical text, _READ chords a regex match and a parse in C
-        texts = [" ".join([item[k] for item in doc[s:s + _READ] for k in "ab"])  # str only
-                 for s in range(0, len(doc), _READ)]
-        if not all(map(_CANONICAL.fullmatch, texts)):
-            raise ValueError("not canonical")
-        pairs, n = _grid(_ints(texts, 4, len(doc)))  # len(doc) rows: no space in an angle
-    except (KeyError, TypeError, ValueError):  # the per-string path, and the empty document
-        pairs, n = rows_of(end for item in doc for end in _fraction_ends(item))
-        pairs.sort(axis=1)
+    pairs, n = rows_of(end for item in doc for end in _fraction_ends(item))
+    pairs.sort(axis=1)
     return pairs, n, types, blocks
 
 
@@ -177,26 +168,21 @@ def _read_layout(data: bytes):
             matches.append(match)
     if match is None:
         raise ValueError("not the writers' layout")
-    ends = _ints((m[0] for m in matches), width)
+    ends = np.concatenate([np.fromstring(m[0].translate(_INTS), np.int64, sep=" ")
+                           for m in matches]).reshape(-1, width)
     if width == 4:
         return *_grid(ends), None, None
     return *_grid(ends), [" BD"[t] for t in ends[:, 4].tolist()], ends[:, 5].tolist()
 
 
-def _ints(texts: Iterable, width: int, count: int = -1) -> np.ndarray:
-    """The ASCII ints of the texts, B and D as 1 and 2, in `count` rows of `width`."""
-    ends = [np.fromstring(text.translate(_INTS), np.int64, sep=" ") for text in texts]
-    return np.concatenate(ends).reshape(count, width)
-
-
 def _grid(ends: np.ndarray) -> tuple[np.ndarray, int]:
-    """The sorted rows of the chords pa/qa, pb/qb in the first 4 columns of `ends`, on the lcm
-    n of their denominators.  A ValueError for a q of 0 or n >= 2^63."""
+    """The sorted rows of the writers' chords pa/qa, pb/qb in the first 4 columns of `ends`, on
+    the lcm n of their denominators.  A ValueError for a q of 0 or n >= 2^63."""
     p, q = ends[:, 0:4:2], ends[:, 1:4:2]
     n, rest = 1, q.ravel()
     while len(rest):  # fold in a q that n misses: n at least doubles, so at most 63 folds
         if not rest.all() or (n := scale_of((), n, int(rest[0]))) >= 2**63:  # q = 0 before any %
-            raise ValueError("not canonical")
+            raise ValueError("not on the writers' grid")
         rest = rest[n % rest != 0]
     a, b = (p % q * (n // q)).T
     return np.column_stack([np.minimum(a, b), np.maximum(a, b)]), n

@@ -341,11 +341,27 @@ def test_comajors_block_beyond_int64_is_refused_before_step_2(capsys, monkeypatc
     assert "would wrap" in err and "block 20 " in err and "largest block is 19" in err
 
 
-def test_size_without_room_for_the_circle_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["pullback", "1/12", "11/12", "--depth", "1", "--format", "svg", "--size", "0"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+def test_size_without_room_for_the_circle_is_usage_error(capsys, monkeypatch, tmp_path):
+    # the render flags are checked before any build or read; JSON and CSV ignore them
+    import trilam.cli
+
+    assert main(["comajors", "--max-block", "1", "--format", "csv", "--size", "5"]) == 0
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the render flags were checked")
+
+    for name in ("build", "build_prelamination", "hyperbolic_prune", "chords_from_json"):
+        monkeypatch.setattr(trilam.cli, name, refuse)
+    for argv in (["comajors", "--max-block", "10", "--format", "svg"],
+                 ["pullback", "1/12", "11/12", "--depth", "1", "--format", "svg"],
+                 ["pullback", "1/12", "11/12", "--prune", "--format", "svg"],
+                 ["render", "--in", str(tmp_path / "missing.json")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--size", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "", "trilam: error: size 5 px leaves no circle inside its margins\n"), argv
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])
@@ -499,8 +515,8 @@ def _chords(*angles):
         "list-angles", "malformed-before-missing", "missing-before-malformed", "str-item",
         "list-item", "chords-not-a-list"])
 def test_chords_from_json_reads_as_the_per_string_reader(doc):
-    # the column reader accepts what the per-string reader accepts, with the
-    # same rows, dtype and grid, and refuses the rest with the same message
+    # a parsed document is read by `parse_fraction` an angle: the same rows, dtype and grid
+    # as the reference reader, or the same message
     try:
         want = reference.chords_by_string(doc)
     except ValueError as exc:
@@ -520,33 +536,11 @@ def test_chords_from_json_reads_as_the_per_string_reader(doc):
     "1/3/", "1//3", "1/0", "1/-3", "", 5,
 ])
 def test_chords_from_json_reads_canonical_text_as_parse_fraction(angle):
-    # canonical documents ('p/q' of at most 18 ASCII digits each) take one regex and one
-    # parse; any other angle sends the whole document through `parse_fraction`, which
-    # defines what is accepted: the same rows and grid, or a ValueError
+    # one angle of the per-string cases, alone and after chords in the writers' text 'p/q':
+    # a parsed document is read as the per-string reader reads it, whatever its other angles
     item = {"a": angle, "b": "1/35"}
     for doc in (_chords("1/6", "1/3", "5/6", "2/3", "0/1", "7/12") + [item], [item]):
-        try:
-            want = reference.chords_by_string(doc)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as err:
-                chords_from_json(doc)
-            assert str(err.value) == str(exc)
-            continue
-        pairs, n, _, _ = chords_from_json(doc)
-        assert (pairs.dtype, pairs.tolist(), n) == (want[0].dtype, want[0].tolist(), want[1])
-
-
-def test_canonical_text_is_read_without_a_parse_per_string(monkeypatch):
-    from trilam import formats
-
-    def refuse(text):
-        raise AssertionError(f"canonical angle {text!r} parsed as a string")
-
-    doc = _chords("1/6", "1/3", "5/6", "2/3", "0/1", f"7/{10**18 - 1}")
-    want = reference.chords_by_string(doc)
-    monkeypatch.setattr(formats, "parse_fraction", refuse)
-    pairs, n, _, _ = chords_from_json(doc)
-    assert (pairs.dtype, pairs.tolist(), n) == (want[0].dtype, want[0].tolist(), want[1])
+        test_chords_from_json_reads_as_the_per_string_reader(doc)
 
 
 def _pullback_json(a, b, depth, prune=False):
@@ -620,16 +614,21 @@ def test_chords_from_json_reads_bytes_as_their_parse(data):
 
 
 def test_writers_layout_is_read_without_a_parse(monkeypatch):
-    # the writers' documents are read from their bytes: json.loads is never called
+    # the writers' documents are read from their bytes: neither json.loads nor parse_fraction
+    # is called, up to an angle of 18 digits
     from trilam import formats
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the document was parsed")
+        raise AssertionError(f"parsed: {args!r}")
 
     recs = build(5).sorted_leaves()
-    docs = [_DOCS["pruned"], records_to_json(recs).encode()]
+    wide = {"seed": {"a": "1/2", "b": "1/2"}, "depth": 0,
+            "chords": _chords("1/6", "1/3", "5/6", "2/3", "0/1", f"7/{10**18 - 1}")}
+    docs = [_DOCS["pruned"], records_to_json(recs).encode(),
+            (json.dumps(wide, indent=0) + "\n").encode()]
     wants = [_outcome(lambda d: chords_from_json(json.loads(d)), doc) for doc in docs]
     monkeypatch.setattr(formats.json, "loads", refuse)
+    monkeypatch.setattr(formats, "parse_fraction", refuse)
     assert [_outcome(chords_from_json, doc) for doc in docs] == wants
     (_, _, _, types, blocks) = wants[1]
     assert set(types) == {"B", "D"} and set(blocks) == {1, 2, 3, 4, 5}
